@@ -59,6 +59,15 @@ func BenchmarkE12Provenance(b *testing.B)     { benchExperiment(b, experiments.E
 
 // --- Audit service (internal/serve) ---
 
+// submitAudit submits req as its one-stage audit job.
+func submitAudit(e *serve.Engine, req *serve.Request) (string, error) {
+	spec, err := e.AuditJob(req)
+	if err != nil {
+		return "", err
+	}
+	return e.Submit(spec)
+}
+
 // BenchmarkBatchAudit measures batch FACT-audit throughput: the same 16
 // synthetic datasets audited back-to-back on one goroutine (the
 // pre-serve baseline) vs. fanned out over the serve.Engine worker pool.
@@ -106,7 +115,7 @@ func BenchmarkBatchAudit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ids := make([]string, batch)
 				for j, req := range requests {
-					id, err := e.Submit(req)
+					id, err := submitAudit(e, req)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -149,7 +158,7 @@ func BenchmarkAuditCache(b *testing.B) {
 	defer e.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := e.Submit(req)
+		id, err := submitAudit(e, req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +245,7 @@ func BenchmarkRegistryResolve(b *testing.B) {
 		Protected: "B", Reference: "A", Epochs: 3,
 	}
 	submitWait := func(req *serve.Request) serve.JobStatus {
-		id, err := e.Submit(req)
+		id, err := submitAudit(e, req)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -90,13 +90,13 @@ func TestPipelineRestartEndToEnd(t *testing.T) {
 	//	   against the closed scheduler — the interrupted run has
 	//	   exactly two completed stages durably on disk
 	gate1, gate2 := make(chan struct{}), make(chan struct{})
-	gate := func(ch chan struct{}) serve.TaskSpec {
-		return serve.TaskSpec{Stages: []serve.Stage{{
+	gate := func(ch chan struct{}) serve.JobSpec {
+		return serve.JobSpec{Stages: []serve.Stage{{
 			Run: func(ctx context.Context) (any, error) { <-ch; return nil, nil },
 		}}}
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := a.engine.SubmitTask(gate(gate1)); err != nil {
+		if _, err := a.engine.Submit(gate(gate1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestPipelineRestartEndToEnd(t *testing.T) {
 		t.Fatalf("submitted record = %+v, want the default 7-stage curriculum", rec)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := a.engine.SubmitTask(gate(gate2)); err != nil {
+		if _, err := a.engine.Submit(gate(gate2)); err != nil {
 			t.Fatal(err)
 		}
 	}

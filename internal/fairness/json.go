@@ -53,6 +53,7 @@ type groupStatsWire struct {
 	Precision    nanFloat
 }
 
+// MarshalJSON encodes the stats with non-finite rates as null.
 func (g GroupStats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(groupStatsWire{
 		Group:        g.Group,
@@ -65,6 +66,8 @@ func (g GroupStats) MarshalJSON() ([]byte, error) {
 	})
 }
 
+// UnmarshalJSON decodes stats written by MarshalJSON; null rates
+// decode as NaN.
 func (g *GroupStats) UnmarshalJSON(b []byte) error {
 	var w groupStatsWire
 	if err := json.Unmarshal(b, &w); err != nil {
@@ -95,6 +98,7 @@ type reportWire struct {
 	PredictiveParityDifference  nanFloat
 }
 
+// MarshalJSON encodes the report with non-finite metrics as null.
 func (r Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(reportWire{
 		Protected:                   r.Protected,
@@ -107,6 +111,8 @@ func (r Report) MarshalJSON() ([]byte, error) {
 	})
 }
 
+// UnmarshalJSON decodes a report written by MarshalJSON; null metrics
+// decode as NaN.
 func (r *Report) UnmarshalJSON(b []byte) error {
 	var w reportWire
 	if err := json.Unmarshal(b, &w); err != nil {

@@ -962,7 +962,11 @@ func (m *Monitor) audit(f *frame.Frame, entry *WindowEntry, dataHash string) {
 		// cannot starve the tenant's own drift scoring.
 		Class: serve.ClassSystem,
 	}
-	id, err := m.reg.cfg.Engine.Submit(req)
+	spec, err := m.reg.cfg.Engine.AuditJob(req)
+	var id string
+	if err == nil {
+		id, err = m.reg.cfg.Engine.Submit(spec)
+	}
 	if err == nil {
 		var js serve.JobStatus
 		js, err = m.reg.cfg.Engine.Wait(context.Background(), id)

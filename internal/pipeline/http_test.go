@@ -164,7 +164,7 @@ func TestHTTPPipelineTenantScoping(t *testing.T) {
 	// Hold the only worker so the capped tenant's run stays live.
 	block := make(chan struct{})
 	entered := make(chan struct{})
-	blocker, err := engine.SubmitTask(serve.TaskSpec{Stages: []serve.Stage{{
+	blocker, err := engine.Submit(serve.JobSpec{Stages: []serve.Stage{{
 		Run: func(ctx context.Context) (any, error) { close(entered); <-block; return nil, nil },
 	}}})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestHTTPPipelineTenantScoping(t *testing.T) {
 	<-entered
 	defer func() {
 		close(block)
-		engine.WaitTask(context.Background(), blocker)
+		engine.Wait(context.Background(), blocker)
 	}()
 
 	spec := map[string]any{"dataset_ref": meta.Ref, "epochs": 3, "stages": []string{"train"}}

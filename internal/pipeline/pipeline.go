@@ -3,8 +3,8 @@
 // mitigate, re-audit, privatize the sensitive attribute under local
 // differential privacy, retrain, re-audit — as a staged job on the
 // serve engine's runtime. Each stage is admitted through the tenant
-// scheduler under the "pipeline" class, emits a typed result into the
-// job's history ring, and persists its outcome under store
+// scheduler under the "pipeline" class, hands a typed result to the
+// job's OnStage hook, and persists its outcome under store
 // KindPipelines before the next stage may run, so a killed process
 // resumes every in-flight pipeline at its last completed stage.
 //

@@ -420,7 +420,7 @@ func TestMaxPipelinesQuota(t *testing.T) {
 	// Occupy the single worker so the first run stays live.
 	block := make(chan struct{})
 	entered := make(chan struct{})
-	blocker, err := engine.SubmitTask(serve.TaskSpec{Stages: []serve.Stage{{
+	blocker, err := engine.Submit(serve.JobSpec{Stages: []serve.Stage{{
 		Run: func(ctx context.Context) (any, error) { close(entered); <-block; return nil, nil },
 	}}})
 	if err != nil {
@@ -441,7 +441,7 @@ func TestMaxPipelinesQuota(t *testing.T) {
 	}
 
 	close(block)
-	if _, err := engine.WaitTask(context.Background(), blocker); err != nil {
+	if _, err := engine.Wait(context.Background(), blocker); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Minute)

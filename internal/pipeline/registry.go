@@ -21,7 +21,7 @@ import (
 const maxFinishedRecords = 256
 
 // Registry owns the pipeline plane: it validates specs, pins the
-// dataset, submits runs to the serve engine as staged tasks, mirrors
+// dataset, submits runs to the serve engine as multi-stage jobs, mirrors
 // every stage completion into durable records (store.KindPipelines),
 // and — via AttachStore at boot — resumes interrupted runs at their
 // last completed stage. Safe for concurrent use.
@@ -128,15 +128,14 @@ func (r *Registry) Submit(spec Spec) (*Record, error) {
 // that mirror every stage result into the durable record.
 func (r *Registry) launch(rec *Record, names []string, rs *runState) error {
 	id := rec.ID
-	_, err := r.engine.SubmitTask(serve.TaskSpec{
-		Tenant:      rec.Tenant,
-		Name:        id,
-		Stages:      rs.stages(names),
-		HistorySize: len(names) + 1,
+	_, err := r.engine.Submit(serve.JobSpec{
+		Tenant: rec.Tenant,
+		Name:   id,
+		Stages: rs.stages(names),
 		OnStage: func(res serve.StageResult) {
 			r.onStage(id, res)
 		},
-		OnFinish: func(final serve.TaskStatus) {
+		OnFinish: func(final serve.JobStatus) {
 			r.onFinish(id, final)
 		},
 	})
@@ -204,7 +203,7 @@ func marshalDetail(v any) json.RawMessage {
 
 // onFinish marks the run terminal, frees its live-quota slot, and
 // prunes the oldest finished records past the retention bound.
-func (r *Registry) onFinish(id string, final serve.TaskStatus) {
+func (r *Registry) onFinish(id string, final serve.JobStatus) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec := r.recs[id]

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/responsible-data-science/rds/internal/core"
-	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // ReportCache is a fixed-capacity LRU cache of audit reports keyed by
@@ -63,12 +62,6 @@ func (c *ReportCache) Get(key string) (*core.FACTReport, bool) {
 	}
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).report, true
-}
-
-// Put stores a report under key charged to the default tenant. Kept
-// for callers without tenant context; the engine uses PutAs.
-func (c *ReportCache) Put(key string, report *core.FACTReport) {
-	c.PutAs(tenant.Default, key, report)
 }
 
 // PutAs stores a report under key, charging its byte size to ten's

@@ -22,7 +22,7 @@ func TestDataHashShortCircuitsCacheKey(t *testing.T) {
 	defer e.Close()
 
 	first := testRequest(t, 1)
-	id, err := e.Submit(first)
+	id, err := submitAudit(e, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDataHashShortCircuitsCacheKey(t *testing.T) {
 
 	byRef := testRequest(t, 1)
 	byRef.DataHash = byRef.Data.Hash()
-	id, err = e.Submit(byRef)
+	id, err = submitAudit(e, byRef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestExecLatencyWindowExcludesHits(t *testing.T) {
 		return &core.FACTReport{Pipeline: req.Dataset}, nil
 	}
 
-	id, err := e.Submit(stubRequest(1))
+	id, err := submitAudit(e, stubRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExecLatencyWindowExcludesHits(t *testing.T) {
 	// Nine hits of the same request: with a single window these would
 	// pull the p50 to ~0 and hide the 30ms audit.
 	for i := 0; i < 9; i++ {
-		id, err := e.Submit(stubRequest(1))
+		id, err := submitAudit(e, stubRequest(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestExecLatencyWindowExcludesHits(t *testing.T) {
 		}
 	}
 
-	snap := e.Metrics().Snapshot()
+	snap := e.MetricsSnapshot()
 	if snap.LatencySamples != 10 || snap.ExecLatencySamples != 1 {
 		t.Fatalf("samples = %d/%d, want 10 combined / 1 exec", snap.LatencySamples, snap.ExecLatencySamples)
 	}

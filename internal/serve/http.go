@@ -124,7 +124,7 @@ func DefaultPolicy() policy.FACTPolicy {
 // Handler exposes an Engine over HTTP:
 //
 //	POST /v1/audit       run an audit (sync by default; "async": true for 202 + id)
-//	GET  /v1/audit/{id}  job status / result
+//	GET  /v1/audit/{id}  job status / result (any of the caller's jobs, pipelines included)
 //	/v1/pipelines        staged remediation runs (when Pipelines is mounted)
 //	GET  /healthz        liveness and pool state
 //	GET  /metrics        throughput, cache hit rate, latency quantiles
@@ -221,7 +221,12 @@ func (h *Handler) postAudit(w http.ResponseWriter, r *http.Request) {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	id, err := h.engine.Submit(req)
+	spec, err := h.engine.AuditJob(req)
+	if err != nil {
+		httpx.Error(w, http.StatusBadRequest, err)
+		return
+	}
+	id, err := h.engine.Submit(spec)
 	switch {
 	case errors.Is(err, ErrTenantBusy):
 		// Only this tenant is over budget: 429, with the suggested wait.

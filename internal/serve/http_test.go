@@ -2,16 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/responsible-data-science/rds/internal/core"
 	"github.com/responsible-data-science/rds/internal/dataset"
 	"github.com/responsible-data-science/rds/internal/httpx"
 	"github.com/responsible-data-science/rds/internal/policy"
@@ -119,7 +125,7 @@ func TestHTTPAuditCSVUploadAndCacheHit(t *testing.T) {
 	if second.Report == nil || second.Report.Pipeline != "upload-test" {
 		t.Errorf("cached report missing or mislabeled: %+v", second.Report)
 	}
-	if snap := e.Metrics().Snapshot(); snap.CacheHits != 1 {
+	if snap := e.MetricsSnapshot(); snap.CacheHits != 1 {
 		t.Errorf("metrics cache hits = %d, want 1", snap.CacheHits)
 	}
 }
@@ -468,5 +474,109 @@ func TestHTTPMultipartAndQuerySpec(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+}
+
+// TestAuditWireShape pins the /v1/audit bodies to their exact key sets
+// — a finished, a queued, and a failed audit each encode the report at
+// most once and never the staged-job internals — and pins that GET
+// /v1/audit/{id} answers for any of the caller's jobs, multi-stage ones
+// included, and 404s for another tenant's.
+func TestAuditWireShape(t *testing.T) {
+	e := NewEngine(Config{Workers: 1, QueueSize: 8, CacheSize: -1})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	e.runAudit = func(ctx context.Context, req *Request) (*core.FACTReport, error) {
+		switch req.Dataset {
+		case "blocker":
+			<-release
+		case "bad":
+			return nil, errors.New("audit exploded")
+		}
+		return &core.FACTReport{Pipeline: req.Dataset}, nil
+	}
+	srv := httptest.NewServer(NewHandler(e))
+	t.Cleanup(func() {
+		releaseOnce.Do(func() { close(release) })
+		srv.Close()
+		e.Close()
+	})
+	keys := func(body []byte) string {
+		t.Helper()
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("bad JSON: %v\n%s", err, body)
+		}
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	audit := func(dataset string, async bool) (int, []byte) {
+		t.Helper()
+		resp, body := postJSON(t, srv.URL+"/v1/audit",
+			fmt.Sprintf(`{"dataset":%q,"synthetic":{"n":50},"async":%t}`, dataset, async))
+		return resp.StatusCode, body
+	}
+
+	code, body := audit("ok", false)
+	if want := "cache_hit,dataset,elapsed_millis,id,report,status,tenant"; code != http.StatusOK || keys(body) != want {
+		t.Fatalf("sync audit = %d with keys %s, want 200 with %s", code, keys(body), want)
+	}
+	code, body = audit("bad", false)
+	if want := "cache_hit,dataset,elapsed_millis,error,id,status,tenant"; code != http.StatusUnprocessableEntity || keys(body) != want {
+		t.Fatalf("failed audit = %d with keys %s, want 422 with %s", code, keys(body), want)
+	}
+
+	// Hold the single worker so the next async audit is still queued
+	// when its 202 is rendered.
+	code, body = audit("blocker", true)
+	var blocker JobStatus
+	if err := json.Unmarshal(body, &blocker); err != nil || code != http.StatusAccepted {
+		t.Fatalf("blocker = %d %s (%v)", code, body, err)
+	}
+	for js, _ := e.Job(blocker.ID); js.Status != StatusRunning; js, _ = e.Job(blocker.ID) {
+		time.Sleep(time.Millisecond)
+	}
+	code, body = audit("queued", true)
+	if want := "cache_hit,dataset,id,status,tenant"; code != http.StatusAccepted || keys(body) != want {
+		t.Fatalf("async audit = %d with keys %s, want 202 with %s", code, keys(body), want)
+	}
+	var queued JobStatus
+	if err := json.Unmarshal(body, &queued); err != nil || queued.Status != StatusQueued {
+		t.Fatalf("async audit body %s (%v), want status queued", body, err)
+	}
+	releaseOnce.Do(func() { close(release) })
+
+	noop := func(ctx context.Context) (any, error) { return nil, nil }
+	id, err := e.Submit(JobSpec{Tenant: "acme", Name: "run", Stages: []Stage{{Run: noop}, {Run: noop}, {Run: noop}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Wait(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	get := func(ten string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/audit/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(httpx.TenantHeader, ten)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, []byte(readAll(t, resp))
+	}
+	code, body = get("acme")
+	if want := "cache_hit,dataset,elapsed_millis,id,status,tenant"; code != http.StatusOK || keys(body) != want {
+		t.Fatalf("owner GET of a multi-stage job = %d with keys %s, want 200 with %s", code, keys(body), want)
+	}
+	if code, _ = get("other"); code != http.StatusNotFound {
+		t.Fatalf("another tenant's GET of a multi-stage job = %d, want 404", code)
 	}
 }

@@ -55,48 +55,45 @@ func (r *latencyRing) quantiles() (p50, p99 float64) {
 // latencies. All methods are safe for concurrent use; Snapshot renders
 // the current state for /metrics.
 //
-// Latencies are windowed twice: every finished job lands in the
-// combined window (p50_millis/p99_millis), while only executed audits
-// land in the exec window (p50_exec_millis/p99_exec_millis). Cache
-// hits finish in microseconds, so at high hit rates the combined
-// quantiles tell the client story (most requests are instant) while
-// the exec quantiles keep telling the capacity story — before the
-// split, hits dragged the only quantiles toward zero and masked slow
-// audits.
+// Every job — a one-stage audit or a multi-stage pipeline — is counted
+// once in the jobs_* totals and once under its admission class (its
+// first stage's class). Latencies are windowed twice: every finished
+// job lands in the combined window (p50_millis/p99_millis), while only
+// jobs that actually ran land in the exec window
+// (p50_exec_millis/p99_exec_millis). Cache hits finish in
+// microseconds, so at high hit rates the combined quantiles tell the
+// client story (most requests are instant) while the exec quantiles
+// keep telling the capacity story.
 type Metrics struct {
-	mu            sync.Mutex
-	workers       int
-	jobsSubmitted uint64
-	jobsRejected  uint64
-	jobsCompleted uint64
-	jobsFailed    uint64
-	jobsRunning   int
-	cacheHits     uint64
-	cacheMisses   uint64
-	// Staged-task counters (pipelines). The jobs_* counters above stay
-	// audits-only so the historical /metrics contract is unchanged.
-	tasksSubmitted uint64
-	tasksRejected  uint64
-	tasksCompleted uint64
-	tasksFailed    uint64
+	mu             sync.Mutex
+	workers        int
+	jobsSubmitted  uint64
+	jobsRejected   uint64
+	jobsCompleted  uint64
+	jobsFailed     uint64
+	jobsRunning    int
+	cacheHits      uint64
+	cacheMisses    uint64
 	stagesExecuted uint64
 	all            latencyRing // every finished job, cache hits included
-	exec           latencyRing // executed (non-hit) audits only
+	exec           latencyRing // jobs that ran (not cache hits) only
+	// classes holds the per-admission-class job counters; a class
+	// appears on its first submission.
+	classes map[string]*ClassSnapshot
 	// tenants holds the per-tenant counter slices, keyed by tenant id;
-	// a tenant appears on its first submission or rejection.
+	// a tenant appears on its first submission.
 	tenants map[string]*tenantCounters
 }
 
 // tenantCounters is one tenant's slice of the engine counters: what it
-// submitted, what actually executed for it (cache hits included), what
-// admission rejected, its staged-task progress, and a bounded window
+// submitted, what finished for it (cache hits included), what
+// admission rejected, the stages executed for it, and a bounded window
 // of its finished-job latencies for the per-tenant quantiles.
 type tenantCounters struct {
 	submitted uint64
 	executed  uint64
 	rejected  uint64
 	stages    uint64
-	tasksDone uint64
 	lat       latencyRing
 }
 
@@ -105,6 +102,7 @@ func newMetrics(workers int) *Metrics {
 		workers: workers,
 		all:     newLatencyRing(),
 		exec:    newLatencyRing(),
+		classes: map[string]*ClassSnapshot{},
 		tenants: map[string]*tenantCounters{},
 	}
 }
@@ -119,12 +117,31 @@ func (m *Metrics) tenantLocked(ten string) *tenantCounters {
 	return tc
 }
 
-// taskSubmitted / taskRejected / taskFinished / stageExecuted are the
-// staged-task twins of the audit counters. Task latencies land in each
-// tenant's window (they are real work the tenant waited on) but stay
-// out of the audit-only service-wide rings.
-func (m *Metrics) taskSubmitted() { m.mu.Lock(); m.tasksSubmitted++; m.mu.Unlock() }
-func (m *Metrics) taskRejected()  { m.mu.Lock(); m.tasksRejected++; m.mu.Unlock() }
+// classLocked returns class's counters, creating them on first sight.
+func (m *Metrics) classLocked(class string) *ClassSnapshot {
+	c := m.classes[class]
+	if c == nil {
+		c = &ClassSnapshot{}
+		m.classes[class] = c
+	}
+	return c
+}
+
+func (m *Metrics) submitted(ten, class string) {
+	m.mu.Lock()
+	m.jobsSubmitted++
+	m.classLocked(class).Submitted++
+	m.tenantLocked(ten).submitted++
+	m.mu.Unlock()
+}
+
+func (m *Metrics) rejected(ten, class string) {
+	m.mu.Lock()
+	m.jobsRejected++
+	m.classLocked(class).Rejected++
+	m.tenantLocked(ten).rejected++
+	m.mu.Unlock()
+}
 
 func (m *Metrics) stageExecuted(ten string) {
 	m.mu.Lock()
@@ -133,76 +150,36 @@ func (m *Metrics) stageExecuted(ten string) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) taskFinished(ten string, ok bool, d time.Duration) {
-	m.mu.Lock()
-	if ok {
-		m.tasksCompleted++
-	} else {
-		m.tasksFailed++
-	}
-	tc := m.tenantLocked(ten)
-	tc.tasksDone++
-	tc.lat.observe(d)
-	m.mu.Unlock()
-}
-
-func (m *Metrics) submitted(ten string) {
-	m.mu.Lock()
-	m.jobsSubmitted++
-	m.tenantLocked(ten).submitted++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) rejected(ten string) {
-	m.mu.Lock()
-	m.jobsRejected++
-	m.tenantLocked(ten).rejected++
-	m.mu.Unlock()
-}
-
 func (m *Metrics) cacheHit()  { m.mu.Lock(); m.cacheHits++; m.mu.Unlock() }
 func (m *Metrics) cacheMiss() { m.mu.Lock(); m.cacheMisses++; m.mu.Unlock() }
 func (m *Metrics) started()   { m.mu.Lock(); m.jobsRunning++; m.mu.Unlock() }
 func (m *Metrics) stopped()   { m.mu.Lock(); m.jobsRunning--; m.mu.Unlock() }
 
-// completed records one executed audit's latency.
-func (m *Metrics) completed(ten string, d time.Duration) {
+// finished records one finished job: completed when ok, failed
+// otherwise. Its latency lands in the combined and tenant windows, and
+// in the exec window unless it was a cache hit, so the exec quantiles
+// keep measuring work that actually ran.
+func (m *Metrics) finished(ten, class string, ok, hit bool, d time.Duration) {
 	m.mu.Lock()
-	m.jobsCompleted++
+	defer m.mu.Unlock()
+	c := m.classLocked(class)
+	if ok {
+		m.jobsCompleted++
+		c.Completed++
+	} else {
+		m.jobsFailed++
+		c.Failed++
+	}
 	tc := m.tenantLocked(ten)
 	tc.executed++
 	tc.lat.observe(d)
 	m.all.observe(d)
-	m.exec.observe(d)
-	m.mu.Unlock()
+	if !hit {
+		m.exec.observe(d)
+	}
 }
 
-// completedHit records a cache-hit job: it counts as completed and
-// lands in the combined and tenant windows, but stays out of the exec
-// window so the exec quantiles keep measuring real audit latency.
-func (m *Metrics) completedHit(ten string, d time.Duration) {
-	m.mu.Lock()
-	m.jobsCompleted++
-	tc := m.tenantLocked(ten)
-	tc.executed++
-	tc.lat.observe(d)
-	m.all.observe(d)
-	m.mu.Unlock()
-}
-
-// failed records one failed (executed) audit's latency.
-func (m *Metrics) failed(ten string, d time.Duration) {
-	m.mu.Lock()
-	m.jobsFailed++
-	tc := m.tenantLocked(ten)
-	tc.executed++
-	tc.lat.observe(d)
-	m.all.observe(d)
-	m.exec.observe(d)
-	m.mu.Unlock()
-}
-
-// execP50 returns the executed-audit p50 latency (0 with no samples);
+// execP50 returns the executed-job p50 latency (0 with no samples);
 // the engine's backoff estimator uses it as the per-job drain cost.
 func (m *Metrics) execP50() time.Duration {
 	m.mu.Lock()
@@ -215,7 +192,9 @@ func (m *Metrics) execP50() time.Duration {
 // The json field names are the service's stable /metrics contract,
 // documented in README "Metrics reference"; scrapers may rely on them.
 type Snapshot struct {
-	Workers       int     `json:"workers"`
+	Workers int `json:"workers"`
+	// The jobs_* counters count every job, audits and pipelines alike;
+	// submissions include cache hits and rejected attempts.
 	JobsSubmitted uint64  `json:"jobs_submitted"`
 	JobsRejected  uint64  `json:"jobs_rejected"`
 	JobsCompleted uint64  `json:"jobs_completed"`
@@ -224,14 +203,11 @@ type Snapshot struct {
 	CacheHits     uint64  `json:"cache_hits"`
 	CacheMisses   uint64  `json:"cache_misses"`
 	CacheHitRate  float64 `json:"cache_hit_rate"` // hits / (hits+misses), 0 when no lookups
-	// Staged-task (pipeline) counters, additive next to the audit-only
-	// jobs_* counters: submissions, admission rejections, terminal
-	// outcomes, and total stages executed across all tasks.
-	TasksSubmitted uint64 `json:"tasks_submitted"`
-	TasksRejected  uint64 `json:"tasks_rejected"`
-	TasksCompleted uint64 `json:"tasks_completed"`
-	TasksFailed    uint64 `json:"tasks_failed"`
+	// StagesExecuted counts every stage a worker ran, across all jobs.
 	StagesExecuted uint64 `json:"stages_executed"`
+	// Classes splits the job counters by admission class (a job's class
+	// is its first stage's), keyed by class name.
+	Classes map[string]ClassSnapshot `json:"classes,omitempty"`
 	// LatencyWindow is the sliding-window capacity (in jobs) the
 	// latency quantiles are computed over; LatencySamples is how many
 	// finished jobs currently populate the combined window and
@@ -240,7 +216,7 @@ type Snapshot struct {
 	LatencySamples     int `json:"latency_samples"`
 	ExecLatencySamples int `json:"exec_latency_samples"`
 	// P50Millis/P99Millis cover every finished job, cache hits
-	// included; P50ExecMillis/P99ExecMillis cover executed audits only,
+	// included; P50ExecMillis/P99ExecMillis cover jobs that ran only,
 	// so a rising hit rate cannot drag them toward zero.
 	P50Millis     float64 `json:"p50_millis"`
 	P99Millis     float64 `json:"p99_millis"`
@@ -253,12 +229,20 @@ type Snapshot struct {
 	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
 }
 
+// ClassSnapshot is one admission class's slice of the job counters.
+type ClassSnapshot struct {
+	Submitted uint64 `json:"submitted"`
+	Rejected  uint64 `json:"rejected"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
+}
+
 // TenantSnapshot is one tenant's slice of the engine metrics.
 type TenantSnapshot struct {
 	// Queued is the tenant's current scheduler queue depth.
 	Queued int `json:"queued"`
-	// Submitted counts the tenant's accepted submissions (cache hits
-	// included).
+	// Submitted counts every submission attempt by the tenant: cache
+	// hits and rejected attempts included.
 	Submitted uint64 `json:"submitted"`
 	// Executed counts the tenant's finished jobs (done, failed, or
 	// cache-served).
@@ -266,15 +250,11 @@ type TenantSnapshot struct {
 	// Rejected counts the tenant's admission rejections (429s and the
 	// tenant's share of 503s).
 	Rejected uint64 `json:"rejected"`
-	// Stages counts pipeline stages executed for the tenant, and Tasks
-	// its finished staged tasks.
+	// Stages counts the stages executed for the tenant.
 	Stages uint64 `json:"stages,omitempty"`
-	Tasks  uint64 `json:"tasks,omitempty"`
-	// P50Millis/P99Millis are the tenant's finished-work latency
+	// P50Millis/P99Millis are the tenant's finished-job latency
 	// quantiles over a sliding window of tenantLatencyWindow jobs
-	// (audits — cache hits included — and staged tasks). Before these
-	// fields, soak harnesses had to compute per-tenant quantiles
-	// client-side.
+	// (cache hits included).
 	P50Millis float64 `json:"p50_millis"`
 	P99Millis float64 `json:"p99_millis"`
 	// LatencySamples is how many finished jobs populate the window.
@@ -294,10 +274,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		JobsRunning:        m.jobsRunning,
 		CacheHits:          m.cacheHits,
 		CacheMisses:        m.cacheMisses,
-		TasksSubmitted:     m.tasksSubmitted,
-		TasksRejected:      m.tasksRejected,
-		TasksCompleted:     m.tasksCompleted,
-		TasksFailed:        m.tasksFailed,
 		StagesExecuted:     m.stagesExecuted,
 		LatencyWindow:      latencyWindow,
 		LatencySamples:     m.all.count,
@@ -308,6 +284,12 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.P50Millis, s.P99Millis = m.all.quantiles()
 	s.P50ExecMillis, s.P99ExecMillis = m.exec.quantiles()
+	if len(m.classes) > 0 {
+		s.Classes = make(map[string]ClassSnapshot, len(m.classes))
+		for class, c := range m.classes {
+			s.Classes[class] = *c
+		}
+	}
 	if len(m.tenants) > 0 {
 		s.Tenants = make(map[string]TenantSnapshot, len(m.tenants))
 		for id, tc := range m.tenants {
@@ -316,7 +298,6 @@ func (m *Metrics) Snapshot() Snapshot {
 				Executed:       tc.executed,
 				Rejected:       tc.rejected,
 				Stages:         tc.stages,
-				Tasks:          tc.tasksDone,
 				LatencySamples: tc.lat.count,
 			}
 			ts.P50Millis, ts.P99Millis = tc.lat.quantiles()

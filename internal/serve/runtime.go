@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"github.com/responsible-data-science/rds/internal/tenant"
 )
@@ -53,14 +51,14 @@ func classQuotas(quotas func(string) tenant.Quotas, ten, class string) tenant.Qu
 	return q
 }
 
-// Stage is one resumable unit of a staged job: a named body scheduled
+// Stage is one resumable unit of a job: a named body scheduled
 // through the tenant admission path under its kind's admission class.
-// Each completed stage emits a StageResult into the job's bounded
-// history ring; the runtime then re-enqueues the job for its next
-// stage, so long pipelines interleave fairly with everyone else's work
-// at stage granularity instead of holding a worker end to end.
+// Each completed stage hands a StageResult to the job's OnStage hook;
+// the runtime then re-enqueues the job for its next stage, so long
+// pipelines interleave fairly with everyone else's work at stage
+// granularity instead of holding a worker end to end.
 type Stage struct {
-	// Name labels the stage in the history ring ("train", "audit", ...).
+	// Name labels the stage in its StageResult ("train", "audit", ...).
 	Name string
 	// Kind is the stage's admission class (default ClassPipeline).
 	Kind string
@@ -71,8 +69,8 @@ type Stage struct {
 	Run func(ctx context.Context) (detail any, err error)
 }
 
-// StageResult is the typed record a completed stage emits into its
-// job's bounded history ring.
+// StageResult is the typed record a completed stage hands to its job's
+// OnStage hook.
 type StageResult struct {
 	// Index is the stage's position in the job's stage list.
 	Index int `json:"index"`
@@ -90,154 +88,30 @@ type StageResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// DefaultTaskHistory bounds a staged job's result history when the
-// TaskSpec does not: older stage results are dropped once the ring is
-// full, so unbounded pipelines cannot grow resident state without
-// limit.
-const DefaultTaskHistory = 32
-
-// TaskSpec describes a staged job: an ordered list of stages run
-// through the engine one admission-and-dequeue cycle per stage.
-type TaskSpec struct {
+// JobSpec describes one job: an ordered list of stages run through the
+// engine one admission-and-dequeue cycle per stage. A one-shot audit is
+// the one-stage spec AuditJob returns; a remediation pipeline is a
+// multi-stage spec built by internal/pipeline.
+type JobSpec struct {
 	// Tenant is the owning tenant ("" means tenant.Default). It selects
 	// the scheduler queues, admission budgets, and metrics slice every
-	// stage of the task runs under.
+	// stage of the job runs under.
 	Tenant string
-	// Name labels the task in status snapshots.
+	// Name labels the job in status snapshots (JobStatus.Dataset).
 	Name string
 	// Stages is the ordered stage list. Required, non-empty.
 	Stages []Stage
-	// HistorySize bounds the task's stage-result ring (default
-	// DefaultTaskHistory).
-	HistorySize int
+	// CacheKey, when set, keys the job in the report cache: Submit
+	// answers a cached report without admitting the job, and a keyed job
+	// whose final stage returns a *core.FACTReport caches it. Only a job
+	// whose result is a pure function of the key may set it.
+	CacheKey string
 	// OnStage, when set, observes each stage's result synchronously
 	// after the stage completes and before the next stage is scheduled
 	// — the persistence hook: state saved here is durable before any
 	// later stage runs.
 	OnStage func(res StageResult)
-	// OnFinish, when set, observes the task's terminal status exactly
+	// OnFinish, when set, observes the job's terminal status exactly
 	// once (StatusDone or StatusFailed).
-	OnFinish func(final TaskStatus)
-}
-
-// TaskStatus is a point-in-time snapshot of one staged job,
-// JSON-serializable for the HTTP API.
-type TaskStatus struct {
-	ID     string `json:"id"`
-	Tenant string `json:"tenant"`
-	Name   string `json:"name"`
-	Status Status `json:"status"`
-	// Stage is the index of the currently running (or next) stage;
-	// equals Stages once the task finished.
-	Stage int `json:"stage"`
-	// Stages is the total stage count.
-	Stages int `json:"stages"`
-	// Interrupted marks a StatusFailed task that was cut off by engine
-	// shutdown between stages rather than by a failing stage: every
-	// completed stage was handed to OnStage, so a durability layer can
-	// resume the task at the next boot instead of recording a failure.
-	Interrupted bool `json:"interrupted,omitempty"`
-	// History is the bounded ring of completed stage results, oldest
-	// first.
-	History []StageResult `json:"history"`
-	Error   string        `json:"error,omitempty"`
-	// ElapsedMillis is submit-to-finish latency for finished tasks.
-	ElapsedMillis float64 `json:"elapsed_millis,omitempty"`
-}
-
-// SubmitTask validates and enqueues one staged job, returning the task
-// id. Admission (token bucket, per-tenant and aggregate queue bounds)
-// is charged once, at submission, for the first stage's class; later
-// stages re-enter the scheduler through the DRR ring without consuming
-// fresh admission budget — the job was already admitted. Rejections
-// carry the same retry contract as Submit.
-func (e *Engine) SubmitTask(spec TaskSpec) (string, error) {
-	if len(spec.Stages) == 0 {
-		return "", fmt.Errorf("serve: SubmitTask needs at least one stage")
-	}
-	ten, err := tenant.Normalize(spec.Tenant)
-	if err != nil {
-		return "", err
-	}
-	for i := range spec.Stages {
-		st := &spec.Stages[i]
-		if st.Run == nil {
-			return "", fmt.Errorf("serve: stage %d (%q) has no body", i, st.Name)
-		}
-		if st.Name == "" {
-			st.Name = fmt.Sprintf("stage-%d", i)
-		}
-		if st.Kind == "" {
-			st.Kind = ClassPipeline
-		}
-		if !validClass(st.Kind) {
-			return "", fmt.Errorf("serve: stage %d (%q) has unknown class %q", i, st.Name, st.Kind)
-		}
-	}
-	if spec.HistorySize <= 0 {
-		spec.HistorySize = DefaultTaskHistory
-	}
-	select {
-	case <-e.closed:
-		return "", ErrClosed
-	default:
-	}
-
-	j := &job{
-		id:        e.nextTaskID(),
-		tenant:    ten,
-		dataset:   spec.Name,
-		stages:    spec.Stages,
-		histSize:  spec.HistorySize,
-		onStage:   spec.OnStage,
-		onFinish:  spec.OnFinish,
-		status:    StatusQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	e.metrics.taskSubmitted()
-	e.register(j)
-	if err := e.sched.admit(ten, j.stages[0].Kind, j, false); err != nil {
-		e.unregister(j.id)
-		e.metrics.taskRejected()
-		return "", err
-	}
-	return j.id, nil
-}
-
-// Task returns a snapshot of the staged job with the given id (audit
-// jobs are not visible here; use Job).
-func (e *Engine) Task(id string) (TaskStatus, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok || j.isAudit() {
-		return TaskStatus{}, false
-	}
-	return j.taskSnapshot(), true
-}
-
-// WaitTask blocks until the staged job finishes or ctx is cancelled,
-// returning the final snapshot.
-func (e *Engine) WaitTask(ctx context.Context, id string) (TaskStatus, error) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok || j.isAudit() {
-		return TaskStatus{}, fmt.Errorf("serve: no task %q", id)
-	}
-	select {
-	case <-j.done:
-		return j.taskSnapshot(), nil
-	case <-ctx.Done():
-		return j.taskSnapshot(), ctx.Err()
-	}
-}
-
-func (e *Engine) nextTaskID() string {
-	e.mu.Lock()
-	e.seq++
-	id := e.seq
-	e.mu.Unlock()
-	return fmt.Sprintf("task-%06d", id)
+	OnFinish func(final JobStatus)
 }

@@ -51,17 +51,18 @@ func TestLegacyCacheKeysBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSubmitTaskRunsStagesInOrder drives a three-stage task end to end:
-// stages execute strictly in order, each result lands in the history
-// ring with its index and detail, OnStage observes every result before
-// the next stage runs, and OnFinish sees the terminal snapshot once.
-func TestSubmitTaskRunsStagesInOrder(t *testing.T) {
+// TestSubmitRunsStagesInOrder drives a three-stage job end to end:
+// stages execute strictly in order, OnStage observes every result —
+// with its index and detail — before the next stage runs, and OnFinish
+// sees the terminal snapshot once.
+func TestSubmitRunsStagesInOrder(t *testing.T) {
 	e := NewEngine(Config{Workers: 2, QueueSize: 16, CacheSize: -1})
 	defer e.Close()
 
 	var mu sync.Mutex
 	var observed []string
-	var finals []TaskStatus
+	var results []StageResult
+	var finals []JobStatus
 	mkStage := func(name string) Stage {
 		return Stage{Name: name, Run: func(ctx context.Context) (any, error) {
 			mu.Lock()
@@ -70,15 +71,16 @@ func TestSubmitTaskRunsStagesInOrder(t *testing.T) {
 			return name + "-detail", nil
 		}}
 	}
-	id, err := e.SubmitTask(TaskSpec{
+	id, err := e.Submit(JobSpec{
 		Name:   "ordered",
 		Stages: []Stage{mkStage("one"), mkStage("two"), mkStage("three")},
 		OnStage: func(res StageResult) {
 			mu.Lock()
 			observed = append(observed, "hook:"+res.Stage)
+			results = append(results, res)
 			mu.Unlock()
 		},
-		OnFinish: func(final TaskStatus) {
+		OnFinish: func(final JobStatus) {
 			mu.Lock()
 			finals = append(finals, final)
 			mu.Unlock()
@@ -87,77 +89,52 @@ func TestSubmitTaskRunsStagesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := e.WaitTask(context.Background(), id)
+	final, err := e.Wait(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != StatusDone || final.Stage != 3 || final.Stages != 3 {
-		t.Fatalf("final = %+v, want done at stage 3/3", final)
+	if final.Status != StatusDone || final.Dataset != "ordered" {
+		t.Fatalf("final = %+v, want done job named ordered", final)
 	}
 	want := []string{"run:one", "hook:one", "run:two", "hook:two", "run:three", "hook:three"}
 	mu.Lock()
-	got := append([]string(nil), observed...)
-	nFinals := len(finals)
-	mu.Unlock()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("stage/hook order = %v, want %v (OnStage must run before the next stage)", got, want)
+	defer mu.Unlock()
+	if fmt.Sprint(observed) != fmt.Sprint(want) {
+		t.Fatalf("stage/hook order = %v, want %v (OnStage must run before the next stage)", observed, want)
 	}
-	if nFinals != 1 {
-		t.Fatalf("OnFinish fired %d times, want exactly once", nFinals)
+	if len(finals) != 1 || finals[0].Status != StatusDone {
+		t.Fatalf("OnFinish saw %+v, want exactly one done snapshot", finals)
 	}
-	if len(final.History) != 3 {
-		t.Fatalf("history = %+v, want 3 results", final.History)
-	}
-	for i, res := range final.History {
+	for i, res := range results {
 		if res.Index != i || res.Status != StatusDone || res.Kind != ClassPipeline {
-			t.Fatalf("history[%d] = %+v, want done pipeline-class at index %d", i, res, i)
+			t.Fatalf("result %d = %+v, want done pipeline-class at index %d", i, res, i)
 		}
 		if d, ok := res.Detail.(string); !ok || d != res.Stage+"-detail" {
-			t.Fatalf("history[%d].Detail = %v, want %q", i, res.Detail, res.Stage+"-detail")
+			t.Fatalf("result %d detail = %v, want %q", i, res.Detail, res.Stage+"-detail")
 		}
-	}
-}
-
-// TestTaskHistoryBounded pins the ring bound: with HistorySize 2 a
-// five-stage task retains only the last two results, oldest dropped.
-func TestTaskHistoryBounded(t *testing.T) {
-	e := NewEngine(Config{Workers: 1, QueueSize: 16, CacheSize: -1})
-	defer e.Close()
-	stages := make([]Stage, 5)
-	for i := range stages {
-		stages[i] = Stage{Run: func(ctx context.Context) (any, error) { return nil, nil }}
-	}
-	id, err := e.SubmitTask(TaskSpec{Stages: stages, HistorySize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := e.WaitTask(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(final.History) != 2 {
-		t.Fatalf("history length = %d, want ring bound 2", len(final.History))
-	}
-	if final.History[0].Index != 3 || final.History[1].Index != 4 {
-		t.Fatalf("history kept indices %d,%d; want the newest (3,4)", final.History[0].Index, final.History[1].Index)
 	}
 }
 
 // TestTaskStageFailureStopsRun checks a failing stage fails the whole
-// task and no later stage runs.
+// job and no later stage runs.
 func TestTaskStageFailureStopsRun(t *testing.T) {
 	e := NewEngine(Config{Workers: 1, QueueSize: 16, CacheSize: -1})
 	defer e.Close()
 	var ranThird bool
-	id, err := e.SubmitTask(TaskSpec{Stages: []Stage{
-		{Name: "ok", Run: func(ctx context.Context) (any, error) { return nil, nil }},
-		{Name: "boom", Run: func(ctx context.Context) (any, error) { return nil, errors.New("stage exploded") }},
-		{Name: "never", Run: func(ctx context.Context) (any, error) { ranThird = true; return nil, nil }},
-	}})
+	var mu sync.Mutex
+	var last StageResult
+	id, err := e.Submit(JobSpec{
+		Stages: []Stage{
+			{Name: "ok", Run: func(ctx context.Context) (any, error) { return nil, nil }},
+			{Name: "boom", Run: func(ctx context.Context) (any, error) { return nil, errors.New("stage exploded") }},
+			{Name: "never", Run: func(ctx context.Context) (any, error) { ranThird = true; return nil, nil }},
+		},
+		OnStage: func(res StageResult) { mu.Lock(); last = res; mu.Unlock() },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := e.WaitTask(context.Background(), id)
+	final, err := e.Wait(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,73 +142,35 @@ func TestTaskStageFailureStopsRun(t *testing.T) {
 		t.Fatalf("final = %+v, want failed with error", final)
 	}
 	if ranThird {
-		t.Fatal("stage after the failing one ran; failure must stop the task")
+		t.Fatal("stage after the failing one ran; failure must stop the job")
 	}
-	last := final.History[len(final.History)-1]
+	mu.Lock()
+	defer mu.Unlock()
 	if last.Stage != "boom" || last.Status != StatusFailed || last.Error != "stage exploded" {
 		t.Fatalf("failing stage record = %+v", last)
 	}
 }
 
-// TestTaskAuditVisibilityPartition pins the API split the refactor must
-// not blur: audits are visible through Job/Wait only, staged tasks
-// through Task/WaitTask only — neither leaks into the other's surface.
-func TestTaskAuditVisibilityPartition(t *testing.T) {
-	e := NewEngine(Config{Workers: 2, QueueSize: 16, CacheSize: -1})
-	defer e.Close()
-	e.runAudit = func(ctx context.Context, req *Request) (*core.FACTReport, error) {
-		return &core.FACTReport{Pipeline: req.Dataset}, nil
-	}
-	auditID, err := e.Submit(stubRequest(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	taskID, err := e.SubmitTask(TaskSpec{Stages: []Stage{
-		{Run: func(ctx context.Context) (any, error) { return nil, nil }},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Wait(context.Background(), auditID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.WaitTask(context.Background(), taskID); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.Job(taskID); ok {
-		t.Fatal("Job() sees a staged task")
-	}
-	if _, ok := e.Task(auditID); ok {
-		t.Fatal("Task() sees an audit")
-	}
-	if _, err := e.Wait(context.Background(), taskID); err == nil {
-		t.Fatal("Wait() accepted a task id")
-	}
-	if _, err := e.WaitTask(context.Background(), auditID); err == nil {
-		t.Fatal("WaitTask() accepted an audit id")
-	}
-}
-
-// TestSubmitTaskValidation covers the rejection paths: no stages, a
-// stage without a body, an unknown admission class, and submit after
-// Close.
-func TestSubmitTaskValidation(t *testing.T) {
+// TestSubmitJobSpecValidation covers the rejection paths: no stages, a
+// stage without a body, an unknown admission class, an invalid tenant,
+// and submit after Close.
+func TestSubmitJobSpecValidation(t *testing.T) {
 	e := NewEngine(Config{Workers: 1, QueueSize: 4, CacheSize: -1})
 	noop := func(ctx context.Context) (any, error) { return nil, nil }
-	if _, err := e.SubmitTask(TaskSpec{}); err == nil {
+	if _, err := e.Submit(JobSpec{}); err == nil {
 		t.Error("empty stage list accepted")
 	}
-	if _, err := e.SubmitTask(TaskSpec{Stages: []Stage{{Name: "x"}}}); err == nil {
+	if _, err := e.Submit(JobSpec{Stages: []Stage{{Name: "x"}}}); err == nil {
 		t.Error("stage without Run accepted")
 	}
-	if _, err := e.SubmitTask(TaskSpec{Stages: []Stage{{Kind: "bogus", Run: noop}}}); err == nil {
+	if _, err := e.Submit(JobSpec{Stages: []Stage{{Kind: "bogus", Run: noop}}}); err == nil {
 		t.Error("unknown admission class accepted")
 	}
-	if _, err := e.SubmitTask(TaskSpec{Tenant: "UPPER CASE!", Stages: []Stage{{Run: noop}}}); err == nil {
+	if _, err := e.Submit(JobSpec{Tenant: "UPPER CASE!", Stages: []Stage{{Run: noop}}}); err == nil {
 		t.Error("invalid tenant accepted")
 	}
 	e.Close()
-	if _, err := e.SubmitTask(TaskSpec{Stages: []Stage{{Run: noop}}}); !errors.Is(err, ErrClosed) {
+	if _, err := e.Submit(JobSpec{Stages: []Stage{{Run: noop}}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close = %v, want ErrClosed", err)
 	}
 }
@@ -303,49 +242,138 @@ func TestReadmitBypassesAdmission(t *testing.T) {
 	}
 }
 
-// TestTaskMetricsCounters checks staged tasks land in the tasks_* /
-// stages_executed counters — and never in the jobs_* counters, whose
-// audits-only meaning the /metrics contract preserves.
+// TestTaskMetricsCounters checks multi-stage jobs land in the one
+// metrics family: the jobs_* totals and the pipeline class count each
+// job once, stages_executed and the tenant slice count every stage,
+// and each finished job lands in its tenant's latency window.
 func TestTaskMetricsCounters(t *testing.T) {
 	e := NewEngine(Config{Workers: 1, QueueSize: 16, CacheSize: -1})
 	defer e.Close()
 	noop := func(ctx context.Context) (any, error) { return nil, nil }
-	id, err := e.SubmitTask(TaskSpec{Tenant: "acme", Stages: []Stage{
+	id, err := e.Submit(JobSpec{Tenant: "acme", Stages: []Stage{
 		{Run: noop}, {Run: noop}, {Run: noop},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.WaitTask(context.Background(), id); err != nil {
+	if _, err := e.Wait(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	fid, err := e.SubmitTask(TaskSpec{Tenant: "acme", Stages: []Stage{
+	fid, err := e.Submit(JobSpec{Tenant: "acme", Stages: []Stage{
 		{Run: func(ctx context.Context) (any, error) { return nil, errors.New("nope") }},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.WaitTask(context.Background(), fid); err != nil {
+	if _, err := e.Wait(context.Background(), fid); err != nil {
 		t.Fatal(err)
 	}
 
 	snap := e.MetricsSnapshot()
-	if snap.TasksSubmitted != 2 || snap.TasksCompleted != 1 || snap.TasksFailed != 1 {
-		t.Fatalf("task counters = %d submitted / %d completed / %d failed, want 2/1/1",
-			snap.TasksSubmitted, snap.TasksCompleted, snap.TasksFailed)
+	if snap.JobsSubmitted != 2 || snap.JobsCompleted != 1 || snap.JobsFailed != 1 {
+		t.Fatalf("job counters = %d submitted / %d completed / %d failed, want 2/1/1",
+			snap.JobsSubmitted, snap.JobsCompleted, snap.JobsFailed)
+	}
+	if got, want := snap.Classes[ClassPipeline], (ClassSnapshot{Submitted: 2, Completed: 1, Failed: 1}); got != want {
+		t.Fatalf("pipeline class = %+v, want %+v", got, want)
 	}
 	if snap.StagesExecuted != 4 {
 		t.Fatalf("stages_executed = %d, want 4", snap.StagesExecuted)
 	}
-	if snap.JobsSubmitted != 0 {
-		t.Fatalf("jobs_submitted = %d; staged tasks leaked into the audits-only counters", snap.JobsSubmitted)
-	}
 	ts := snap.Tenants["acme"]
-	if ts.Stages != 4 || ts.Tasks != 2 {
-		t.Fatalf("tenant slice = %+v, want 4 stages / 2 tasks", ts)
+	if ts.Stages != 4 || ts.Executed != 2 {
+		t.Fatalf("tenant slice = %+v, want 4 stages / 2 finished jobs", ts)
 	}
 	if ts.LatencySamples != 2 || ts.P99Millis < ts.P50Millis {
 		t.Fatalf("tenant latency slice = %+v, want 2 samples with p99 >= p50", ts)
+	}
+}
+
+// TestJobMetricsByClass pins the single metrics family over a mixed
+// load: an interactive audit, its cache hit, a system-monitor audit, a
+// three-stage pipeline-class job, a failing job, and submissions cut
+// off by Close. Each job counts once in the jobs_* totals and once
+// under its first stage's class; only executed stages count in
+// stages_executed; ErrClosed is shutdown, never an admission rejection.
+func TestJobMetricsByClass(t *testing.T) {
+	e := NewEngine(Config{Workers: 1, QueueSize: 16, CacheSize: 8})
+	defer e.Close()
+	e.runAudit = func(ctx context.Context, req *Request) (*core.FACTReport, error) {
+		return &core.FACTReport{Pipeline: req.Dataset}, nil
+	}
+	noop := func(ctx context.Context) (any, error) { return nil, nil }
+	wait := func(id string, err error) JobStatus {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := e.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+
+	wait(submitAudit(e, stubRequest(1)))
+	if js := wait(submitAudit(e, stubRequest(1))); !js.CacheHit {
+		t.Fatalf("repeat audit = %+v, want a cache hit", js)
+	}
+	sys := stubRequest(2)
+	sys.Tenant, sys.Class = "acme", ClassSystem
+	wait(submitAudit(e, sys))
+	wait(e.Submit(JobSpec{Tenant: "acme", Stages: []Stage{{Run: noop}, {Run: noop}, {Run: noop}}}))
+	failing := JobSpec{Tenant: "acme", Stages: []Stage{{Run: func(ctx context.Context) (any, error) {
+		return nil, errors.New("nope")
+	}}}}
+	if js := wait(e.Submit(failing)); js.Status != StatusFailed {
+		t.Fatalf("failing job = %+v, want failed", js)
+	}
+
+	// Close racing a submission: the engine's gate is still open when
+	// the scheduler refuses the admit. The attempt counts as submitted,
+	// never as rejected.
+	e.sched.close()
+	if _, err := e.Submit(JobSpec{Stages: []Stage{{Run: noop}}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit racing close = %v, want ErrClosed", err)
+	}
+	// After Close the gate refuses before anything is counted.
+	e.Close()
+	if _, err := submitAudit(e, stubRequest(3)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after close = %v, want ErrClosed", err)
+	}
+
+	snap := e.MetricsSnapshot()
+	wantClasses := map[string]ClassSnapshot{
+		ClassInteractive: {Submitted: 2, Completed: 2},
+		ClassSystem:      {Submitted: 1, Completed: 1},
+		ClassPipeline:    {Submitted: 3, Completed: 1, Failed: 1},
+	}
+	if fmt.Sprint(snap.Classes) != fmt.Sprint(wantClasses) {
+		t.Fatalf("classes = %+v, want %+v", snap.Classes, wantClasses)
+	}
+	if snap.JobsSubmitted != 6 || snap.JobsRejected != 0 || snap.JobsCompleted != 4 || snap.JobsFailed != 1 {
+		t.Fatalf("jobs submitted/rejected/completed/failed = %d/%d/%d/%d, want 6/0/4/1",
+			snap.JobsSubmitted, snap.JobsRejected, snap.JobsCompleted, snap.JobsFailed)
+	}
+	if snap.CacheHits != 1 || snap.CacheMisses != 2 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/2", snap.CacheHits, snap.CacheMisses)
+	}
+	if snap.StagesExecuted != 6 {
+		t.Fatalf("stages_executed = %d, want 6 (the cache hit runs nothing)", snap.StagesExecuted)
+	}
+	if snap.LatencySamples != 5 || snap.ExecLatencySamples != 4 {
+		t.Fatalf("latency samples = %d combined / %d exec, want 5/4", snap.LatencySamples, snap.ExecLatencySamples)
+	}
+	for _, want := range []struct {
+		ten                                     string
+		submitted, executed, stages, latSamples uint64
+	}{{tenant.Default, 3, 2, 1, 2}, {"acme", 3, 3, 5, 3}} {
+		ts := snap.Tenants[want.ten]
+		if ts.Submitted != want.submitted || ts.Executed != want.executed || ts.Rejected != 0 ||
+			ts.Stages != want.stages || uint64(ts.LatencySamples) != want.latSamples {
+			t.Fatalf("tenant %s slice = %+v, want submitted %d executed %d stages %d samples %d, none rejected",
+				want.ten, ts, want.submitted, want.executed, want.stages, want.latSamples)
+		}
 	}
 }
 
@@ -355,8 +383,8 @@ func TestTaskMetricsCounters(t *testing.T) {
 func TestTenantLatencyQuantiles(t *testing.T) {
 	m := newMetrics(1)
 	for i := 0; i < 10; i++ {
-		m.completed("fast", 10*time.Millisecond)
-		m.completed("slow", time.Second)
+		m.finished("fast", ClassInteractive, true, false, 10*time.Millisecond)
+		m.finished("slow", ClassInteractive, true, false, time.Second)
 	}
 	snap := m.Snapshot()
 	fast, slow := snap.Tenants["fast"], snap.Tenants["slow"]
@@ -373,7 +401,7 @@ func TestTenantLatencyQuantiles(t *testing.T) {
 
 // TestTaskInterruptedOnClose checks the shutdown story the pipeline
 // plane's resume depends on: closing the engine between stages
-// finalizes the task as failed with Interrupted set, after every
+// finalizes the job as failed with Interrupted set, after every
 // completed stage reached OnStage.
 func TestTaskInterruptedOnClose(t *testing.T) {
 	e := NewEngine(Config{Workers: 1, QueueSize: 16, CacheSize: -1})
@@ -381,7 +409,7 @@ func TestTaskInterruptedOnClose(t *testing.T) {
 	proceed := make(chan struct{})
 	var mu sync.Mutex
 	var persisted []string
-	id, err := e.SubmitTask(TaskSpec{
+	id, err := e.Submit(JobSpec{
 		Stages: []Stage{
 			{Name: "first", Run: func(ctx context.Context) (any, error) {
 				close(entered)
@@ -407,7 +435,7 @@ func TestTaskInterruptedOnClose(t *testing.T) {
 		close(proceed)
 	}()
 	e.Close()
-	final, err := e.WaitTask(context.Background(), id)
+	final, err := e.Wait(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,20 +146,13 @@ func (s *scheduler) refillLocked(q *tenantQueue, quo tenant.Quotas) {
 	}
 }
 
-// enqueue admits j for tenantID under the interactive class — the
-// historical single-class admission path, kept for the one-shot audit
-// flow and its tests.
-func (s *scheduler) enqueue(tenantID string, j *job) error {
-	return s.admit(tenantID, ClassInteractive, j, false)
-}
-
 // admit places j on the (tenantID, class) queue or rejects it with a
 // *RetryError. The admission order is tenant-scoped checks first
 // (token bucket, then per-tenant queue bound → ErrTenantBusy) and the
 // aggregate bound last (→ ErrBusy): a tenant over its own budget is
 // told so even when the service is also saturated, because "back off
 // and retry" is the wrong prescription for a client that must slow
-// down. A readmit re-enters an already-admitted staged job for its
+// down. A readmit re-enters an already-admitted job for its
 // next stage: it bypasses the bucket, the per-tenant bound, and the
 // aggregate bound — admission budget is charged once at the front
 // door, never per stage — but still queues behind the tenant's other

@@ -22,7 +22,7 @@ func BenchmarkFairDequeue(b *testing.B) {
 			for i := range ids {
 				ids[i] = fmt.Sprintf("t%02d", i)
 				for j := 0; j < perTenant; j++ {
-					if err := s.enqueue(ids[i], &job{id: ids[i]}); err != nil {
+					if err := s.admit(ids[i], ClassInteractive, &job{id: ids[i]}, false); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -42,7 +42,7 @@ func BenchmarkFairDequeue(b *testing.B) {
 						b.Fatal("scheduler empty mid-run")
 					}
 					served[j.id]++
-					if err := s.enqueue(j.id, j); err != nil {
+					if err := s.admit(j.id, ClassInteractive, j, false); err != nil {
 						b.Fatal(err)
 					}
 				}

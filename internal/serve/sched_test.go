@@ -32,7 +32,7 @@ func TestFairDequeueEqualShares(t *testing.T) {
 		id := fmt.Sprintf("t%d", i)
 		load := minLoad * (i + 1) // unequal offered load: 50, 100, 150, 200
 		for j := 0; j < load; j++ {
-			if err := s.enqueue(id, &job{id: id}); err != nil {
+			if err := s.admit(id, ClassInteractive, &job{id: id}, false); err != nil {
 				t.Fatalf("enqueue %s #%d: %v", id, j, err)
 			}
 		}
@@ -74,10 +74,10 @@ func TestFairDequeueWeightedShares(t *testing.T) {
 	clock := newFakeClock()
 	s := newScheduler(10_000, clock.now, quotas, nil)
 	for i := 0; i < 200; i++ {
-		if err := s.enqueue("heavy", &job{}); err != nil {
+		if err := s.admit("heavy", ClassInteractive, &job{}, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.enqueue("light", &job{}); err != nil {
+		if err := s.admit("light", ClassInteractive, &job{}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestNoStarvationUnderSaturatingTenant(t *testing.T) {
 	clock := newFakeClock()
 	s := newScheduler(10_000, clock.now, nil, nil)
 	for i := 0; i < 500; i++ {
-		if err := s.enqueue("hog", &job{}); err != nil {
+		if err := s.admit("hog", ClassInteractive, &job{}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestNoStarvationUnderSaturatingTenant(t *testing.T) {
 		s.popLocked()
 		s.mu.Unlock()
 	}
-	if err := s.enqueue("mouse", &job{id: "mouse-job"}); err != nil {
+	if err := s.admit("mouse", ClassInteractive, &job{id: "mouse-job"}, false); err != nil {
 		t.Fatal(err)
 	}
 	// Equal weights: the mouse's job must surface within 2 pops (one
@@ -144,11 +144,11 @@ func TestTokenBucketAdmission(t *testing.T) {
 	s := newScheduler(100, clock.now, quotas, nil)
 
 	for i := 0; i < 2; i++ {
-		if err := s.enqueue("a", &job{}); err != nil {
+		if err := s.admit("a", ClassInteractive, &job{}, false); err != nil {
 			t.Fatalf("burst admit #%d: %v", i, err)
 		}
 	}
-	err := s.enqueue("a", &job{})
+	err := s.admit("a", ClassInteractive, &job{}, false)
 	if !errors.Is(err, ErrTenantBusy) {
 		t.Fatalf("over-burst submit: got %v, want ErrTenantBusy", err)
 	}
@@ -156,11 +156,11 @@ func TestTokenBucketAdmission(t *testing.T) {
 		t.Fatalf("RetryAfter = %d,%v; want 1,true", secs, ok)
 	}
 	// Other tenants are unaffected by a's empty bucket.
-	if err := s.enqueue("b", &job{}); err != nil {
+	if err := s.admit("b", ClassInteractive, &job{}, false); err != nil {
 		t.Fatalf("tenant b while a throttled: %v", err)
 	}
 	clock.advance(time.Second)
-	if err := s.enqueue("a", &job{}); err != nil {
+	if err := s.admit("a", ClassInteractive, &job{}, false); err != nil {
 		t.Fatalf("post-refill admit: %v", err)
 	}
 }
@@ -177,14 +177,14 @@ func TestPerTenantQueueBound(t *testing.T) {
 	}
 	s := newScheduler(100, clock.now, quotas, nil)
 	for i := 0; i < 2; i++ {
-		if err := s.enqueue("capped", &job{}); err != nil {
+		if err := s.admit("capped", ClassInteractive, &job{}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.enqueue("capped", &job{}); !errors.Is(err, ErrTenantBusy) {
+	if err := s.admit("capped", ClassInteractive, &job{}, false); !errors.Is(err, ErrTenantBusy) {
 		t.Fatalf("over-bound submit: got %v, want ErrTenantBusy", err)
 	}
-	if err := s.enqueue("free", &job{}); err != nil {
+	if err := s.admit("free", ClassInteractive, &job{}, false); err != nil {
 		t.Fatalf("unbounded tenant alongside capped one: %v", err)
 	}
 }

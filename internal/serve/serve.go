@@ -162,49 +162,50 @@ const (
 	StatusFailed Status = "failed"
 )
 
-// JobStatus is a point-in-time snapshot of one submitted audit,
+// JobStatus is a point-in-time snapshot of one submitted job,
 // JSON-serializable for the HTTP API.
 type JobStatus struct {
-	ID       string           `json:"id"`
-	Tenant   string           `json:"tenant"`
-	Dataset  string           `json:"dataset"`
-	Status   Status           `json:"status"`
-	CacheHit bool             `json:"cache_hit"`
-	Report   *core.FACTReport `json:"report,omitempty"`
-	Error    string           `json:"error,omitempty"`
+	ID     string `json:"id"`
+	Tenant string `json:"tenant"`
+	// Dataset is the job's name: the audited dataset's name for an
+	// audit, the run id for a pipeline.
+	Dataset  string `json:"dataset"`
+	Status   Status `json:"status"`
+	CacheHit bool   `json:"cache_hit"`
+	// Interrupted marks a StatusFailed job that was cut off by engine
+	// shutdown between stages rather than by a failing stage: every
+	// completed stage was handed to OnStage, so a durability layer can
+	// resume the job at the next boot instead of recording a failure.
+	Interrupted bool `json:"interrupted,omitempty"`
+	// Report is set when the job's final stage produced a FACT report.
+	Report *core.FACTReport `json:"report,omitempty"`
+	Error  string           `json:"error,omitempty"`
 	// ElapsedMillis is queue-to-finish latency for finished jobs.
 	ElapsedMillis float64 `json:"elapsed_millis,omitempty"`
 }
 
-// job is the engine-internal mutable state behind one scheduled unit
-// of work: either a legacy one-shot audit (Submit, audit=true, exactly
-// one stage) or a staged task (SubmitTask). Both run through the same
-// scheduler and worker path one stage per dequeue.
+// job is the engine-internal mutable state behind one submitted
+// JobSpec. It runs one stage per dequeue until its stages are done or
+// one fails.
 type job struct {
 	id       string
 	tenant   string
-	dataset  string
+	name     string
 	cacheKey string
-	// audit marks the one-shot audit flow: visible via Job/Wait (not
-	// Task/WaitTask), counted in the jobs_* metrics, report cached.
-	audit bool
-	// stages is the ordered work list; audits have exactly one.
-	stages []Stage
-	// histSize bounds history; onStage/onFinish are the task hooks.
-	histSize int
+	// stages is the ordered work list, kept until the job is evicted
+	// from retention.
+	stages   []Stage
 	onStage  func(StageResult)
-	onFinish func(TaskStatus)
+	onFinish func(JobStatus)
 
 	mu       sync.Mutex
-	req      *Request // nilled once the job finishes, releasing the frame
 	status   Status
 	cacheHit bool
 	cur      int // index of the next (or currently running) stage
-	// interrupted marks tasks finalized because the engine closed
+	// interrupted marks jobs finalized because the engine closed
 	// between stages (shutdown, not a stage failure): the completed
-	// stages are durable and the task is resumable at the next boot.
+	// stages are durable and the job is resumable at the next boot.
 	interrupted bool
-	history     []StageResult
 	report      *core.FACTReport
 	err         error
 	submitted   time.Time
@@ -213,50 +214,21 @@ type job struct {
 	done chan struct{}
 }
 
-func (j *job) isAudit() bool { return j.audit }
-
-// pushHistoryLocked appends res to the bounded history ring, dropping
-// the oldest entry when full. Caller holds j.mu.
-func (j *job) pushHistoryLocked(res StageResult) {
-	j.history = append(j.history, res)
-	if j.histSize > 0 && len(j.history) > j.histSize {
-		j.history = j.history[1:]
-	}
-}
-
-// taskSnapshot renders the job as a TaskStatus.
-func (j *job) taskSnapshot() TaskStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := TaskStatus{
-		ID:          j.id,
-		Tenant:      j.tenant,
-		Name:        j.dataset,
-		Status:      j.status,
-		Stage:       j.cur,
-		Stages:      len(j.stages),
-		Interrupted: j.interrupted,
-		History:     append([]StageResult(nil), j.history...),
-	}
-	if j.err != nil {
-		s.Error = j.err.Error()
-	}
-	if !j.finished.IsZero() {
-		s.ElapsedMillis = float64(j.finished.Sub(j.submitted)) / float64(time.Millisecond)
-	}
-	return s
-}
+// class is the job's admission class: its first stage's. Admission is
+// charged, and the job counted, under it.
+func (j *job) class() string { return j.stages[0].Kind }
 
 func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := JobStatus{
-		ID:       j.id,
-		Tenant:   j.tenant,
-		Dataset:  j.dataset,
-		Status:   j.status,
-		CacheHit: j.cacheHit,
-		Report:   j.report,
+		ID:          j.id,
+		Tenant:      j.tenant,
+		Dataset:     j.name,
+		Status:      j.status,
+		CacheHit:    j.cacheHit,
+		Interrupted: j.interrupted,
+		Report:      j.report,
 	}
 	if j.err != nil {
 		s.Error = j.err.Error()
@@ -319,9 +291,6 @@ func NewEngine(cfg Config) *Engine {
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Metrics returns the engine's live metrics.
-func (e *Engine) Metrics() *Metrics { return e.metrics }
-
 // MetricsSnapshot renders the engine metrics with each tenant's live
 // queued gauge filled in from the scheduler — the view /metrics
 // serves.
@@ -346,13 +315,9 @@ func (e *Engine) QueueDepth() int { return e.sched.queueDepth() }
 // construction (see Engine.queueCap).
 func (e *Engine) QueueCapacity() int { return e.queueCap }
 
-// TenantQueueDepths reports each tenant's queued-job count (tenants
-// with empty queues omitted).
-func (e *Engine) TenantQueueDepths() map[string]int { return e.sched.tenantDepths() }
-
 // busyBackoff estimates how long a rejected client should wait for the
 // aggregate queue to make room: queued work over drain rate, using the
-// executed-audit p50 as the per-job cost. With no latency history yet
+// executed-job p50 as the per-job cost. With no latency history yet
 // it suggests one second.
 func (e *Engine) busyBackoff(depth int) time.Duration {
 	p50 := e.metrics.execP50()
@@ -369,20 +334,18 @@ func (e *Engine) busyBackoff(depth int) time.Duration {
 	return wait
 }
 
-// Submit validates and enqueues one audit request, returning the job
-// id. The request's tenant ("" = tenant.Default) selects the scheduler
-// queue and admission budget. A cache hit completes the job
-// immediately without consuming admission budget. Rejections are
-// *RetryError values wrapping ErrBusy (aggregate queue full, all
-// tenants affected) or ErrTenantBusy (this tenant's token bucket or
-// queue bound exhausted), each carrying a suggested backoff.
-func (e *Engine) Submit(req *Request) (string, error) {
+// AuditJob validates and defaults req and returns the one-stage job
+// that audits it, keyed in the report cache by the request's content
+// (cacheKey). The tenant ("" = tenant.Default) selects the scheduler
+// queue and admission budget; the class (default ClassInteractive) the
+// admission class.
+func (e *Engine) AuditJob(req *Request) (JobSpec, error) {
 	if req == nil || req.Data == nil || req.Data.NumRows() == 0 {
-		return "", fmt.Errorf("serve: Submit needs a non-empty dataset")
+		return JobSpec{}, fmt.Errorf("serve: an audit needs a non-empty dataset")
 	}
 	ten, err := tenant.Normalize(req.Tenant)
 	if err != nil {
-		return "", err
+		return JobSpec{}, err
 	}
 	req.Tenant = ten
 	if req.Dataset == "" {
@@ -397,11 +360,58 @@ func (e *Engine) Submit(req *Request) (string, error) {
 	if req.Class == "" {
 		req.Class = ClassInteractive
 	}
-	if !validClass(req.Class) {
-		return "", fmt.Errorf("serve: unknown admission class %q", req.Class)
-	}
 	if err := req.Policy.Validate(); err != nil {
+		return JobSpec{}, err
+	}
+	return JobSpec{
+		Tenant:   ten,
+		Name:     req.Dataset,
+		CacheKey: cacheKey(req),
+		Stages: []Stage{{
+			Name: "audit",
+			Kind: req.Class,
+			Run: func(ctx context.Context) (any, error) {
+				rep, err := e.runAudit(ctx, req)
+				if err != nil {
+					return nil, err
+				}
+				return rep, nil
+			},
+		}},
+	}, nil
+}
+
+// Submit validates and enqueues one job, returning its id. A keyed
+// job whose report is cached finishes at once, without consuming
+// admission budget. Otherwise admission (token bucket, per-tenant and
+// aggregate queue bounds) is charged once, for the first stage's
+// class; later stages re-enter the scheduler through the DRR ring
+// without consuming fresh budget. Rejections are *RetryError values
+// wrapping ErrBusy (aggregate queue full, all tenants affected) or
+// ErrTenantBusy (this tenant's token bucket or queue bound exhausted),
+// each carrying a suggested backoff.
+func (e *Engine) Submit(spec JobSpec) (string, error) {
+	if len(spec.Stages) == 0 {
+		return "", fmt.Errorf("serve: a job needs at least one stage")
+	}
+	ten, err := tenant.Normalize(spec.Tenant)
+	if err != nil {
 		return "", err
+	}
+	for i := range spec.Stages {
+		st := &spec.Stages[i]
+		if st.Run == nil {
+			return "", fmt.Errorf("serve: stage %d (%q) has no body", i, st.Name)
+		}
+		if st.Name == "" {
+			st.Name = fmt.Sprintf("stage-%d", i)
+		}
+		if st.Kind == "" {
+			st.Kind = ClassPipeline
+		}
+		if !validClass(st.Kind) {
+			return "", fmt.Errorf("serve: stage %d (%q) has unknown admission class %q", i, st.Name, st.Kind)
+		}
 	}
 	select {
 	case <-e.closed:
@@ -412,77 +422,57 @@ func (e *Engine) Submit(req *Request) (string, error) {
 	j := &job{
 		id:        e.nextID(),
 		tenant:    ten,
-		dataset:   req.Dataset,
-		req:       req,
-		cacheKey:  cacheKey(req),
-		audit:     true,
+		name:      spec.Name,
+		cacheKey:  spec.CacheKey,
+		stages:    spec.Stages,
+		onStage:   spec.OnStage,
+		onFinish:  spec.OnFinish,
 		status:    StatusQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	// The one-shot audit is the trivial one-stage pipeline: the same
-	// worker loop that advances staged tasks runs it to completion in a
-	// single dequeue.
-	j.stages = []Stage{{
-		Name: "audit",
-		Kind: req.Class,
-		Run: func(ctx context.Context) (any, error) {
-			rep, err := e.runAudit(ctx, req)
-			if rep == nil {
-				return nil, err
-			}
-			return rep, err
-		},
-	}}
-	e.metrics.submitted(ten)
+	e.metrics.submitted(ten, j.class())
 
-	if e.cache != nil {
+	if j.cacheKey != "" && e.cache != nil {
 		if rep, ok := e.cache.Get(j.cacheKey); ok {
 			e.metrics.cacheHit()
-			j.status = StatusDone
 			j.cacheHit = true
-			j.report = rep
-			j.req = nil
-			j.finished = time.Now()
-			close(j.done)
 			e.register(j)
-			e.retainFinished(j.id)
-			e.metrics.completedHit(ten, j.finished.Sub(j.submitted))
+			e.finish(j, rep, nil)
 			return j.id, nil
 		}
 		e.metrics.cacheMiss()
 	}
 
 	e.register(j)
-	if err := e.sched.admit(ten, req.Class, j, false); err != nil {
+	if err := e.sched.admit(ten, j.class(), j, false); err != nil {
 		e.unregister(j.id)
 		if !errors.Is(err, ErrClosed) {
-			e.metrics.rejected(ten)
+			e.metrics.rejected(ten, j.class())
 		}
 		return "", err
 	}
 	return j.id, nil
 }
 
-// Job returns a snapshot of the audit job with the given id (staged
-// tasks are not visible here; use Task).
+// Job returns a snapshot of the job with the given id.
 func (e *Engine) Job(id string) (JobStatus, bool) {
 	e.mu.Lock()
 	j, ok := e.jobs[id]
 	e.mu.Unlock()
-	if !ok || !j.isAudit() {
+	if !ok {
 		return JobStatus{}, false
 	}
 	return j.snapshot(), true
 }
 
-// Wait blocks until the audit job finishes (done or failed) or ctx is
+// Wait blocks until the job finishes (done or failed) or ctx is
 // cancelled, returning the final snapshot.
 func (e *Engine) Wait(ctx context.Context, id string) (JobStatus, error) {
 	e.mu.Lock()
 	j, ok := e.jobs[id]
 	e.mu.Unlock()
-	if !ok || !j.isAudit() {
+	if !ok {
 		return JobStatus{}, fmt.Errorf("serve: no job %q", id)
 	}
 	select {
@@ -514,10 +504,10 @@ func (e *Engine) worker() {
 	}
 }
 
-// execute runs exactly one stage of j on the calling worker. Audits
-// (one stage) finish in a single call; staged tasks re-enter the
-// scheduler between stages, so a seven-stage pipeline shares workers
-// at stage granularity with everything else in the ring.
+// execute runs exactly one stage of j on the calling worker. A
+// one-stage job (an audit) finishes in a single call; longer jobs
+// re-enter the scheduler between stages, so a seven-stage pipeline
+// shares workers at stage granularity with everything else in the ring.
 func (e *Engine) execute(j *job) {
 	j.mu.Lock()
 	j.status = StatusRunning
@@ -547,11 +537,7 @@ func (e *Engine) execute(j *job) {
 	case out = <-ch:
 	case <-ctx.Done():
 		timedOut = true
-		if j.isAudit() {
-			out.err = fmt.Errorf("serve: job %s timed out after %s: %w", j.id, e.cfg.JobTimeout, ctx.Err())
-		} else {
-			out.err = fmt.Errorf("serve: task %s stage %q timed out after %s: %w", j.id, st.Name, e.cfg.JobTimeout, ctx.Err())
-		}
+		out.err = fmt.Errorf("serve: job %s stage %q timed out after %s: %w", j.id, st.Name, e.cfg.JobTimeout, ctx.Err())
 	}
 
 	res := StageResult{
@@ -566,76 +552,32 @@ func (e *Engine) execute(j *job) {
 		res.Status = StatusFailed
 		res.Error = out.err.Error()
 	}
-
-	last := idx == len(j.stages)-1
-	final := out.err != nil || last
-
-	j.mu.Lock()
-	j.pushHistoryLocked(res)
-	if final {
-		j.finished = time.Now()
-		if out.err != nil {
-			j.status = StatusFailed
-			j.err = out.err
-		} else {
-			j.status = StatusDone
-			j.cur = idx + 1
-			if rep, ok := out.detail.(*core.FACTReport); ok {
-				j.report = rep
-			}
-		}
-	} else {
-		j.status = StatusQueued
-		j.cur = idx + 1
-	}
-	elapsed := j.finished.Sub(j.submitted)
-	j.mu.Unlock()
-
+	e.metrics.stageExecuted(j.tenant)
 	// The persistence hook runs synchronously between stage completion
 	// and the next stage's scheduling: state saved here is durable
 	// before any later stage can run.
 	if j.onStage != nil {
 		j.onStage(res)
 	}
-	if !j.isAudit() {
-		e.metrics.stageExecuted(j.tenant)
-	}
 
-	if !final {
-		if err := e.sched.admit(j.tenant, j.stages[idx+1].Kind, j, true); err != nil {
-			// Engine closing mid-task: finalize failed. The stage results
-			// already handed to onStage are durable, so a restart can
-			// resume from the last completed stage.
-			j.mu.Lock()
-			j.finished = time.Now()
-			j.status = StatusFailed
-			j.interrupted = true
-			j.err = fmt.Errorf("serve: task %s interrupted before stage %q: %w", j.id, j.stages[idx+1].Name, err)
-			elapsed = j.finished.Sub(j.submitted)
-			j.mu.Unlock()
-			final = true
-			out.err = j.err
-		} else {
+	if next := idx + 1; out.err == nil && next < len(j.stages) {
+		j.mu.Lock()
+		j.status = StatusQueued
+		j.cur = next
+		j.mu.Unlock()
+		err := e.sched.admit(j.tenant, j.stages[next].Kind, j, true)
+		if err == nil {
 			return
 		}
+		// Engine closing mid-job: finalize failed. The stage results
+		// already handed to onStage are durable, so a restart can resume
+		// from the last completed stage.
+		j.mu.Lock()
+		j.interrupted = true
+		j.mu.Unlock()
+		out.err = fmt.Errorf("serve: job %s interrupted before stage %q: %w", j.id, j.stages[next].Name, err)
 	}
-
-	if j.isAudit() {
-		if out.err != nil {
-			e.metrics.failed(j.tenant, elapsed)
-		} else {
-			if e.cache != nil {
-				e.cache.PutAs(j.tenant, j.cacheKey, j.report)
-			}
-			e.metrics.completed(j.tenant, elapsed)
-		}
-	} else {
-		e.metrics.taskFinished(j.tenant, out.err == nil, elapsed)
-		if j.onFinish != nil {
-			j.onFinish(j.taskSnapshot())
-		}
-	}
-	close(j.done)
+	e.finish(j, out.detail, out.err)
 
 	// On timeout the waiter is already unblocked (done is closed), but
 	// the stage goroutine cannot be killed — it unwinds at its next ctx
@@ -644,10 +586,35 @@ func (e *Engine) execute(j *job) {
 	if timedOut {
 		<-ch
 	}
+}
+
+// finish settles j's terminal state — failed with err, or done with
+// its final stage's detail — then records the metrics, caches a keyed
+// job's fresh report, fires OnFinish, enters the job into bounded
+// retention, and only then wakes waiters, so a waiter never observes
+// more finished jobs than MaxFinishedJobs. A cache hit finishes with
+// the cached report and counts as a job that never ran.
+func (e *Engine) finish(j *job, detail any, err error) {
+	rep, _ := detail.(*core.FACTReport)
 	j.mu.Lock()
-	j.req = nil // release the dataset; only the report stays resident
+	j.finished = time.Now()
+	if err != nil {
+		j.status, j.err = StatusFailed, err
+	} else {
+		j.status, j.report = StatusDone, rep
+	}
+	hit, elapsed := j.cacheHit, j.finished.Sub(j.submitted)
 	j.mu.Unlock()
+
+	if err == nil && rep != nil && j.cacheKey != "" && !hit && e.cache != nil {
+		e.cache.PutAs(j.tenant, j.cacheKey, rep)
+	}
+	e.metrics.finished(j.tenant, j.class(), err == nil, hit, elapsed)
+	if j.onFinish != nil {
+		j.onFinish(j.snapshot())
+	}
 	e.retainFinished(j.id)
+	close(j.done)
 }
 
 func (e *Engine) register(j *job) {

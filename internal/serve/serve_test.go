@@ -13,6 +13,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/policy"
 	"github.com/responsible-data-science/rds/internal/synth"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // testRequest returns a small but trainable audit request; vary seed to
@@ -46,11 +47,21 @@ func stubRequest(seed uint64) *Request {
 	}
 }
 
+// submitAudit submits req as its one-stage audit job, the way the HTTP
+// layer and the monitor plane do.
+func submitAudit(e *Engine, req *Request) (string, error) {
+	spec, err := e.AuditJob(req)
+	if err != nil {
+		return "", err
+	}
+	return e.Submit(spec)
+}
+
 func TestEngineAuditRoundTrip(t *testing.T) {
 	e := NewEngine(Config{Workers: 2})
 	defer e.Close()
 
-	id, err := e.Submit(testRequest(t, 1))
+	id, err := submitAudit(e, testRequest(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestEngineConcurrencyLimit(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 12; i++ {
-		id, err := e.Submit(stubRequest(uint64(i + 1)))
+		id, err := submitAudit(e, stubRequest(uint64(i+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +138,7 @@ func TestEngineQueueBackpressure(t *testing.T) {
 	var accepted int
 	var sawBusy bool
 	for i := 0; i < 20; i++ {
-		_, err := e.Submit(stubRequest(uint64(i + 1)))
+		_, err := submitAudit(e, stubRequest(uint64(i+1)))
 		switch {
 		case err == nil:
 			accepted++
@@ -152,7 +163,7 @@ func TestEngineQueueBackpressure(t *testing.T) {
 	if accepted < 2 || accepted > 3 {
 		t.Errorf("accepted %d jobs before ErrBusy, want 2 or 3", accepted)
 	}
-	if got := e.Metrics().Snapshot().JobsRejected; got == 0 {
+	if got := e.MetricsSnapshot().JobsRejected; got == 0 {
 		t.Error("rejected submissions not counted in metrics")
 	}
 	once.Do(func() { close(release) })
@@ -169,7 +180,7 @@ func TestEngineJobTimeout(t *testing.T) {
 			return &core.FACTReport{}, nil
 		}
 	}
-	id, err := e.Submit(stubRequest(1))
+	id, err := submitAudit(e, stubRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +194,7 @@ func TestEngineJobTimeout(t *testing.T) {
 	if js.Error == "" {
 		t.Error("timed-out job should carry an error")
 	}
-	if got := e.Metrics().Snapshot().JobsFailed; got != 1 {
+	if got := e.MetricsSnapshot().JobsFailed; got != 1 {
 		t.Errorf("JobsFailed = %d, want 1", got)
 	}
 }
@@ -197,14 +208,14 @@ func TestEngineCacheHitOnIdenticalRequest(t *testing.T) {
 		return &core.FACTReport{Pipeline: req.Dataset}, nil
 	}
 
-	first, err := e.Submit(stubRequest(7))
+	first, err := submitAudit(e, stubRequest(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Wait(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Submit(stubRequest(7))
+	second, err := submitAudit(e, stubRequest(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +234,14 @@ func TestEngineCacheHitOnIdenticalRequest(t *testing.T) {
 	}
 
 	// A different seed is a different cache key.
-	third, err := e.Submit(stubRequest(8))
+	third, err := submitAudit(e, stubRequest(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if js, _ := e.Wait(context.Background(), third); js.CacheHit {
 		t.Error("different request must not be a cache hit")
 	}
-	snap := e.Metrics().Snapshot()
+	snap := e.MetricsSnapshot()
 	if snap.CacheHits != 1 || snap.CacheMisses != 2 {
 		t.Errorf("cache hits/misses = %d/%d, want 1/2", snap.CacheHits, snap.CacheMisses)
 	}
@@ -267,12 +278,12 @@ func TestEngineCacheKeySensitivity(t *testing.T) {
 func TestReportCacheLRUEviction(t *testing.T) {
 	c := NewReportCache(2)
 	a, b, d := &core.FACTReport{Pipeline: "a"}, &core.FACTReport{Pipeline: "b"}, &core.FACTReport{Pipeline: "d"}
-	c.Put("a", a)
-	c.Put("b", b)
+	c.PutAs(tenant.Default, "a", a)
+	c.PutAs(tenant.Default, "b", b)
 	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a should be cached")
 	}
-	c.Put("d", d) // evicts b
+	c.PutAs(tenant.Default, "d", d) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
@@ -290,15 +301,15 @@ func TestReportCacheLRUEviction(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	e := NewEngine(Config{Workers: 1})
 	defer e.Close()
-	if _, err := e.Submit(nil); err == nil {
+	if _, err := submitAudit(e, nil); err == nil {
 		t.Error("nil request must be rejected")
 	}
-	if _, err := e.Submit(&Request{}); err == nil {
+	if _, err := submitAudit(e, &Request{}); err == nil {
 		t.Error("empty dataset must be rejected")
 	}
 	bad := testRequest(t, 1)
 	bad.Policy.MinDisparateImpact = 2
-	if _, err := e.Submit(bad); err == nil {
+	if _, err := submitAudit(e, bad); err == nil {
 		t.Error("invalid policy must be rejected")
 	}
 }
@@ -306,15 +317,15 @@ func TestSubmitValidation(t *testing.T) {
 func TestSubmitAfterCloseFails(t *testing.T) {
 	e := NewEngine(Config{Workers: 1})
 	e.Close()
-	if _, err := e.Submit(testRequest(t, 1)); err != ErrClosed {
+	if _, err := submitAudit(e, testRequest(t, 1)); err != ErrClosed {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
 
 func TestMetricsQuantilesSmallSample(t *testing.T) {
 	m := newMetrics(1)
-	m.completed("default", 1*time.Millisecond)
-	m.completed("default", 100*time.Millisecond)
+	m.finished("default", ClassInteractive, true, false, 1*time.Millisecond)
+	m.finished("default", ClassInteractive, true, false, 100*time.Millisecond)
 	s := m.Snapshot()
 	if s.P50Millis != 1 {
 		t.Errorf("p50 = %v, want 1 (lower median of 2 samples)", s.P50Millis)
@@ -342,7 +353,7 @@ func TestFinishedJobRetentionBounded(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 10; i++ {
-		id, err := e.Submit(stubRequest(uint64(i + 1)))
+		id, err := submitAudit(e, stubRequest(uint64(i+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +389,7 @@ func TestTimeoutHoldsWorkerUntilAuditUnwinds(t *testing.T) {
 		return &core.FACTReport{Pipeline: req.Dataset}, nil
 	}
 
-	first, err := e.Submit(stubRequest(1))
+	first, err := submitAudit(e, stubRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +403,7 @@ func TestTimeoutHoldsWorkerUntilAuditUnwinds(t *testing.T) {
 
 	// The abandoned audit is still running; the single worker must not
 	// pick up the second job until it unwinds.
-	second, err := e.Submit(stubRequest(2))
+	second, err := submitAudit(e, stubRequest(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +429,7 @@ func TestSubmitDuringCloseDoesNotPanic(t *testing.T) {
 			go func(seed uint64) {
 				defer wg.Done()
 				for k := 0; k < 10; k++ {
-					if _, err := e.Submit(stubRequest(seed*100 + uint64(k))); err != nil {
+					if _, err := submitAudit(e, stubRequest(seed*100+uint64(k))); err != nil {
 						return // ErrBusy or ErrClosed are both fine; panics are not
 					}
 				}

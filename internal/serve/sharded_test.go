@@ -68,7 +68,7 @@ func TestSubmitStampsDefaultShards(t *testing.T) {
 			Protected: "B", Reference: "A", Epochs: 5,
 		},
 	}
-	id, err := e.Submit(req)
+	id, err := submitAudit(e, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestPerTenantMetricsSlices(t *testing.T) {
 	submitAs := func(ten string, seed uint64) (string, error) {
 		req := stubRequest(seed)
 		req.Tenant = ten
-		return e.Submit(req)
+		return submitAudit(e, req)
 	}
 
 	// The single worker grabs a's first job; everything after it queues.
@@ -64,11 +64,6 @@ func TestPerTenantMetricsSlices(t *testing.T) {
 		t.Fatalf("capped over bound: %v, want ErrTenantBusy", err)
 	}
 
-	depths := e.TenantQueueDepths()
-	if depths["a"] != 1 || depths["b"] != 1 || depths["capped"] != 1 {
-		t.Fatalf("TenantQueueDepths = %v, want 1 queued each for a, b, capped", depths)
-	}
-
 	snap := e.MetricsSnapshot()
 	for _, want := range []struct {
 		ten                 string
@@ -80,6 +75,9 @@ func TestPerTenantMetricsSlices(t *testing.T) {
 			t.Fatalf("tenant %s slice = %+v, want submitted %d rejected %d queued %d",
 				want.ten, ts, want.submitted, want.rejected, want.queued)
 		}
+	}
+	if got := snap.Classes[ClassInteractive].Rejected; got != 1 {
+		t.Fatalf("interactive class rejected = %d, want 1", got)
 	}
 
 	releaseOnce.Do(func() { close(release) })
@@ -95,8 +93,10 @@ func TestPerTenantMetricsSlices(t *testing.T) {
 	if got := snap.Tenants["b"].Executed; got != 1 {
 		t.Fatalf("b executed = %d, want 1", got)
 	}
-	if d := e.TenantQueueDepths(); len(d) != 0 {
-		t.Fatalf("queues after drain = %v, want empty", d)
+	for id, ts := range snap.Tenants {
+		if ts.Queued != 0 {
+			t.Fatalf("tenant %s queued = %d after drain, want 0", id, ts.Queued)
+		}
 	}
 }
 
@@ -113,7 +113,7 @@ func TestBusyBackoffEstimate(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return &core.FACTReport{Pipeline: req.Dataset}, nil
 	}
-	id, err := e.Submit(stubRequest(1))
+	id, err := submitAudit(e, stubRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
