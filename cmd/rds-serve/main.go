@@ -55,6 +55,11 @@
 //	GET    /healthz                   liveness and pool state
 //	GET    /metrics                   engine counters + monitoring + dataset gauges
 //
+// The endpoints form one route table (internal/httpx). Paths match
+// whole segments, so a path that only shares a prefix with one above
+// answers 404; a listed path under another method answers 405 with an
+// Allow header. Every response, errors included, is JSON.
+//
 // Example (synthetic demo data, default policy):
 //
 //	curl -s localhost:8080/v1/audit -d '{"synthetic":{"n":5000,"bias":1.0}}'
@@ -192,24 +197,24 @@ func main() {
 
 	handler := serve.NewHandler(engine)
 	handler.AllowPaths = *allowPaths
-	handler.Datasets = dataset.NewHandler(datasets)
+	handler.Datasets = datasets
 	monitors := monitor.NewHandler(registry)
 	monitors.DefaultHistory = *monHistory
 	monitors.DefaultReaudit = *monReaudit
-	handler.Monitors = monitors
 	handler.MonitorMetrics = func() any { return registry.Metrics() }
 	handler.ChunkStates = chunkStates
-	handler.Pipelines = pipeline.NewHandler(pipelines)
-	handler.Tenants = &tenantapi.Handler{
+	tenantsAPI := &tenantapi.Handler{
 		Tenants:   tenants,
 		Datasets:  datasets,
 		Monitors:  registry,
 		Pipelines: pipelines,
 	}
 
+	routes := handler.Mount(dataset.NewHandler(datasets).Routes(), monitors.Routes(),
+		pipeline.NewHandler(pipelines).Routes(), tenantsAPI.Routes())
 	server := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           routes,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -42,8 +42,8 @@ func main() {
 		log.Fatal(err)
 	}
 	handler := serve.NewHandler(engine)
-	handler.Datasets = dataset.NewHandler(datasets)
-	server := &http.Server{Handler: handler}
+	handler.Datasets = datasets
+	server := &http.Server{Handler: handler.Mount(dataset.NewHandler(datasets).Routes())}
 	go func() { _ = server.Serve(ln) }()
 	defer server.Close()
 	base := "http://" + ln.Addr().String()

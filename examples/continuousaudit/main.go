@@ -37,14 +37,13 @@ func main() {
 	defer registry.Close()
 
 	handler := serve.NewHandler(engine)
-	handler.Monitors = monitor.NewHandler(registry)
 	handler.MonitorMetrics = func() any { return registry.Metrics() }
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	server := &http.Server{Handler: handler}
+	server := &http.Server{Handler: handler.Mount(monitor.NewHandler(registry).Routes())}
 	go func() { _ = server.Serve(ln) }()
 	defer server.Close()
 	base := "http://" + ln.Addr().String()

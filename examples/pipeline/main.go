@@ -39,14 +39,13 @@ func main() {
 	runs := pipeline.NewRegistry(engine, datasets, nil)
 
 	handler := serve.NewHandler(engine)
-	handler.Datasets = dataset.NewHandler(datasets)
-	handler.Pipelines = pipeline.NewHandler(runs)
+	handler.Datasets = datasets
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	server := &http.Server{Handler: handler}
+	server := &http.Server{Handler: handler.Mount(dataset.NewHandler(datasets).Routes(), pipeline.NewHandler(runs).Routes())}
 	go func() { _ = server.Serve(ln) }()
 	defer server.Close()
 	base := "http://" + ln.Addr().String()

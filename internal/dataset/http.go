@@ -34,8 +34,8 @@ type UploadWire struct {
 //	DELETE /v1/datasets/{ref}  evict (409 while pinned by a monitor)
 //
 // The returned "ref" is the dataset_ref audit requests and monitor
-// registrations resolve by. cmd/rds-serve mounts the handler on the
-// audit API's mux; all responses are application/json.
+// registrations resolve by. cmd/rds-serve mounts its Routes beside the
+// audit API's; all responses are application/json.
 type Handler struct {
 	reg *Registry
 }
@@ -43,44 +43,26 @@ type Handler struct {
 // NewHandler wraps the registry in the HTTP API.
 func NewHandler(reg *Registry) *Handler { return &Handler{reg: reg} }
 
-// Registry returns the underlying registry, so the serving plane can
-// resolve dataset_refs and merge the registry gauges into /metrics.
-func (h *Handler) Registry() *Registry { return h.reg }
-
-// ServeHTTP routes the dataset API. Every operation is tenant-scoped:
-// the tenant comes from the X-RDS-Tenant header (validated here, so
-// the handler is safe to mount standalone), the "tenant" wire/query
-// field, or defaults.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, err := httpx.Tenant(r)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/datasets")
-	if !ok {
-		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no route %s", r.URL.Path))
-		return
-	}
-	rest = strings.Trim(rest, "/")
-	switch {
-	case rest == "" && r.Method == http.MethodPost:
-		h.upload(w, r)
-	case rest == "" && r.Method == http.MethodGet:
-		ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
-		if err != nil {
-			httpx.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(ten))
-	case rest == "":
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("POST or GET required"))
-	default:
-		h.byRef(w, r, rest)
+// Routes returns the dataset API's route table entries. Every
+// operation is tenant-scoped: the tenant comes from the X-RDS-Tenant
+// header, the "tenant" wire/query field, or defaults; another tenant's
+// ref reads as 404, so refs cannot be probed across tenants.
+func (h *Handler) Routes() []httpx.Route {
+	return []httpx.Route{
+		{Method: http.MethodPost, Pattern: "/v1/datasets", Handle: h.upload},
+		{Method: http.MethodGet, Pattern: "/v1/datasets", Handle: h.list},
+		{Method: http.MethodGet, Pattern: "/v1/datasets/{ref}", Handle: h.get},
+		{Method: http.MethodDelete, Pattern: "/v1/datasets/{ref}", Handle: h.remove},
 	}
 }
 
-func (h *Handler) upload(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) list(w http.ResponseWriter, r *http.Request, _ string) {
+	if ten, ok := queryTenant(w, r); ok {
+		httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(ten))
+	}
+}
+
+func (h *Handler) upload(w http.ResponseWriter, r *http.Request, _ string) {
 	name, wireTenant, f, err := h.decodeUpload(w, r)
 	if err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
@@ -138,34 +120,43 @@ func (h *Handler) decodeUpload(w http.ResponseWriter, r *http.Request) (name, wi
 	return "", "", nil, errors.New("exactly one of csv or ndjson must be set")
 }
 
-func (h *Handler) byRef(w http.ResponseWriter, r *http.Request, ref string) {
+// queryTenant resolves the request's tenant from the context or the
+// "tenant" query parameter, answering 400 itself when it is invalid.
+func queryTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
 	ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
 	if err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
+		return "", false
+	}
+	return ten, true
+}
+
+func (h *Handler) get(w http.ResponseWriter, r *http.Request, ref string) {
+	ten, ok := queryTenant(w, r)
+	if !ok {
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		meta, ok := h.reg.GetAs(ten, ref)
-		if !ok {
-			// Another tenant's ref reads as absent — no cross-tenant
-			// probing.
-			httpx.Error(w, http.StatusNotFound, fmt.Errorf("no dataset %q", ref))
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, meta)
-	case http.MethodDelete:
-		ok, err := h.reg.DeleteAs(ten, ref)
-		if errors.Is(err, ErrPinned) {
-			httpx.Error(w, http.StatusConflict, err)
-			return
-		}
-		if !ok {
-			httpx.Error(w, http.StatusNotFound, fmt.Errorf("no dataset %q", ref))
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"deleted": ref})
-	default:
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET or DELETE required"))
+	meta, ok := h.reg.GetAs(ten, ref)
+	if !ok {
+		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no dataset %q", ref))
+		return
 	}
+	httpx.WriteJSON(w, http.StatusOK, meta)
+}
+
+func (h *Handler) remove(w http.ResponseWriter, r *http.Request, ref string) {
+	ten, ok := queryTenant(w, r)
+	if !ok {
+		return
+	}
+	ok, err := h.reg.DeleteAs(ten, ref)
+	if errors.Is(err, ErrPinned) {
+		httpx.Error(w, http.StatusConflict, err)
+		return
+	}
+	if !ok {
+		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no dataset %q", ref))
+		return
+	}
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"deleted": ref})
 }

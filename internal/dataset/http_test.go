@@ -15,7 +15,7 @@ import (
 func newTestServer(t *testing.T, budget int64) (*Registry, *httptest.Server) {
 	t.Helper()
 	reg := NewRegistry(budget)
-	srv := httptest.NewServer(NewHandler(reg))
+	srv := httptest.NewServer(httpx.NewRouter(NewHandler(reg).Routes()...))
 	t.Cleanup(srv.Close)
 	return reg, srv
 }

@@ -76,12 +76,11 @@ func boot(t *testing.T, stateDir string) *service {
 		t.Fatalf("pipeline AttachStore: %v", err)
 	}
 	handler := serve.NewHandler(engine)
-	handler.Datasets = dataset.NewHandler(datasets)
-	handler.Monitors = monitor.NewHandler(registry)
+	handler.Datasets = datasets
 	handler.MonitorMetrics = func() any { return registry.Metrics() }
-	handler.Pipelines = pipeline.NewHandler(pipelines)
-	handler.Tenants = &tenantapi.Handler{Tenants: tenants, Datasets: datasets, Monitors: registry, Pipelines: pipelines}
-	return &service{srv: httptest.NewServer(handler), engine: engine, registry: registry, tenants: tenants, pipelines: pipelines}
+	routes := handler.Mount(dataset.NewHandler(datasets).Routes(), monitor.NewHandler(registry).Routes(), pipeline.NewHandler(pipelines).Routes(),
+		(&tenantapi.Handler{Tenants: tenants, Datasets: datasets, Monitors: registry, Pipelines: pipelines}).Routes())
+	return &service{srv: httptest.NewServer(routes), engine: engine, registry: registry, tenants: tenants, pipelines: pipelines}
 }
 
 // hardStop kills the instance without any graceful persistence pass —

@@ -1,9 +1,11 @@
-// Package httpx holds the JSON plumbing shared by the service's HTTP
-// planes (internal/serve and internal/monitor): response encoding, the
-// error envelope, request-body decoding with a shared size bound, and
-// small wire-level defaulting helpers. Keeping them in one place
-// guarantees the request/response and monitoring APIs cannot drift
-// apart in their JSON error behavior.
+// Package httpx is the HTTP edge every plane of the service shares
+// (serve, monitor, dataset, pipeline, tenantapi): the one route table
+// (Router) with its tenant-header check, response encoding, the error
+// envelope, request-body decoding with a shared size bound, and small
+// wire-level defaulting helpers. It imports no plane, so every plane
+// can declare its routes with it. Keeping them in one place guarantees
+// the planes cannot drift apart in how they route or in their JSON
+// error behavior.
 package httpx
 
 import (

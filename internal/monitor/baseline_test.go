@@ -176,9 +176,8 @@ func TestHTTPBaselineRefLifecycle(t *testing.T) {
 	}
 	t.Cleanup(reg.Close)
 	handler := serve.NewHandler(engine)
-	handler.Monitors = NewHandler(reg)
-	handler.Datasets = dataset.NewHandler(datasets)
-	srv := httptest.NewServer(handler)
+	handler.Datasets = datasets
+	srv := httptest.NewServer(handler.Mount(NewHandler(reg).Routes(), dataset.NewHandler(datasets).Routes()))
 	t.Cleanup(srv.Close)
 
 	base, err := synth.Credit(synth.CreditConfig{N: 600, Bias: 0.5, Seed: 11})

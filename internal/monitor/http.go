@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/responsible-data-science/rds/internal/core"
@@ -105,8 +104,8 @@ type IngestWire struct {
 //	GET    /v1/monitors/{id}/history  per-window reports and drift
 //	POST   /v1/monitors/{id}/ingest   feed rows onto the stream clock
 //
-// cmd/rds-serve mounts it on the audit API's mux; all responses are
-// application/json.
+// cmd/rds-serve mounts its Routes beside the audit API's; all responses
+// are application/json.
 type Handler struct {
 	reg *Registry
 	// DefaultHistory applies to registrations that omit "history"
@@ -120,47 +119,31 @@ type Handler struct {
 // NewHandler wraps the registry in the HTTP API.
 func NewHandler(reg *Registry) *Handler { return &Handler{reg: reg} }
 
-// ServeHTTP routes the monitor API. Every operation is tenant-scoped:
-// the tenant comes from the X-RDS-Tenant header (validated here, so
-// the handler is safe to mount standalone), the "tenant" wire/query
-// field, or defaults; another tenant's monitor ids read as 404.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, err := httpx.Tenant(r)
+// Routes returns the monitor API's route table entries. Every
+// operation is tenant-scoped: the tenant comes from the X-RDS-Tenant
+// header, the "tenant" wire/query field, or defaults; another tenant's
+// monitor ids read as 404.
+func (h *Handler) Routes() []httpx.Route {
+	return []httpx.Route{
+		{Method: http.MethodPost, Pattern: "/v1/monitors", Handle: h.register},
+		{Method: http.MethodGet, Pattern: "/v1/monitors", Handle: h.list},
+		{Method: http.MethodGet, Pattern: "/v1/monitors/{id}", Handle: h.status},
+		{Method: http.MethodDelete, Pattern: "/v1/monitors/{id}", Handle: h.remove},
+		{Method: http.MethodGet, Pattern: "/v1/monitors/{id}/history", Handle: h.history},
+		{Method: http.MethodPost, Pattern: "/v1/monitors/{id}/ingest", Handle: h.ingest},
+	}
+}
+
+func (h *Handler) list(w http.ResponseWriter, r *http.Request, _ string) {
+	ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
 	if err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/monitors")
-	if !ok {
-		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no route %s", r.URL.Path))
-		return
-	}
-	rest = strings.Trim(rest, "/")
-	switch {
-	case rest == "":
-		switch r.Method {
-		case http.MethodPost:
-			h.register(w, r)
-		case http.MethodGet:
-			ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
-			if err != nil {
-				httpx.Error(w, http.StatusBadRequest, err)
-				return
-			}
-			httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(ten))
-		default:
-			httpx.Error(w, http.StatusMethodNotAllowed, errors.New("POST or GET required"))
-		}
-	case strings.HasSuffix(rest, "/history"):
-		h.history(w, r, strings.TrimSuffix(rest, "/history"))
-	case strings.HasSuffix(rest, "/ingest"):
-		h.ingest(w, r, strings.TrimSuffix(rest, "/ingest"))
-	default:
-		h.byID(w, r, rest)
-	}
+	httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(ten))
 }
 
-func (h *Handler) register(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) register(w http.ResponseWriter, r *http.Request, _ string) {
 	var wire SpecWire
 	if err := httpx.DecodeJSON(w, r, &wire); err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
@@ -213,27 +196,20 @@ func (h *Handler) getOwned(w http.ResponseWriter, r *http.Request, id string) (*
 	return m, true
 }
 
-func (h *Handler) byID(w http.ResponseWriter, r *http.Request, id string) {
-	m, ok := h.getOwned(w, r, id)
-	if !ok {
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
+func (h *Handler) status(w http.ResponseWriter, r *http.Request, id string) {
+	if m, ok := h.getOwned(w, r, id); ok {
 		httpx.WriteJSON(w, http.StatusOK, m.Status())
-	case http.MethodDelete:
+	}
+}
+
+func (h *Handler) remove(w http.ResponseWriter, r *http.Request, id string) {
+	if _, ok := h.getOwned(w, r, id); ok {
 		h.reg.Delete(id)
 		httpx.WriteJSON(w, http.StatusOK, map[string]string{"deleted": id})
-	default:
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET or DELETE required"))
 	}
 }
 
 func (h *Handler) history(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	m, ok := h.getOwned(w, r, id)
 	if !ok {
 		return
@@ -246,10 +222,6 @@ func (h *Handler) history(w http.ResponseWriter, r *http.Request, id string) {
 }
 
 func (h *Handler) ingest(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodPost {
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	m, ok := h.getOwned(w, r, id)
 	if !ok {
 		return

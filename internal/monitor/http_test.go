@@ -29,9 +29,8 @@ func newTestService(t *testing.T) (*httptest.Server, *Registry) {
 	}
 	t.Cleanup(reg.Close)
 	handler := serve.NewHandler(engine)
-	handler.Monitors = NewHandler(reg)
 	handler.MonitorMetrics = func() any { return reg.Metrics() }
-	srv := httptest.NewServer(handler)
+	srv := httptest.NewServer(handler.Mount(NewHandler(reg).Routes()))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -322,8 +321,7 @@ func TestHTTPMonitorTenantScoping(t *testing.T) {
 	}
 	t.Cleanup(reg.Close)
 	handler := serve.NewHandler(engine)
-	handler.Monitors = NewHandler(reg)
-	srv := httptest.NewServer(handler)
+	srv := httptest.NewServer(handler.Mount(NewHandler(reg).Routes()))
 	t.Cleanup(srv.Close)
 
 	var sum Summary

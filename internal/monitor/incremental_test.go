@@ -389,7 +389,8 @@ func splitChunks(f *frame.Frame, n int) []Chunk {
 // concurrent ingest, re-audits, and metric reads (the -race suite runs
 // this interleaved), must keep every monitor's stream-driven history
 // bit-identical to a no-cache reference — a miss falls back to a full
-// rescan, never a wrong or failed audit.
+// rescan, never a wrong or failed audit — and every re-audit must
+// equal a reference audit of the window it re-graded.
 func TestChunkCacheEvictionChurn(t *testing.T) {
 	const monitors = 2
 	cache := dataset.NewStateCache(24 << 10) // a handful of chunk states; constant eviction
@@ -455,20 +456,67 @@ func TestChunkCacheEvictionChurn(t *testing.T) {
 		// Reaudit entries interleave nondeterministically with window
 		// entries; stream-driven grading (Reaudits == 0) must match the
 		// reference exactly.
-		var got []WindowEntry
+		var got, reaudits []WindowEntry
 		for _, e := range m.History() {
 			if e.Reaudits == 0 {
 				got = append(got, e)
-			} else if e.Error != "" {
-				t.Errorf("monitor %d: re-audit under churn failed: %s", i, e.Error)
+			} else {
+				reaudits = append(reaudits, e)
 			}
 		}
 		mustEqualHistories(t, fmt.Sprintf("monitor %d", i), got, want[i])
+		mustEqualReaudits(t, fmt.Sprintf("monitor %d", i), m, streams[i], reaudits)
 	}
 	if snap := cache.Metrics(); snap.Evictions == 0 {
 		t.Errorf("churn never evicted: %+v", snap)
 	} else if snap.Bytes > snap.BudgetBytes {
 		t.Errorf("resident bytes %d exceed budget %d", snap.Bytes, snap.BudgetBytes)
+	}
+}
+
+// mustEqualReaudits fails unless each re-audit entry equals a reference
+// audit of the window it re-graded, report bits and error string
+// included. The window frames come from replaying the stream through
+// the monitor's windower; a window holding the stream's NaN/Inf rows
+// must fail the same way under churn as in the reference. Regressed is
+// cleared on both sides: it compares against whichever audit finished
+// before, which the interleaving decides.
+func mustEqualReaudits(t *testing.T, label string, m *Monitor, arrivals []stream.Arrival, got []WindowEntry) {
+	t.Helper()
+	windows := map[int64][]Chunk{}
+	win := newWindower(m.spec.Window)
+	for _, a := range arrivals {
+		for _, w := range win.observe(a) {
+			windows[w.index] = w.chunks()
+		}
+	}
+	for _, w := range win.flush() {
+		windows[w.index] = w.chunks()
+	}
+	ref, err := NewRegistry(RegistryConfig{Engine: newTestEngine(t)})
+	if err != nil {
+		t.Fatalf("NewRegistry: %v", err)
+	}
+	t.Cleanup(ref.Close)
+	oracle, err := ref.Register(m.Spec())
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	for _, e := range got {
+		chunks, ok := windows[e.Window]
+		if !ok {
+			t.Fatalf("%s: re-audit of window %d, which the stream never closed", label, e.Window)
+		}
+		f, err := materializeChunks(chunks, e.Window)
+		if err != nil || f == nil {
+			t.Fatalf("%s: re-audited window %d does not materialize: %v", label, e.Window, err)
+		}
+		want := WindowEntry{Window: e.Window, StartMS: e.StartMS, EndMS: e.EndMS, Rows: f.NumRows(), Reaudits: 1}
+		oracle.audit(f, &want, windowDataHash(chunks))
+		e.Regressed, want.Regressed = false, false
+		if !bitsDeepEqual(reflect.ValueOf(e), reflect.ValueOf(want)) {
+			t.Errorf("%s: re-audit of window %d diverged from its reference audit:\n  got:  %+v\n  want: %+v", label, e.Window, e, want)
+		}
 	}
 }
 

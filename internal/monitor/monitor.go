@@ -774,11 +774,12 @@ func (m *Monitor) processWindow(w *closedWindow) {
 		m.appendHistory(entry)
 		return
 	}
+	chunks := w.chunks()
 	if m.profile == nil {
 		// First auditable window: always audit, pin as the drift
 		// baseline, and precompute the baseline profile every later
 		// window is scored against.
-		f, err := w.materialize()
+		f, err := materializeChunks(chunks, w.index)
 		if err != nil || f == nil {
 			if err != nil {
 				entry.Error = err.Error()
@@ -788,7 +789,7 @@ func (m *Monitor) processWindow(w *closedWindow) {
 			m.appendHistory(entry)
 			return
 		}
-		m.setLastWindow(w.index, w.chunks(), f)
+		m.setLastWindow(w.index, chunks, f)
 		entry.Baseline = true
 		m.audit(f, &entry, "")
 		if entry.Error == "" {
@@ -825,7 +826,6 @@ func (m *Monitor) processWindow(w *closedWindow) {
 	// re-derives the legacy outcome — including the legacy error —
 	// from the materialized window, so a miss can cost time but never
 	// a wrong or failed grading.
-	chunks := w.chunks()
 	var (
 		f     *frame.Frame
 		drift *DriftReport
@@ -841,7 +841,7 @@ func (m *Monitor) processWindow(w *closedWindow) {
 	}
 	if drift == nil {
 		var err error
-		f, err = w.materialize()
+		f, err = materializeChunks(chunks, w.index)
 		if err != nil || f == nil {
 			if err != nil {
 				entry.Error = err.Error()

@@ -227,8 +227,7 @@ func TestRestoreDegradedOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	handler := serve.NewHandler(newTestEngine(t))
-	handler.Monitors = NewHandler(reg2)
-	srv := httptest.NewServer(handler)
+	srv := httptest.NewServer(handler.Mount(NewHandler(reg2).Routes()))
 	t.Cleanup(srv.Close)
 	resp, err := http.Get(srv.URL + "/v1/monitors")
 	if err != nil {

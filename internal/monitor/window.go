@@ -73,26 +73,6 @@ type closedWindow struct {
 	parts   []*windowPart
 }
 
-// materialize concatenates the window's arrival batches into one frame.
-// Returns nil for an empty window.
-func (w *closedWindow) materialize() (*frame.Frame, error) {
-	var out *frame.Frame
-	for _, p := range w.parts {
-		if p.rows.NumRows() == 0 {
-			continue
-		}
-		if out == nil {
-			out = p.rows
-			continue
-		}
-		var err error
-		if out, err = out.Append(p.rows); err != nil {
-			return nil, fmt.Errorf("monitor: materializing window %d: %w", w.index, err)
-		}
-	}
-	return out, nil
-}
-
 // chunks returns the window's arrival batches as hashed chunk
 // identities, in arrival order — the incremental drift path's input.
 func (w *closedWindow) chunks() []Chunk {

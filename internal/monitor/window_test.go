@@ -33,7 +33,7 @@ func TestWindowerTumblingAssignsAndCloses(t *testing.T) {
 	if win.rows != 3 {
 		t.Errorf("window rows = %d, want 3", win.rows)
 	}
-	f, err := win.materialize()
+	f, err := materializeChunks(win.chunks(), win.index)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestWindowerNegativeTimeNeverPanics(t *testing.T) {
 
 func TestClosedWindowMaterializeEmpty(t *testing.T) {
 	win := &closedWindow{index: 0, startMS: 0, endMS: 100}
-	f, err := win.materialize()
+	f, err := materializeChunks(win.chunks(), win.index)
 	if err != nil {
 		t.Fatalf("materialize empty: %v", err)
 	}

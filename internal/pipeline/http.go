@@ -1,10 +1,8 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"github.com/responsible-data-science/rds/internal/httpx"
 	"github.com/responsible-data-science/rds/internal/serve"
@@ -29,38 +27,26 @@ type Handler struct {
 // NewHandler wraps the registry in the HTTP API.
 func NewHandler(runs *Registry) *Handler { return &Handler{Runs: runs} }
 
-// ServeHTTP routes the pipelines API.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, err := httpx.Tenant(r)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
+// Routes returns the pipelines API's route table entries.
+func (h *Handler) Routes() []httpx.Route {
+	return []httpx.Route{
+		{Method: http.MethodPost, Pattern: "/v1/pipelines", Handle: h.post},
+		{Method: http.MethodGet, Pattern: "/v1/pipelines", Handle: h.list},
+		{Method: http.MethodGet, Pattern: "/v1/pipelines/{id}", Handle: h.get},
 	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/pipelines")
+}
+
+func (h *Handler) list(w http.ResponseWriter, r *http.Request, _ string) {
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"pipelines": h.Runs.List(viewer(r))})
+}
+
+func (h *Handler) get(w http.ResponseWriter, r *http.Request, id string) {
+	rec, ok := h.Runs.Get(viewer(r), id)
 	if !ok {
-		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no route %s", r.URL.Path))
+		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no pipeline %q", id))
 		return
 	}
-	rest = strings.Trim(rest, "/")
-	switch {
-	case rest == "" && r.Method == http.MethodPost:
-		h.post(w, r)
-	case rest == "" && r.Method == http.MethodGet:
-		httpx.WriteJSON(w, http.StatusOK, map[string]any{
-			"pipelines": h.Runs.List(viewer(r)),
-		})
-	case rest == "":
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET or POST required"))
-	case r.Method == http.MethodGet:
-		rec, ok := h.Runs.Get(viewer(r), rest)
-		if !ok {
-			httpx.Error(w, http.StatusNotFound, fmt.Errorf("no pipeline %q", rest))
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, rec)
-	default:
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-	}
+	httpx.WriteJSON(w, http.StatusOK, rec)
 }
 
 // viewer resolves the request's visibility scope: the context tenant
@@ -73,8 +59,7 @@ func viewer(r *http.Request) string {
 	return ten
 }
 
-func (h *Handler) post(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes)
+func (h *Handler) post(w http.ResponseWriter, r *http.Request, _ string) {
 	var spec Spec
 	if err := httpx.DecodeJSON(w, r, &spec); err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
@@ -87,29 +72,9 @@ func (h *Handler) post(w http.ResponseWriter, r *http.Request) {
 	}
 	spec.Tenant = ten
 	rec, err := h.Runs.Submit(spec)
-	switch {
-	case errors.Is(err, tenant.ErrQuota), errors.Is(err, serve.ErrTenantBusy):
-		setRetryAfter(w, err)
-		httpx.Error(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, serve.ErrBusy):
-		setRetryAfter(w, err)
-		httpx.Error(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, serve.ErrClosed):
-		httpx.Error(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		httpx.Error(w, http.StatusBadRequest, err)
+	if err != nil {
+		serve.WriteSubmitError(w, err)
 		return
 	}
 	httpx.WriteJSON(w, http.StatusAccepted, rec)
-}
-
-// setRetryAfter mirrors the audit plane's Retry-After contract on
-// pipeline admission rejections.
-func setRetryAfter(w http.ResponseWriter, err error) {
-	if secs, ok := serve.RetryAfter(err); ok {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/responsible-data-science/rds/internal/httpx"
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/synth"
 	"github.com/responsible-data-science/rds/internal/tenant"
@@ -48,7 +49,7 @@ func doJSON(t *testing.T, srv *httptest.Server, method, path, ten string, body a
 
 func TestHTTPPipelineLifecycle(t *testing.T) {
 	w := newWorld(t, nil)
-	srv := httptest.NewServer(NewHandler(w.runs))
+	srv := httptest.NewServer(httpx.NewRouter(NewHandler(w.runs).Routes()...))
 	defer srv.Close()
 
 	code, raw := doJSON(t, srv, http.MethodPost, "/v1/pipelines", "", map[string]any{
@@ -107,7 +108,7 @@ func TestHTTPPipelineLifecycle(t *testing.T) {
 
 func TestHTTPPipelineErrorPaths(t *testing.T) {
 	w := newWorld(t, nil)
-	srv := httptest.NewServer(NewHandler(w.runs))
+	srv := httptest.NewServer(httpx.NewRouter(NewHandler(w.runs).Routes()...))
 	defer srv.Close()
 
 	for _, tc := range []struct {
@@ -158,7 +159,7 @@ func TestHTTPPipelineTenantScoping(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := NewRegistry(engine, w.datasets, quotas)
-	srv := httptest.NewServer(NewHandler(runs))
+	srv := httptest.NewServer(httpx.NewRouter(NewHandler(runs).Routes()...))
 	defer srv.Close()
 
 	// Hold the only worker so the capped tenant's run stays live.

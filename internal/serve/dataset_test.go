@@ -105,8 +105,8 @@ func newDatasetTestServer(t *testing.T) (*httptest.Server, *dataset.Registry) {
 	e := NewEngine(Config{Workers: 2, JobTimeout: 30 * time.Second})
 	h := NewHandler(e)
 	reg := dataset.NewRegistry(64 << 20)
-	h.Datasets = dataset.NewHandler(reg)
-	srv := httptest.NewServer(h)
+	h.Datasets = reg
+	srv := httptest.NewServer(h.Mount(dataset.NewHandler(reg).Routes()))
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()

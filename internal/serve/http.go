@@ -125,86 +125,51 @@ func DefaultPolicy() policy.FACTPolicy {
 //
 //	POST /v1/audit       run an audit (sync by default; "async": true for 202 + id)
 //	GET  /v1/audit/{id}  job status / result (any of the caller's jobs, pipelines included)
-//	/v1/pipelines        staged remediation runs (when Pipelines is mounted)
 //	GET  /healthz        liveness and pool state
 //	GET  /metrics        throughput, cache hit rate, latency quantiles
 //
-// Every response, success or error, is application/json. When the
-// monitoring plane is mounted (Monitors), /v1/monitors requests are
-// delegated to it and its gauges are merged into /metrics under the
-// "monitor" key.
+// Mount serves these routes together with the other planes' (monitors,
+// datasets, pipelines, tenants) behind one route table. Every
+// response, success or error, is application/json.
 type Handler struct {
 	engine *Engine
 	// AllowPaths permits requests that read server-local files via
 	// "path". Leave false for network-facing deployments.
 	AllowPaths bool
-	// Monitors, when set, handles every /v1/monitors request — the
-	// continuous-monitoring plane (internal/monitor.Handler). Kept as a
-	// plain http.Handler so serve does not depend on monitor (monitor
-	// builds on serve.Engine).
-	Monitors http.Handler
 	// MonitorMetrics, when set, contributes the monitoring plane's
 	// gauge snapshot to GET /metrics as the "monitor" field.
 	MonitorMetrics func() any
-	// Datasets, when set, handles every /v1/datasets request and lets
-	// audit requests resolve by "dataset_ref"; its registry gauges are
-	// merged into GET /metrics as the "datasets" field.
-	Datasets *dataset.Handler
+	// Datasets, when set, lets audit requests resolve by
+	// "dataset_ref"; its gauges are merged into GET /metrics as the
+	// "datasets" field.
+	Datasets *dataset.Registry
 	// ChunkStates, when set, contributes the monitoring plane's
 	// chunk-state cache gauges (incremental sliding-window re-audits)
 	// to GET /metrics as the "chunk_states" field.
 	ChunkStates *dataset.StateCache
-	// Tenants, when set, handles every /v1/tenants request — quota
-	// administration and the per-tenant responsibility report
-	// (internal/report.Handler). Kept as a plain http.Handler so serve
-	// does not depend on the report plane.
-	Tenants http.Handler
-	// Pipelines, when set, handles every /v1/pipelines request — the
-	// staged remediation plane (internal/pipeline.Handler). Kept as a
-	// plain http.Handler so serve does not depend on pipeline (pipeline
-	// builds on serve.Engine).
-	Pipelines http.Handler
 }
 
 // NewHandler wraps the engine in the HTTP API.
 func NewHandler(e *Engine) *Handler { return &Handler{engine: e} }
 
-// ServeHTTP routes the audit API. The tenant header is validated once
-// here, for every route — downstream planes read the id from the
-// request context.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, err := httpx.Tenant(r)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
+// Mount returns the service's HTTP surface: the audit API's routes
+// followed by each plane's (monitor, dataset, pipeline and tenantapi
+// Handler.Routes), behind one httpx.Router. serve cannot import those
+// planes (they build on Engine), so the caller hands their routes in.
+func (h *Handler) Mount(planes ...[]httpx.Route) http.Handler {
+	routes := []httpx.Route{
+		{Method: http.MethodPost, Pattern: "/v1/audit", Handle: h.postAudit},
+		{Method: http.MethodGet, Pattern: "/v1/audit/{id}", Handle: h.getAudit},
+		{Method: http.MethodGet, Pattern: "/healthz", Handle: h.healthz},
+		{Method: http.MethodGet, Pattern: "/metrics", Handle: h.metrics},
 	}
-	switch {
-	case r.URL.Path == "/v1/audit":
-		h.postAudit(w, r)
-	case strings.HasPrefix(r.URL.Path, "/v1/audit/"):
-		h.getAudit(w, r)
-	case strings.HasPrefix(r.URL.Path, "/v1/monitors") && h.Monitors != nil:
-		h.Monitors.ServeHTTP(w, r)
-	case strings.HasPrefix(r.URL.Path, "/v1/datasets") && h.Datasets != nil:
-		h.Datasets.ServeHTTP(w, r)
-	case strings.HasPrefix(r.URL.Path, "/v1/tenants") && h.Tenants != nil:
-		h.Tenants.ServeHTTP(w, r)
-	case strings.HasPrefix(r.URL.Path, "/v1/pipelines") && h.Pipelines != nil:
-		h.Pipelines.ServeHTTP(w, r)
-	case r.URL.Path == "/healthz":
-		h.healthz(w, r)
-	case r.URL.Path == "/metrics":
-		h.metrics(w, r)
-	default:
-		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no route %s", r.URL.Path))
+	for _, p := range planes {
+		routes = append(routes, p...)
 	}
+	return httpx.NewRouter(routes...)
 }
 
-func (h *Handler) postAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
+func (h *Handler) postAudit(w http.ResponseWriter, r *http.Request, _ string) {
 	r.Body = http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes)
 	wire, err := decodeWire(r)
 	if err != nil {
@@ -227,23 +192,8 @@ func (h *Handler) postAudit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, err := h.engine.Submit(spec)
-	switch {
-	case errors.Is(err, ErrTenantBusy):
-		// Only this tenant is over budget: 429, with the suggested wait.
-		setRetryAfter(w, err)
-		httpx.Error(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, ErrBusy):
-		// The service itself is saturated: 503, with the estimated
-		// queue-drain time.
-		setRetryAfter(w, err)
-		httpx.Error(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrClosed):
-		httpx.Error(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		httpx.Error(w, http.StatusBadRequest, err)
+	if err != nil {
+		WriteSubmitError(w, err)
 		return
 	}
 	if wire.Async {
@@ -263,17 +213,12 @@ func (h *Handler) postAudit(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, js)
 }
 
-func (h *Handler) getAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
+func (h *Handler) getAudit(w http.ResponseWriter, r *http.Request, id string) {
 	ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
 	if err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/audit/")
 	js, ok := h.engine.Job(id)
 	if !ok || js.Tenant != ten {
 		// A job owned by another tenant is indistinguishable from an
@@ -285,18 +230,30 @@ func (h *Handler) getAudit(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, js)
 }
 
-// setRetryAfter stamps the Retry-After header from an admission
-// rejection's suggested backoff (see serve.RetryAfter).
-func setRetryAfter(w http.ResponseWriter, err error) {
+// WriteSubmitError answers a rejected Submit on every plane that
+// submits jobs: 429 when only the caller's tenant is over budget
+// (ErrTenantBusy, tenant.ErrQuota), 503 when the service is saturated
+// or closing (ErrBusy, ErrClosed), and 400 for anything else. A
+// rejection that suggests a backoff also gets a Retry-After header
+// (see RetryAfter).
+func WriteSubmitError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrTenantBusy), errors.Is(err, tenant.ErrQuota):
+		status = http.StatusTooManyRequests
+	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
+		status = http.StatusServiceUnavailable
+	}
 	if secs, ok := RetryAfter(err); ok {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
+	httpx.Error(w, status, err)
 }
 
 // healthz reports pool liveness. queue_capacity reads the engine's
 // construction-time snapshot (Engine.QueueCapacity), never the Config
 // copy, so the gauge can't drift from the enforced bound.
-func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
+func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request, _ string) {
 	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"workers":        h.engine.Config().Workers,
@@ -311,7 +268,7 @@ func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 // those planes are mounted. The engine's field names
 // stay at the top level so existing scrapers keep working; see README
 // "Metrics reference" for the stable field list.
-func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
+func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request, _ string) {
 	snap := h.engine.MetricsSnapshot()
 	if h.MonitorMetrics == nil && h.Datasets == nil && h.ChunkStates == nil {
 		httpx.WriteJSON(w, http.StatusOK, snap)
@@ -327,7 +284,7 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 		merged.Monitor = h.MonitorMetrics()
 	}
 	if h.Datasets != nil {
-		merged.Datasets = h.Datasets.Registry().Metrics()
+		merged.Datasets = h.Datasets.Metrics()
 	}
 	if h.ChunkStates != nil {
 		merged.ChunkStates = h.ChunkStates.Metrics()
@@ -426,7 +383,7 @@ func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, er
 		if h.Datasets == nil {
 			return nil, errors.New("dataset_ref audits are disabled on this server (no dataset registry)")
 		}
-		f, meta, ok := h.Datasets.Registry().ResolveAs(ten, wire.DatasetRef)
+		f, meta, ok := h.Datasets.ResolveAs(ten, wire.DatasetRef)
 		if !ok {
 			return nil, fmt.Errorf("unknown dataset_ref %q (load it first via POST /v1/datasets)", wire.DatasetRef)
 		}

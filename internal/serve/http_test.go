@@ -28,7 +28,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
 	t.Helper()
 	e := NewEngine(Config{Workers: 2, JobTimeout: 30 * time.Second})
 	h := NewHandler(e)
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(h.Mount())
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()
@@ -282,7 +282,7 @@ func TestHTTPMetricsChunkStates(t *testing.T) {
 	e := NewEngine(Config{Workers: 1, JobTimeout: 30 * time.Second})
 	h := NewHandler(e)
 	h.ChunkStates = dataset.NewStateCache(1 << 20)
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(h.Mount())
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()
@@ -495,7 +495,7 @@ func TestAuditWireShape(t *testing.T) {
 		}
 		return &core.FACTReport{Pipeline: req.Dataset}, nil
 	}
-	srv := httptest.NewServer(NewHandler(e))
+	srv := httptest.NewServer(NewHandler(e).Mount())
 	t.Cleanup(func() {
 		releaseOnce.Do(func() { close(release) })
 		srv.Close()

@@ -86,8 +86,8 @@ func Normalize(id string) (string, error) {
 type ctxKey struct{}
 
 // NewContext returns ctx carrying an explicit, already-validated
-// tenant id. The HTTP edge (internal/httpx + serve.Handler) calls it
-// once per request; everything downstream reads FromContext.
+// tenant id. The HTTP edge (httpx.Router) calls it once per request;
+// everything downstream reads FromContext.
 func NewContext(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, ctxKey{}, id)
 }

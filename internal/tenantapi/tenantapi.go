@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"github.com/responsible-data-science/rds/internal/dataset"
 	"github.com/responsible-data-science/rds/internal/httpx"
@@ -65,88 +64,87 @@ type ListResponse struct {
 	Tenants []tenant.Info `json:"tenants"`
 }
 
-// ServeHTTP routes the tenants API.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, err := httpx.Tenant(r)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/tenants")
-	if !ok {
-		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no route %s", r.URL.Path))
-		return
-	}
-	rest = strings.Trim(rest, "/")
-	switch {
-	case rest == "":
-		if r.Method != http.MethodGet {
-			httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, ListResponse{
-			Defaults: h.Tenants.Defaults(),
-			Tenants:  h.Tenants.List(),
-		})
-	case strings.HasSuffix(rest, "/report"):
-		h.report(w, r, strings.TrimSuffix(rest, "/report"))
-	default:
-		h.byID(w, r, rest)
+// Routes returns the tenants API's route table entries.
+func (h *Handler) Routes() []httpx.Route {
+	return []httpx.Route{
+		{Method: http.MethodGet, Pattern: "/v1/tenants", Handle: h.list},
+		{Method: http.MethodGet, Pattern: "/v1/tenants/{id}", Handle: h.get},
+		{Method: http.MethodPut, Pattern: "/v1/tenants/{id}", Handle: h.put},
+		{Method: http.MethodDelete, Pattern: "/v1/tenants/{id}", Handle: h.remove},
+		{Method: http.MethodGet, Pattern: "/v1/tenants/{id}/report", Handle: h.report},
 	}
 }
 
-// visible reports whether the request may address tenant id: operator
-// requests (no tenant context) always may; tenant-scoped requests only
-// their own id. The failure is a 404, not a 403 — other tenants read
-// as absent.
-func visible(r *http.Request, id string) bool {
-	ten, ok := tenant.FromContext(r.Context())
-	return !ok || ten == id
+func (h *Handler) list(w http.ResponseWriter, _ *http.Request, _ string) {
+	httpx.WriteJSON(w, http.StatusOK, ListResponse{
+		Defaults: h.Tenants.Defaults(),
+		Tenants:  h.Tenants.List(),
+	})
 }
 
-func (h *Handler) byID(w http.ResponseWriter, r *http.Request, id string) {
-	id, err := tenant.Normalize(id)
+// addressable normalizes the tenant id a request names and checks the
+// request may address it, answering 400 (invalid id) or 404 itself
+// otherwise. Operator requests (no tenant context) may address every
+// tenant; tenant-scoped requests only their own id. The failure is a
+// 404, not a 403 — other tenants read as absent.
+func addressable(w http.ResponseWriter, r *http.Request, raw string) (string, bool) {
+	id, err := tenant.Normalize(raw)
 	if err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
-		return
+		return "", false
 	}
-	if !visible(r, id) {
+	if ten, ok := tenant.FromContext(r.Context()); ok && ten != id {
 		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no tenant %q", id))
+		return "", false
+	}
+	return id, true
+}
+
+func (h *Handler) get(w http.ResponseWriter, r *http.Request, raw string) {
+	id, ok := addressable(w, r, raw)
+	if !ok {
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		info := tenant.Info{ID: id, Quotas: h.Tenants.Quotas(id)}
-		for _, o := range h.Tenants.List() {
-			if o.ID == id {
-				info.Override = true
-			}
+	info := tenant.Info{ID: id, Quotas: h.Tenants.Quotas(id)}
+	for _, o := range h.Tenants.List() {
+		if o.ID == id {
+			info.Override = true
 		}
-		httpx.WriteJSON(w, http.StatusOK, info)
-	case http.MethodPut:
-		var q tenant.Quotas
-		if err := httpx.DecodeJSON(w, r, &q); err != nil {
-			httpx.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := h.Tenants.Set(id, q); err != nil {
-			status := http.StatusBadRequest
-			if !errors.Is(err, tenant.ErrInvalidID) && !errors.Is(err, tenant.ErrInvalidQuota) {
-				status = http.StatusInternalServerError
-			}
-			httpx.Error(w, status, err)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, tenant.Info{ID: id, Quotas: h.Tenants.Quotas(id), Override: true})
-	case http.MethodDelete:
-		if err := h.Tenants.Remove(id); err != nil {
-			httpx.Error(w, http.StatusInternalServerError, err)
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"removed": id})
-	default:
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET, PUT, or DELETE required"))
 	}
+	httpx.WriteJSON(w, http.StatusOK, info)
+}
+
+func (h *Handler) put(w http.ResponseWriter, r *http.Request, raw string) {
+	id, ok := addressable(w, r, raw)
+	if !ok {
+		return
+	}
+	var q tenant.Quotas
+	if err := httpx.DecodeJSON(w, r, &q); err != nil {
+		httpx.Error(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := h.Tenants.Set(id, q); err != nil {
+		status := http.StatusBadRequest
+		if !errors.Is(err, tenant.ErrInvalidID) && !errors.Is(err, tenant.ErrInvalidQuota) {
+			status = http.StatusInternalServerError
+		}
+		httpx.Error(w, status, err)
+		return
+	}
+	httpx.WriteJSON(w, http.StatusOK, tenant.Info{ID: id, Quotas: h.Tenants.Quotas(id), Override: true})
+}
+
+func (h *Handler) remove(w http.ResponseWriter, r *http.Request, raw string) {
+	id, ok := addressable(w, r, raw)
+	if !ok {
+		return
+	}
+	if err := h.Tenants.Remove(id); err != nil {
+		httpx.Error(w, http.StatusInternalServerError, err)
+		return
+	}
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"removed": id})
 }
 
 // Report is the TAPS-style (transparency, accountability, provenance)
@@ -213,21 +211,10 @@ type MonitorReport struct {
 	ModelCard     string        `json:"model_card"`
 }
 
-func (h *Handler) report(w http.ResponseWriter, r *http.Request, id string) {
-	if r.Method != http.MethodGet {
-		httpx.Error(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
+func (h *Handler) report(w http.ResponseWriter, r *http.Request, raw string) {
+	if id, ok := addressable(w, r, raw); ok {
+		httpx.WriteJSON(w, http.StatusOK, h.BuildReport(id))
 	}
-	id, err := tenant.Normalize(id)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	if !visible(r, id) {
-		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no tenant %q", id))
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, h.BuildReport(id))
 }
 
 // BuildReport assembles the responsibility report for ten. Exported so

@@ -22,7 +22,7 @@ func testHandler(t *testing.T) *Handler {
 	return NewHandler(tenant.NewRegistry(tenant.Quotas{Weight: 1}))
 }
 
-func do(t *testing.T, h http.Handler, method, path, tenantHeader, body string) *httptest.ResponseRecorder {
+func do(t *testing.T, h *Handler, method, path, tenantHeader, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	var r *http.Request
 	if body == "" {
@@ -35,7 +35,7 @@ func do(t *testing.T, h http.Handler, method, path, tenantHeader, body string) *
 		r.Header.Set(httpx.TenantHeader, tenantHeader)
 	}
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, r)
+	httpx.NewRouter(h.Routes()...).ServeHTTP(w, r)
 	return w
 }
 
