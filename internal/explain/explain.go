@@ -130,9 +130,8 @@ func FitSurrogate(blackBox ml.Classifier, d *ml.Dataset, maxDepth int) (*Surroga
 		return nil, err
 	}
 	preds := ml.PredictAll(blackBox, d.X)
-	mimic := d.Clone()
-	mimic.Y = preds
-	mimic.Weights = nil
+	// The mimic shares d's rows: TrainTree only reads them.
+	mimic := &ml.Dataset{X: d.X, Y: preds, Features: d.Features}
 	tree, err := ml.TrainTree(mimic, ml.TreeConfig{MaxDepth: maxDepth, MinLeaf: 5})
 	if err != nil {
 		return nil, fmt.Errorf("explain: surrogate training: %w", err)

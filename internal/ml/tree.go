@@ -2,7 +2,7 @@ package ml
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 )
 
@@ -50,6 +50,15 @@ type Tree struct {
 
 // TrainTree fits a CART classification tree minimizing weighted Gini
 // impurity. Targets must be 0/1; sample weights are honoured.
+//
+// Each feature is sorted once, rows with equal values in row order, and
+// every split stably partitions those orders between its children, so a
+// node's candidate splits are scanned without sorting again. The tree
+// is a function of the data alone, with one exception for weighted data
+// whose features have tied values: the weights of tied rows are summed
+// in that row order, and a different order could move the last bits of
+// a split's gain and so, rarely, which split wins. Unweighted data, and
+// weighted data without ties, do not depend on it.
 func TrainTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -63,24 +72,113 @@ func TrainTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 		}
 	}
 	cfg = cfg.withDefaults()
-	idx := make([]int, d.N())
-	for i := range idx {
-		idx[i] = i
-	}
 	t := &Tree{Features: append([]string(nil), d.Features...), cfg: cfg}
-	t.Root = t.grow(d, idx, 0)
+	g := newTreeGrower(d, cfg)
+	t.Root = g.grow(0, d.N(), 0)
 	return t, nil
 }
 
-func nodeStats(d *Dataset, idx []int) (wTotal, wPos float64) {
-	for _, i := range idx {
-		w := d.Weight(i)
-		wTotal += w
-		if d.Y[i] == 1 {
-			wPos += w
+// treeGrower holds one TrainTree call's presorted working state. Every
+// node owns the same segment [lo, hi) of rows and of each ord[f].
+type treeGrower struct {
+	cfg     TreeConfig
+	y       []float64
+	weights []float64   // nil means uniform
+	cols    [][]float64 // cols[f][i] is row i's value of feature f
+	rows    []int32     // each node's rows in ascending order
+	ord     [][]int32   // ord[f]: each node's rows sorted by feature f
+	goLeft  []bool      // by row: the split being applied sends it left
+	buf     []int32     // scratch for stable partitions
+}
+
+func newTreeGrower(d *Dataset, cfg TreeConfig) *treeGrower {
+	n, dim := d.N(), d.D()
+	g := &treeGrower{
+		cfg:     cfg,
+		y:       d.Y,
+		weights: d.Weights,
+		cols:    make([][]float64, dim),
+		rows:    make([]int32, n),
+		ord:     make([][]int32, dim),
+		goLeft:  make([]bool, n),
+		buf:     make([]int32, n),
+	}
+	for i := range g.rows {
+		g.rows[i] = int32(i)
+	}
+	colBuf := make([]float64, dim*n)
+	ordBuf := make([]int32, dim*n)
+	var rs radixScratch
+	for f := 0; f < dim; f++ {
+		col := colBuf[f*n : (f+1)*n : (f+1)*n]
+		for i, row := range d.X {
+			col[i] = row[f]
+		}
+		g.cols[f] = col
+		g.ord[f] = rs.argsort(col, ordBuf[f*n:(f+1)*n:(f+1)*n])
+	}
+	return g
+}
+
+// radixScratch is argsort's reusable working memory.
+type radixScratch struct {
+	keys, keyTmp []uint64
+	ordTmp       []int32
+}
+
+// argsort fills ord with the indices of vals in ascending order, equal
+// values in index order, and returns it. It is a stable LSD radix sort,
+// 11 bits a pass, over keys whose unsigned order is the floats' order
+// (NaN-free input; -0 is keyed as +0, its equal); a pass is skipped when
+// every key has the same digit there, as one-hot columns mostly do.
+func (rs *radixScratch) argsort(vals []float64, ord []int32) []int32 {
+	n := len(vals)
+	if cap(rs.keys) < n {
+		rs.keys, rs.keyTmp, rs.ordTmp = make([]uint64, n), make([]uint64, n), make([]int32, n)
+	}
+	keys, keyTmp, ordTmp := rs.keys[:n], rs.keyTmp[:n], rs.ordTmp[:n]
+	out := ord
+	const bits, digits = 11, 6
+	const buckets = 1 << bits
+	var counts [digits][buckets]int32
+	for i, v := range vals {
+		b := math.Float64bits(v)
+		if v == 0 {
+			b = 0
+		}
+		k := b ^ (uint64(int64(b)>>63) | 1<<63)
+		keys[i] = k
+		ord[i] = int32(i)
+		for d := 0; d < digits; d++ {
+			counts[d][(k>>(bits*d))&(buckets-1)]++
 		}
 	}
-	return
+	for d := 0; d < digits && n > 1; d++ {
+		c := &counts[d]
+		if c[(keys[0]>>(bits*d))&(buckets-1)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b := range c {
+			c[b], sum = sum, sum+c[b]
+		}
+		for j, k := range keys {
+			b := (k >> (bits * d)) & (buckets - 1)
+			keyTmp[c[b]], ordTmp[c[b]] = k, ord[j]
+			c[b]++
+		}
+		keys, keyTmp = keyTmp, keys
+		ord, ordTmp = ordTmp, ord
+	}
+	copy(out, ord) // a no-op unless an odd number of passes ran
+	return out
+}
+
+func (g *treeGrower) weight(i int32) float64 {
+	if g.weights == nil {
+		return 1
+	}
+	return g.weights[i]
 }
 
 func gini(wTotal, wPos float64) float64 {
@@ -91,38 +189,45 @@ func gini(wTotal, wPos float64) float64 {
 	return 2 * p * (1 - p)
 }
 
-func (t *Tree) grow(d *Dataset, idx []int, depth int) *TreeNode {
-	wTotal, wPos := nodeStats(d, idx)
+// grow builds the subtree over the rows in segment [lo, hi).
+func (g *treeGrower) grow(lo, hi, depth int) *TreeNode {
+	var wTotal, wPos float64
+	for _, i := range g.rows[lo:hi] {
+		w := g.weight(i)
+		wTotal += w
+		if g.y[i] == 1 {
+			wPos += w
+		}
+	}
 	node := &TreeNode{Samples: wTotal}
 	if wTotal > 0 {
 		node.Prob = wPos / wTotal
 	}
-	if depth >= t.cfg.MaxDepth || len(idx) < 2*t.cfg.MinLeaf || wPos == 0 || wPos == wTotal {
+	size := hi - lo
+	if depth >= g.cfg.MaxDepth || size < 2*g.cfg.MinLeaf || wPos == 0 || wPos == wTotal {
 		return node
 	}
-	bestGain := t.cfg.MinGain
+	bestGain := g.cfg.MinGain
 	bestFeature := -1
 	var bestThreshold float64
 	parentImpurity := gini(wTotal, wPos)
 
-	order := make([]int, len(idx))
-	for f := 0; f < d.D(); f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return d.X[order[a]][f] < d.X[order[b]][f] })
+	for f, col := range g.cols {
+		order := g.ord[f][lo:hi]
 		// Scan split points between distinct values.
 		var leftW, leftPos float64
 		for k := 0; k < len(order)-1; k++ {
 			i := order[k]
-			w := d.Weight(i)
+			w := g.weight(i)
 			leftW += w
-			if d.Y[i] == 1 {
+			if g.y[i] == 1 {
 				leftPos += w
 			}
-			v, next := d.X[i][f], d.X[order[k+1]][f]
+			v, next := col[i], col[order[k+1]]
 			if v == next {
 				continue
 			}
-			if k+1 < t.cfg.MinLeaf || len(order)-k-1 < t.cfg.MinLeaf {
+			if k+1 < g.cfg.MinLeaf || len(order)-k-1 < g.cfg.MinLeaf {
 				continue
 			}
 			rightW := wTotal - leftW
@@ -142,22 +247,41 @@ func (t *Tree) grow(d *Dataset, idx []int, depth int) *TreeNode {
 	if bestFeature < 0 {
 		return node
 	}
-	var left, right []int
-	for _, i := range idx {
-		if d.X[i][bestFeature] <= bestThreshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	nLeft := 0
+	for _, i := range g.rows[lo:hi] {
+		left := g.cols[bestFeature][i] <= bestThreshold
+		g.goLeft[i] = left
+		if left {
+			nLeft++
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	if nLeft == 0 || nLeft == size {
 		return node
+	}
+	g.partition(g.rows[lo:hi])
+	for _, o := range g.ord {
+		g.partition(o[lo:hi])
 	}
 	node.Feature = bestFeature
 	node.Threshold = bestThreshold
-	node.Left = t.grow(d, left, depth+1)
-	node.Right = t.grow(d, right, depth+1)
+	node.Left = g.grow(lo, lo+nLeft, depth+1)
+	node.Right = g.grow(lo+nLeft, hi, depth+1)
 	return node
+}
+
+// partition stably moves seg's left-going rows to its front.
+func (g *treeGrower) partition(seg []int32) {
+	l, r := 0, 0
+	for _, i := range seg {
+		if g.goLeft[i] {
+			seg[l] = i
+			l++
+		} else {
+			g.buf[r] = i
+			r++
+		}
+	}
+	copy(seg[l:], g.buf[:r])
 }
 
 // PredictProba returns the leaf probability for x.
