@@ -90,13 +90,14 @@ func (d *Dataset) Clone() *Dataset {
 	return c
 }
 
-// Subset returns the rows at idx as a new dataset (rows copied).
+// Subset returns the rows at idx as a new dataset (rows copied into one
+// allocation).
 func (d *Dataset) Subset(idx []int) *Dataset {
 	s := &Dataset{Features: append([]string(nil), d.Features...)}
-	s.X = make([][]float64, len(idx))
+	s.X = rowViews(make([]float64, len(idx)*d.D()), len(idx))
 	s.Y = make([]float64, len(idx))
 	for j, i := range idx {
-		s.X[j] = append([]float64(nil), d.X[i]...)
+		copy(s.X[j], d.X[i])
 		s.Y[j] = d.Y[i]
 	}
 	if d.Weights != nil {
@@ -106,6 +107,21 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 		}
 	}
 	return s
+}
+
+// rowViews splits a row-major matrix into n row slices. Each row's
+// capacity ends where it does, so appending to one cannot overwrite the
+// next.
+func rowViews(flat []float64, n int) [][]float64 {
+	rows := make([][]float64, n)
+	if n == 0 {
+		return rows
+	}
+	dim := len(flat) / n
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
 }
 
 // FeatureIndex returns the column index of the named feature, or an error.
@@ -195,26 +211,26 @@ func FromFrame(f *frame.Frame, target string, exclude ...string) (*Dataset, erro
 			if len(levels) < 2 {
 				continue // constant column carries no information
 			}
+			oneHot := make(map[string][]float64, len(levels)-1)
 			for _, lv := range levels[1:] {
 				vals := make([]float64, n)
-				for i := 0; i < n; i++ {
-					if !col.IsNull(i) && col.Str(i) == lv {
-						vals[i] = 1
-					}
-				}
+				oneHot[lv] = vals
 				features = append(features, name+"="+lv)
 				columns = append(columns, vals)
+			}
+			for i := 0; i < n; i++ {
+				if vals, ok := oneHot[col.Str(i)]; ok && !col.IsNull(i) {
+					vals[i] = 1
+				}
 			}
 		}
 	}
 	ds := &Dataset{Features: features, Y: y}
-	ds.X = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, len(columns))
-		for j := range columns {
-			row[j] = columns[j][i]
+	ds.X = rowViews(make([]float64, n*len(columns)), n)
+	for i, row := range ds.X {
+		for j, c := range columns {
+			row[j] = c[i]
 		}
-		ds.X[i] = row
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -262,17 +278,6 @@ func FitStandardizer(d *Dataset) *Standardizer {
 		}
 	}
 	return s
-}
-
-// Transform returns a standardized copy of the dataset.
-func (s *Standardizer) Transform(d *Dataset) *Dataset {
-	out := d.Clone()
-	for i, row := range out.X {
-		for j := range row {
-			out.X[i][j] = (row[j] - s.Mean[j]) / s.Scale[j]
-		}
-	}
-	return out
 }
 
 // TransformRow standardizes a single feature vector in place-copy style.

@@ -97,17 +97,26 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 	cfg = cfg.withDefaults()
 	// Standardize internally for SGD stability on raw feature scales,
 	// then fold the affine transform back into the returned weights so the
-	// model predicts over the caller's original feature space.
+	// model predicts over the caller's original feature space. The
+	// standardized rows live in one row-major matrix, and the minibatch
+	// loop below inlines PredictProba over it: z accumulates in the same
+	// order, so the model is the same to the last bit.
 	std := FitStandardizer(d)
-	d = std.Transform(d)
-	dim := d.D()
+	n, dim := d.N(), d.D()
+	xs := make([]float64, n*dim)
+	for i, row := range d.X {
+		for j, v := range row {
+			xs[i*dim+j] = (v - std.Mean[j]) / std.Scale[j]
+		}
+	}
 	m := &Logistic{Weights: make([]float64, dim), Features: append([]string(nil), d.Features...)}
 	src := rng.New(cfg.Seed)
-	idx := make([]int, d.N())
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	gw := make([]float64, dim)
+	wts := m.Weights
+	gw := make([]float64, len(wts))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		src.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		// Decaying step size stabilizes late epochs.
@@ -123,13 +132,19 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 			gb := 0.0
 			var batchW float64
 			for _, i := range idx[start:end] {
-				w := d.Weight(i)
-				if w == 0 {
-					continue
+				w := 1.0
+				if d.Weights != nil {
+					if w = d.Weights[i]; w == 0 {
+						continue
+					}
 				}
-				p := m.PredictProba(d.X[i])
-				err := (p - d.Y[i]) * w
-				for j, xj := range d.X[i] {
+				x := xs[i*dim:][:len(wts)]
+				z := m.Bias
+				for j, wj := range wts {
+					z += wj * x[j]
+				}
+				err := (Sigmoid(z) - d.Y[i]) * w
+				for j, xj := range x {
 					gw[j] += err * xj
 				}
 				gb += err
@@ -138,8 +153,8 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 			if batchW == 0 {
 				continue
 			}
-			for j := range m.Weights {
-				m.Weights[j] -= lr * (gw[j]/batchW + cfg.L2*m.Weights[j])
+			for j := range wts {
+				wts[j] -= lr * (gw[j]/batchW + cfg.L2*wts[j])
 			}
 			m.Bias -= lr * gb / batchW
 		}

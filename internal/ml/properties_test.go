@@ -111,8 +111,8 @@ func TestStandardizerIdempotent(t *testing.T) {
 			d.X = append(d.X, []float64{src.Normal(5, 3), src.Normal(-2, 0.5)})
 			d.Y = append(d.Y, 0)
 		}
-		once := FitStandardizer(d).Transform(d)
-		twice := FitStandardizer(once).Transform(once)
+		once := standardize(FitStandardizer(d), d)
+		twice := standardize(FitStandardizer(once), once)
 		for i := range once.X {
 			for j := range once.X[i] {
 				if math.Abs(once.X[i][j]-twice.X[i][j]) > 1e-9 {
