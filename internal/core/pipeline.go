@@ -116,6 +116,14 @@ func (p *Pipeline) DeniedRows() int { return p.deniedRows }
 // Load ingests a frame as the pipeline's working data, applying consent
 // filtering when a ledger is attached, and records provenance.
 func (p *Pipeline) Load(name string, f *frame.Frame) error {
+	return p.LoadHashed(name, f, "")
+}
+
+// LoadHashed is Load for a caller that already holds f.Hash(), such as
+// a report-cache key or a dataset ref: provenance records hash instead
+// of hashing f again. An empty hash, or a load that consent filtering
+// applies to, hashes the working frame as Load does.
+func (p *Pipeline) LoadHashed(name string, f *frame.Frame, hash string) error {
 	if f == nil || f.NumRows() == 0 {
 		return fmt.Errorf("core: Load %q: empty frame", name)
 	}
@@ -137,9 +145,11 @@ func (p *Pipeline) Load(name string, f *frame.Frame) error {
 			return fmt.Errorf("core: consent filtering removed every row (purpose %q)", p.cfg.Policy.RequiredPurpose)
 		}
 	}
-	hash, err := provenance.HashFrame(working)
-	if err != nil {
-		return err
+	if hash == "" || working != f {
+		var err error
+		if hash, err = provenance.HashFrame(working); err != nil {
+			return err
+		}
 	}
 	id := p.nextID("load")
 	if _, err := p.graph.Add(id, provenance.KindDataset, name, hash, nil, map[string]string{

@@ -193,7 +193,13 @@ func (p *Pipeline) Train(spec TrainSpec) (*TrainedModel, error) {
 		tm.Thresholds = &th
 		tm.TestPreds = th.Apply(tm.TestProbs, testGroups)
 	} else {
-		tm.TestPreds = ml.PredictAll(model, testSet.X)
+		// ml.Predict's 0.5 cut over the probabilities already computed.
+		tm.TestPreds = make([]float64, len(tm.TestProbs))
+		for i, p := range tm.TestProbs {
+			if p >= 0.5 {
+				tm.TestPreds[i] = 1
+			}
+		}
 	}
 
 	acc, err := ml.Accuracy(testSet.Y, tm.TestPreds)

@@ -437,9 +437,12 @@ func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, er
 		Dataset:  httpx.StringOr(name, "dataset"),
 		Data:     data,
 		DataHash: dataHash,
-		Policy:   pol,
-		Spec:     spec,
-		Seed:     wire.Seed,
-		Shards:   wire.Shards,
+		// A dataset ref is the frame's hash: the pipeline need not
+		// hash the frame again.
+		frameHash: dataHash,
+		Policy:    pol,
+		Spec:      spec,
+		Seed:      wire.Seed,
+		Shards:    wire.Shards,
 	}, nil
 }

@@ -145,6 +145,21 @@ type Request struct {
 	// starve its drift scoring. Never part of the cache key: class
 	// affects scheduling only, not results.
 	Class string
+
+	// frameHash is Data's frame.Hash when it is already known: the
+	// dataset ref of a dataset_ref request, or the hash AuditJob
+	// computed for the cache key. RunAudit passes it to the pipeline's
+	// load so the frame is hashed once per audit. DataHash cannot
+	// stand in for it: a monitor window's is derived from its chunks.
+	frameHash string
+}
+
+// contentHash returns Data's frame.Hash, computing it unless known.
+func (r *Request) contentHash() string {
+	if r.frameHash != "" {
+		return r.frameHash
+	}
+	return r.Data.Hash()
 }
 
 // Status is a job's lifecycle state.
@@ -363,15 +378,21 @@ func (e *Engine) AuditJob(req *Request) (JobSpec, error) {
 	if err := req.Policy.Validate(); err != nil {
 		return JobSpec{}, err
 	}
+	// The job runs its own copy, which carries the frame hash the cache
+	// key needs anyway to the pipeline's load.
+	run := *req
+	if run.DataHash == "" {
+		run.frameHash = run.contentHash()
+	}
 	return JobSpec{
 		Tenant:   ten,
 		Name:     req.Dataset,
-		CacheKey: cacheKey(req),
+		CacheKey: cacheKey(&run),
 		Stages: []Stage{{
 			Name: "audit",
 			Kind: req.Class,
 			Run: func(ctx context.Context) (any, error) {
-				rep, err := e.runAudit(ctx, req)
+				rep, err := e.runAudit(ctx, &run)
 				if err != nil {
 					return nil, err
 				}
@@ -662,7 +683,7 @@ func (e *Engine) nextID() string {
 func cacheKey(req *Request) string {
 	dataHash := req.DataHash
 	if dataHash == "" {
-		dataHash = req.Data.Hash()
+		dataHash = req.contentHash()
 	}
 	return provenance.HashStrings(
 		req.Dataset,
@@ -710,7 +731,7 @@ func RunAudit(ctx context.Context, req *Request) (*core.FACTReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pipe.Load(req.Dataset, req.Data); err != nil {
+	if err := pipe.LoadHashed(req.Dataset, req.Data, req.frameHash); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
