@@ -99,8 +99,9 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 	// then fold the affine transform back into the returned weights so the
 	// model predicts over the caller's original feature space. The
 	// standardized rows live in one row-major matrix, and the minibatch
-	// loop below inlines PredictProba over it: z accumulates in the same
-	// order, so the model is the same to the last bit.
+	// loop below computes PredictProba's z inline over it: each z
+	// accumulates in the same order, so the model is the same to the
+	// last bit.
 	std := FitStandardizer(d)
 	n, dim := d.N(), d.D()
 	xs := make([]float64, n*dim)
@@ -117,6 +118,7 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 	}
 	wts := m.Weights
 	gw := make([]float64, len(wts))
+	zbuf := make([]float64, cfg.BatchSize)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		src.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		// Decaying step size stabilizes late epochs.
@@ -131,20 +133,21 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 			}
 			gb := 0.0
 			var batchW float64
-			for _, i := range idx[start:end] {
+			// The weights hold still within a batch, so every row's z
+			// comes first and the dot products overlap instead of each
+			// waiting on the previous row's Sigmoid.
+			batch := idx[start:end]
+			zs := zbuf[:len(batch)]
+			batchZ(zs, xs, batch, wts, m.Bias)
+			for k, i := range batch {
 				w := 1.0
 				if d.Weights != nil {
 					if w = d.Weights[i]; w == 0 {
 						continue
 					}
 				}
-				x := xs[i*dim:][:len(wts)]
-				z := m.Bias
-				for j, wj := range wts {
-					z += wj * x[j]
-				}
-				err := (Sigmoid(z) - d.Y[i]) * w
-				for j, xj := range x {
+				err := (Sigmoid(zs[k]) - d.Y[i]) * w
+				for j, xj := range xs[i*dim:][:len(gw)] {
 					gw[j] += err * xj
 				}
 				gb += err
@@ -165,6 +168,31 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 		m.Weights[j] /= std.Scale[j]
 	}
 	return m, nil
+}
+
+// batchZ sets zs[k] to bias + w·x for row batch[k] of the row-major
+// matrix xs, summing in feature order as PredictProba does. Rows go in
+// pairs so that two independent sums are in flight at once.
+func batchZ(zs, xs []float64, batch []int, w []float64, bias float64) {
+	dim := len(w)
+	k := 0
+	for ; k+1 < len(batch); k += 2 {
+		x0, x1 := xs[batch[k]*dim:][:dim], xs[batch[k+1]*dim:][:dim]
+		z0, z1 := bias, bias
+		for j, wj := range w {
+			z0 += wj * x0[j]
+			z1 += wj * x1[j]
+		}
+		zs[k], zs[k+1] = z0, z1
+	}
+	if k < len(batch) {
+		x := xs[batch[k]*dim:][:dim]
+		z := bias
+		for j, wj := range w {
+			z += wj * x[j]
+		}
+		zs[k] = z
+	}
 }
 
 // PredictProba returns P(y=1 | x).
