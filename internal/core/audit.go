@@ -112,8 +112,7 @@ func (p *Pipeline) Audit(tm *TrainedModel) (*FACTReport, error) {
 
 	// --- Accuracy (Q2).
 	rep.Accuracy.Accuracy = tm.Accuracy
-	correct := int(tm.Accuracy * float64(tm.Test.N()))
-	ci, err := stats.WilsonCI(correct, tm.Test.N(), 0.95)
+	ci, err := stats.WilsonCI(tm.Correct, tm.Test.N(), 0.95)
 	if err != nil {
 		return nil, fmt.Errorf("core: accuracy interval: %w", err)
 	}

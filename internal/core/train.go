@@ -91,9 +91,12 @@ type TrainedModel struct {
 	TestPreds    []float64
 	Thresholds   *fairness.GroupThresholds // non-nil for MitigateThreshold
 	Accuracy     float64
-	AUC          float64
-	Card         *provenance.ModelCard
-	LineageID    string
+	// Correct counts the test rows TestPreds gets right: the integer
+	// behind Accuracy, which the accuracy interval needs exactly.
+	Correct   int
+	AUC       float64
+	Card      *provenance.ModelCard
+	LineageID string
 }
 
 // Train fits a logistic model on the working frame per spec, with the
@@ -207,6 +210,11 @@ func (p *Pipeline) Train(spec TrainSpec) (*TrainedModel, error) {
 		return nil, err
 	}
 	tm.Accuracy = acc
+	for i, y := range testSet.Y {
+		if tm.TestPreds[i] == y {
+			tm.Correct++
+		}
+	}
 	if auc, err := ml.AUC(testSet.Y, tm.TestProbs); err == nil {
 		tm.AUC = auc
 	}
