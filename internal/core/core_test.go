@@ -165,6 +165,54 @@ func TestPipelineConsentFiltering(t *testing.T) {
 	}
 }
 
+// TestLoadHashedRecordsHash checks that a hash handed to LoadHashed is
+// what provenance records, and that a load consent filtering applies to
+// hashes the filtered frame instead.
+func TestLoadHashedRecordsHash(t *testing.T) {
+	f := frame.MustNew(
+		frame.NewString("subject", []string{"s0", "s1", "s2"}),
+		frame.NewFloat64("x", []float64{1, 2, 3}),
+	)
+	loadHash := func(p *Pipeline) string {
+		t.Helper()
+		n, ok := p.Lineage().Get(p.lastNode)
+		if !ok {
+			t.Fatal("no load node in lineage")
+		}
+		return n.Hash
+	}
+	plain, err := New(Config{Name: "plain", Policy: strictPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.LoadHashed("d", f, "given"); err != nil {
+		t.Fatal(err)
+	}
+	if got := loadHash(plain); got != "given" {
+		t.Errorf("recorded hash %q, want the one handed in", got)
+	}
+
+	pol := strictPolicy()
+	pol.RequiredPurpose = policy.PurposeResearch
+	consented, err := New(Config{Name: "consented", Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := policy.NewConsentLedger()
+	for _, id := range []string{"s0", "s2"} {
+		if err := ledger.Grant(id, policy.PurposeResearch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	consented.AttachConsent(ledger, "subject")
+	if err := consented.LoadHashed("d", f, f.Hash()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loadHash(consented), consented.Frame().Hash(); got != want || got == f.Hash() {
+		t.Errorf("consent-filtered load recorded %q, want the filtered frame's %q", got, want)
+	}
+}
+
 func TestPipelineConsentRequiresPurpose(t *testing.T) {
 	p, err := New(Config{Name: "x", Policy: policy.FACTPolicy{}})
 	if err != nil {

@@ -91,12 +91,10 @@ type TrainedModel struct {
 	TestPreds    []float64
 	Thresholds   *fairness.GroupThresholds // non-nil for MitigateThreshold
 	Accuracy     float64
-	// Correct counts the test rows TestPreds gets right: the integer
-	// behind Accuracy, which the accuracy interval needs exactly.
-	Correct   int
-	AUC       float64
-	Card      *provenance.ModelCard
-	LineageID string
+	Correct      int // test rows TestPreds gets right: Accuracy's exact numerator
+	AUC          float64
+	Card         *provenance.ModelCard
+	LineageID    string
 }
 
 // Train fits a logistic model on the working frame per spec, with the

@@ -110,7 +110,7 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 }
 
 // rowViews splits a row-major matrix into n row slices. Each row's
-// capacity ends where it does, so appending to one cannot overwrite the
+// capacity ends with the row, so appending to one cannot overwrite the
 // next.
 func rowViews(flat []float64, n int) [][]float64 {
 	rows := make([][]float64, n)

@@ -5,6 +5,8 @@
 // how training lays out its arithmetic must keep every bit. The build
 // constraint keeps the goldens to amd64 below v3: Go may fuse
 // multiply-adds on arm64 and on amd64.v3, which moves the last bits.
+// math.Exp also takes an FMA path at run time on amd64 CPUs that have
+// FMA; the goldens were generated on such a CPU.
 //
 // Regenerate after a deliberate model change with
 //

@@ -51,14 +51,15 @@ type Tree struct {
 // TrainTree fits a CART classification tree minimizing weighted Gini
 // impurity. Targets must be 0/1; sample weights are honoured.
 //
-// Each feature is sorted once, rows with equal values in row order, and
-// every split stably partitions those orders between its children, so a
-// node's candidate splits are scanned without sorting again. The tree
-// is a function of the data alone, with one exception for weighted data
-// whose features have tied values: the weights of tied rows are summed
-// in that row order, and a different order could move the last bits of
-// a split's gain and so, rarely, which split wins. Unweighted data, and
-// weighted data without ties, do not depend on it.
+// Each feature is sorted once per call, rows with equal values kept in
+// row order, and every split stably partitions those orders between its
+// children, so no node sorts again. A node scans its candidate splits
+// summing weights in that order. For unweighted data, and for weighted
+// data without tied values, the sums do not depend on how tied rows are
+// ordered, so the tree is the one a fresh sort at every node would give.
+// Weighted data with tied values is the exception: summing tied rows'
+// weights in another order can move the last bits of a gain and so,
+// rarely, which split wins.
 func TrainTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 
 	"github.com/responsible-data-science/rds/internal/core"
 	"github.com/responsible-data-science/rds/internal/dataset"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // TestDataHashShortCircuitsCacheKey: a request carrying the dataset's
@@ -49,6 +50,60 @@ func TestDataHashShortCircuitsCacheKey(t *testing.T) {
 	other.DataHash = "deadbeef"
 	if cacheKey(other) == cacheKey(byRef) {
 		t.Fatal("distinct DataHash values produced the same cache key")
+	}
+}
+
+// TestAuditCarriesFrameHash checks which requests reach RunAudit with
+// the frame hash already known, so the pipeline's load does not hash
+// the frame a second time: an inline audit carries the hash its cache
+// key computed, a dataset_ref audit its ref, and a request with another
+// DataHash (a monitor window's, derived from chunks) carries none.
+func TestAuditCarriesFrameHash(t *testing.T) {
+	e := NewEngine(Config{Workers: 1, CacheSize: -1})
+	defer e.Close()
+	seen := make(chan string, 1)
+	e.runAudit = func(ctx context.Context, req *Request) (*core.FACTReport, error) {
+		seen <- req.frameHash
+		return &core.FACTReport{Pipeline: req.Dataset}, nil
+	}
+	run := func(req *Request) string {
+		t.Helper()
+		id, err := submitAudit(e, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		return <-seen
+	}
+
+	inline := testRequest(t, 1)
+	if got, want := run(inline), inline.Data.Hash(); got != want {
+		t.Errorf("inline audit carried %q, want the frame hash %q", got, want)
+	}
+	if inline.frameHash != "" {
+		t.Error("AuditJob wrote the frame hash into the caller's request")
+	}
+
+	window := testRequest(t, 2)
+	window.DataHash = "chunk-derived"
+	if got := run(window); got != "" {
+		t.Errorf("request with a foreign DataHash carried frame hash %q", got)
+	}
+
+	h := NewHandler(e)
+	h.Datasets = dataset.NewRegistry(64 << 20)
+	meta, err := h.Datasets.Put("credit", testRequest(t, 3).Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRef, err := h.buildRequest(tenant.Default, &AuditRequestWire{DatasetRef: meta.Ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(byRef); got != meta.Ref {
+		t.Errorf("dataset_ref audit carried %q, want its ref %q", got, meta.Ref)
 	}
 }
 

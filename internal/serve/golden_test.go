@@ -6,6 +6,8 @@
 // every byte of every report as it is. The build constraint keeps the
 // goldens to amd64 below v3: Go may fuse multiply-adds on arm64 and on
 // amd64.v3, which moves the last bits of training.
+// math.Exp also takes an FMA path at run time on amd64 CPUs that have
+// FMA; the goldens were generated on such a CPU.
 //
 // Regenerate after a deliberate report change with
 //

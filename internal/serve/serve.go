@@ -378,8 +378,8 @@ func (e *Engine) AuditJob(req *Request) (JobSpec, error) {
 	if err := req.Policy.Validate(); err != nil {
 		return JobSpec{}, err
 	}
-	// The job runs its own copy, which carries the frame hash the cache
-	// key needs anyway to the pipeline's load.
+	// The job runs a copy of the request that carries the frame hash
+	// computed for the cache key on to the pipeline's load.
 	run := *req
 	if run.DataHash == "" {
 		run.frameHash = run.contentHash()
