@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/dataset"
 	"github.com/responsible-data-science/rds/internal/exec"
 	"github.com/responsible-data-science/rds/internal/experiments"
+	"github.com/responsible-data-science/rds/internal/explain"
 	"github.com/responsible-data-science/rds/internal/fairness"
 	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/ml"
@@ -209,6 +211,111 @@ func BenchmarkShardedAudit(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkAuditPhases decomposes an uncached audit (serve.RunAudit's
+// Load, Train and Audit) into its phases at 2k, 20k and 200k rows. The
+// "phases" arm replays the calls the pipeline makes and reports each
+// phase in ms/op: the frame hash, FromFrame plus the train/test split,
+// logistic training, test-set prediction, the fairness kernel, the
+// surrogate tree, and the JSON encode of the report. The "audit" arm
+// runs the whole engine path (AuditJob, Submit, Wait) with a fresh seed
+// per iteration, so every audit misses the report cache and pays the
+// cache-key hash as the service does. Run with -benchmem.
+func BenchmarkAuditPhases(b *testing.B) {
+	spec := core.TrainSpec{Target: "approved", Sensitive: "group", Protected: "B", Reference: "A", TestFraction: 0.3, Epochs: 40}
+	for _, rows := range []int{2000, 20000, 200000} {
+		data, err := synth.Credit(synth.CreditConfig{N: rows, Bias: 1.0, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rows=%d/phases", rows), func(b *testing.B) {
+			rep, err := serve.RunAudit(context.Background(), &serve.Request{
+				Dataset: "credit", Data: data, Policy: serve.DefaultPolicy(), Spec: spec, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			names := []string{"hash", "split", "train", "predict", "fairness", "surrogate", "encode"}
+			spent := make([]time.Duration, len(names))
+			phase := func(k int, fn func() error) {
+				start := time.Now()
+				if err := fn(); err != nil {
+					b.Fatal(err)
+				}
+				spent[k] += time.Since(start)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var ds, train, test *ml.Dataset
+				var model *ml.Logistic
+				var testIdx []int
+				var preds []float64
+				phase(0, func() error { _ = data.Hash(); return nil })
+				phase(1, func() (err error) {
+					if ds, err = ml.FromFrame(data, spec.Target, spec.Sensitive); err != nil {
+						return err
+					}
+					perm := rng.New(1).Perm(ds.N())
+					nTest := int(float64(ds.N()) * spec.TestFraction)
+					testIdx = perm[:nTest]
+					train, test = ds.Subset(perm[nTest:]), ds.Subset(testIdx)
+					return nil
+				})
+				phase(2, func() (err error) {
+					model, err = ml.TrainLogistic(train, ml.LogisticConfig{Epochs: spec.Epochs, Seed: 1})
+					return err
+				})
+				phase(3, func() error {
+					probs := ml.PredictProbaAll(model, test.X)
+					preds = make([]float64, len(probs))
+					for j, p := range probs {
+						if p >= 0.5 {
+							preds[j] = 1
+						}
+					}
+					return nil
+				})
+				phase(4, func() error {
+					_, err := fairness.EvaluateSeriesSharded(test.Y, preds, data.MustCol(spec.Sensitive).Take(testIdx),
+						spec.Protected, spec.Reference, runtime.GOMAXPROCS(0))
+					return err
+				})
+				phase(5, func() error {
+					_, err := explain.FitSurrogate(model, test, 4)
+					return err
+				})
+				phase(6, func() error {
+					_, err := json.Marshal(rep)
+					return err
+				})
+			}
+			for k, name := range names {
+				b.ReportMetric(float64(spent[k])/float64(time.Millisecond)/float64(b.N), name+"-ms/op")
+			}
+		})
+		b.Run(fmt.Sprintf("rows=%d/audit", rows), func(b *testing.B) {
+			e := serve.NewEngine(serve.Config{Workers: 1, QueueSize: 1, JobTimeout: 10 * time.Minute})
+			defer e.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := submitAudit(e, &serve.Request{
+					Dataset: "credit", Data: data, Policy: serve.DefaultPolicy(), Spec: spec, Seed: uint64(i + 1),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				js, err := e.Wait(context.Background(), id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if js.Status != serve.StatusDone || js.CacheHit {
+					b.Fatalf("job %s: %s, cache hit %v (%s)", id, js.Status, js.CacheHit, js.Error)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "audits/s")
 		})
 	}
 }

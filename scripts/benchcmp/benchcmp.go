@@ -12,8 +12,10 @@
 // Baselines are applied in argument order and later files win, so a
 // newer era's committed numbers supersede an older era's for the
 // benchmarks both recorded while benchmarks only the old era ran are
-// still gated. Benchmarks present on only one side are ignored: the
-// gate guards regressions, not coverage.
+// still gated. An entry is compared only with a baseline recorded at
+// the same GOMAXPROCS (benchjson's procs); baselines from before
+// benchjson recorded procs match by name alone. Benchmarks present on
+// only one side are ignored: the gate guards regressions, not coverage.
 package main
 
 import (
@@ -28,8 +30,34 @@ import (
 // entry mirrors the benchjson document schema (scripts/benchjson).
 type entry struct {
 	Name    string             `json:"name"`
+	Procs   int                `json:"procs,omitempty"`
 	NsPerOp float64            `json:"ns_per_op"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// baseKey identifies a baseline entry by name and GOMAXPROCS; procs is
+// 0 in baselines recorded before benchjson kept it.
+type baseKey struct {
+	name  string
+	procs int
+}
+
+// addBaseline folds one baseline document's entries into base, later
+// entries overwriting earlier ones with the same key.
+func addBaseline(base map[baseKey]entry, entries []entry) {
+	for _, e := range entries {
+		base[baseKey{e.Name, e.Procs}] = e
+	}
+}
+
+// baselineFor returns c's baseline: the one recorded at c's procs, or
+// else one recorded without procs, which matches by name alone.
+func baselineFor(base map[baseKey]entry, c entry) (entry, bool) {
+	if b, ok := base[baseKey{c.Name, c.Procs}]; ok {
+		return b, true
+	}
+	b, ok := base[baseKey{c.Name, 0}]
+	return b, ok
 }
 
 // doc mirrors the top-level benchjson document.
@@ -60,16 +88,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchcmp: %v\n", err)
 		return 1
 	}
-	base := map[string]entry{}
+	base := map[baseKey]entry{}
 	for _, path := range fs.Args() {
 		d, err := load(path)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchcmp: %v\n", err)
 			return 1
 		}
-		for _, e := range d.Entries {
-			base[e.Name] = e // later files win
-		}
+		addBaseline(base, d.Entries)
 	}
 	regressions := Compare(base, cur.Entries, *threshold, stdout)
 	if len(regressions) > 0 {
@@ -82,25 +108,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// Compare checks every current entry that also exists in base and
+// Compare checks every current entry that has a baseline in base and
 // returns a description of each regression past the threshold. Matched
 // comparisons are logged to out as they happen so CI shows the ratios
 // even when everything passes.
-func Compare(base map[string]entry, current []entry, threshold float64, out io.Writer) []string {
+func Compare(base map[baseKey]entry, current []entry, threshold float64, out io.Writer) []string {
 	var regressions []string
-	names := make([]string, 0, len(current))
-	byName := map[string]entry{}
-	for _, e := range current {
-		names = append(names, e.Name)
-		byName[e.Name] = e
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b, ok := base[name]
+	sorted := append([]entry(nil), current...)
+	sort.SliceStable(sorted, func(a, b int) bool {
+		if sorted[a].Name != sorted[b].Name {
+			return sorted[a].Name < sorted[b].Name
+		}
+		return sorted[a].Procs < sorted[b].Procs
+	})
+	for _, c := range sorted {
+		b, ok := baselineFor(base, c)
 		if !ok {
 			continue
 		}
-		c := byName[name]
+		name := c.Name
+		if c.Procs > 0 {
+			name = fmt.Sprintf("%s-%d", c.Name, c.Procs)
+		}
 		metric, bv, cv, higherBetter := pickMetric(b, c)
 		if metric == "" || bv <= 0 || cv <= 0 {
 			continue
@@ -143,10 +172,10 @@ func pickMetric(b, c entry) (name string, bv, cv float64, higherBetter bool) {
 }
 
 // shared counts current entries with a baseline counterpart.
-func shared(base map[string]entry, current []entry) int {
+func shared(base map[baseKey]entry, current []entry) int {
 	n := 0
 	for _, e := range current {
-		if _, ok := base[e.Name]; ok {
+		if _, ok := baselineFor(base, e); ok {
 			n++
 		}
 	}

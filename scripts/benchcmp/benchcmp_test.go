@@ -13,10 +13,21 @@ func e(name string, ns float64, metrics map[string]float64) entry {
 	return entry{Name: name, NsPerOp: ns, Metrics: metrics}
 }
 
+// atProcs returns en as recorded at GOMAXPROCS procs.
+func atProcs(en entry, procs int) entry {
+	en.Procs = procs
+	return en
+}
+
+// baseOf folds entries into a baseline map the way run does.
+func baseOf(entries ...entry) map[baseKey]entry {
+	base := map[baseKey]entry{}
+	addBaseline(base, entries)
+	return base
+}
+
 func TestCompareThroughputRegression(t *testing.T) {
-	base := map[string]entry{
-		"BenchmarkShardedAudit/shards=1": e("BenchmarkShardedAudit/shards=1", 100, map[string]float64{"rows/s": 20_000_000}),
-	}
+	base := baseOf(e("BenchmarkShardedAudit/shards=1", 100, map[string]float64{"rows/s": 20_000_000}))
 	// 25% throughput drop: past the 20% gate.
 	cur := []entry{e("BenchmarkShardedAudit/shards=1", 130, map[string]float64{"rows/s": 15_000_000})}
 	regs := Compare(base, cur, 0.20, nil)
@@ -36,7 +47,7 @@ func TestCompareThroughputRegression(t *testing.T) {
 }
 
 func TestCompareNsPerOpFallback(t *testing.T) {
-	base := map[string]entry{"BenchmarkX": e("BenchmarkX", 100, nil)}
+	base := baseOf(e("BenchmarkX", 100, nil))
 	// ns/op is lower-better: 100 -> 150 is a 33% slowdown, past the gate.
 	if regs := Compare(base, []entry{e("BenchmarkX", 150, nil)}, 0.20, nil); len(regs) != 1 {
 		t.Fatalf("ns/op slowdown should fail, got %v", regs)
@@ -48,7 +59,7 @@ func TestCompareNsPerOpFallback(t *testing.T) {
 }
 
 func TestCompareIgnoresUnsharedEntries(t *testing.T) {
-	base := map[string]entry{"BenchmarkOld": e("BenchmarkOld", 100, map[string]float64{"rows/s": 1000})}
+	base := baseOf(e("BenchmarkOld", 100, map[string]float64{"rows/s": 1000}))
 	cur := []entry{e("BenchmarkNew", 100, map[string]float64{"rows/s": 1})}
 	if regs := Compare(base, cur, 0.20, nil); len(regs) != 0 {
 		t.Fatalf("unshared benchmarks must not gate, got %v", regs)
@@ -56,22 +67,49 @@ func TestCompareIgnoresUnsharedEntries(t *testing.T) {
 }
 
 func TestCompareLaterBaselineWins(t *testing.T) {
-	// main() folds baseline files in order with later entries
+	// run folds baseline files in order with later entries
 	// overwriting; simulate the fold here.
-	base := map[string]entry{}
+	base := map[baseKey]entry{}
 	for _, d := range [][]entry{
 		{e("BenchmarkShardedAudit/shards=1", 0, map[string]float64{"rows/s": 4_700_000})},  // era 7
 		{e("BenchmarkShardedAudit/shards=1", 0, map[string]float64{"rows/s": 20_000_000})}, // era 8
 	} {
-		for _, en := range d {
-			base[en.Name] = en
-		}
+		addBaseline(base, d)
 	}
 	// 10M rows/s beats era 7 but regresses era 8 — the newer baseline
 	// must be the one that gates.
 	cur := []entry{e("BenchmarkShardedAudit/shards=1", 0, map[string]float64{"rows/s": 10_000_000})}
 	if regs := Compare(base, cur, 0.20, nil); len(regs) != 1 {
 		t.Fatalf("newer baseline should gate, got %v", regs)
+	}
+}
+
+func TestCompareOnlyLikeProcs(t *testing.T) {
+	base := baseOf(atProcs(e("BenchmarkAuditPhases/rows=20000/audit", 0, map[string]float64{"audits/s": 16}), 2))
+	// A run at GOMAXPROCS 1 is not compared with a baseline taken at 2,
+	// however slow it is.
+	slowOne := []entry{atProcs(e("BenchmarkAuditPhases/rows=20000/audit", 0, map[string]float64{"audits/s": 4}), 1)}
+	if regs := Compare(base, slowOne, 0.20, nil); len(regs) != 0 || shared(base, slowOne) != 0 {
+		t.Fatalf("procs 1 compared with a procs 2 baseline: %v", regs)
+	}
+	slowTwo := []entry{atProcs(e("BenchmarkAuditPhases/rows=20000/audit", 0, map[string]float64{"audits/s": 4}), 2)}
+	if regs := Compare(base, slowTwo, 0.20, nil); len(regs) != 1 || shared(base, slowTwo) != 1 {
+		t.Fatalf("procs 2 regression against a procs 2 baseline not flagged: %v", regs)
+	}
+}
+
+func TestCompareLegacyBaselineMatchesByName(t *testing.T) {
+	// A baseline without procs predates benchjson recording it: it
+	// gates an entry of that name at any procs.
+	legacy := e("BenchmarkFairDequeue/tenants=8", 0, map[string]float64{"jobs/s": 1000})
+	cur := []entry{atProcs(e("BenchmarkFairDequeue/tenants=8", 0, map[string]float64{"jobs/s": 500}), 2)}
+	if regs := Compare(baseOf(legacy), cur, 0.20, nil); len(regs) != 1 {
+		t.Fatalf("legacy baseline should gate by name, got %v", regs)
+	}
+	// A baseline at the entry's own procs takes precedence over it.
+	base := baseOf(legacy, atProcs(e("BenchmarkFairDequeue/tenants=8", 0, map[string]float64{"jobs/s": 550}), 2))
+	if regs := Compare(base, cur, 0.20, nil); len(regs) != 0 {
+		t.Fatalf("same-procs baseline should win over the legacy one, got %v", regs)
 	}
 }
 
@@ -117,6 +155,26 @@ func TestRunGateEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "REGRESSION") {
 		t.Fatalf("stderr missing regression report: %q", stderr.String())
+	}
+}
+
+func TestRunReadsProcs(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "BENCH_15.json")
+	cur := filepath.Join(dir, "ci.json")
+	write := func(path, body string) {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(base, `{"entries":[{"name":"BenchmarkA","procs":2,"ns_per_op":100}]}`)
+	write(cur, `{"entries":[{"name":"BenchmarkA","procs":1,"ns_per_op":1000},{"name":"BenchmarkA","procs":2,"ns_per_op":105}]}`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-current", cur, base}, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, want 0; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "1 shared benchmark(s)") || !strings.Contains(stdout.String(), "BenchmarkA-2") {
+		t.Fatalf("want only the procs 2 entry compared, got %q", stdout.String())
 	}
 }
 

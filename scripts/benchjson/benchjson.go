@@ -7,10 +7,11 @@
 //	go test -run NONE -bench . -benchmem ./... | go run ./scripts/benchjson -o BENCH_ci.json
 //
 // Each benchmark line becomes an entry keyed by its full sub-benchmark
-// name with the parallelism suffix stripped, carrying iterations,
-// ns/op, and every extra metric the benchmark reported (rows/s,
-// windows/s, B/op, allocs/op, ...). Context lines (goos, goarch, cpu,
-// pkg) are captured as they appear and attached to subsequent entries.
+// name, carrying the GOMAXPROCS it ran at (the name's -N suffix, which
+// go test omits at 1) as procs, iterations, ns/op, and every extra
+// metric the benchmark reported (rows/s, windows/s, B/op, allocs/op,
+// ...). Context lines (goos, goarch, cpu, pkg) are captured as they
+// appear and attached to subsequent entries.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 type benchEntry struct {
 	Name       string             `json:"name"`
 	Pkg        string             `json:"pkg,omitempty"`
+	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -114,25 +116,25 @@ func parse(r io.Reader) (*benchDoc, error) {
 //
 //	BenchmarkName-8  123  45678 ns/op  9.1 rows/s  2 allocs/op
 //
-// into a benchEntry. The -N GOMAXPROCS suffix is stripped from the
-// name; every "<value> <unit>" pair after the iteration count becomes
-// either ns_per_op or a named metric.
+// into a benchEntry. The -N GOMAXPROCS suffix moves from the name to
+// Procs (1 when absent); every "<value> <unit>" pair after the
+// iteration count becomes either ns_per_op or a named metric.
 func parseLine(line string) (benchEntry, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
 		return benchEntry{}, false
 	}
-	name := fields[0]
+	name, procs := fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return benchEntry{}, false
 	}
-	e := benchEntry{Name: name, Iterations: iters}
+	e := benchEntry{Name: name, Procs: procs, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

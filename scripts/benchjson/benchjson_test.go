@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -40,9 +41,12 @@ func TestParseSample(t *testing.T) {
 	if e.Metrics["rows/s"] != 3009160 || e.Metrics["windows/s"] != 3.009 {
 		t.Errorf("metrics = %v", e.Metrics)
 	}
+	if e.Procs != 1 {
+		t.Errorf("no -N suffix means GOMAXPROCS 1, got procs %d", e.Procs)
+	}
 	sharded := doc.Entries[2]
-	if sharded.Name != "BenchmarkShardedAudit/shards=8" {
-		t.Errorf("GOMAXPROCS suffix not stripped: %q", sharded.Name)
+	if sharded.Name != "BenchmarkShardedAudit/shards=8" || sharded.Procs != 8 {
+		t.Errorf("GOMAXPROCS suffix not moved to procs: %q procs %d", sharded.Name, sharded.Procs)
 	}
 	if sharded.Metrics["B/op"] != 1024 || sharded.Metrics["allocs/op"] != 7 {
 		t.Errorf("benchmem metrics = %v", sharded.Metrics)
@@ -61,8 +65,24 @@ func TestParseLineRejects(t *testing.T) {
 		}
 	}
 	e, ok := parseLine("BenchmarkBare-16 5 100 ns/op")
-	if !ok || e.Name != "BenchmarkBare" || e.NsPerOp != 100 || len(e.Metrics) != 0 {
+	if !ok || e.Name != "BenchmarkBare" || e.Procs != 16 || e.NsPerOp != 100 || len(e.Metrics) != 0 {
 		t.Errorf("parseLine minimal = %+v, %v", e, ok)
+	}
+}
+
+func TestProcsInJSON(t *testing.T) {
+	doc, err := parse(strings.NewReader("BenchmarkA/rows=2000-2 5 100 ns/op 3 audits/s\nBenchmarkB 7 10 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"name":"BenchmarkA/rows=2000","procs":2`, `"name":"BenchmarkB","procs":1`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("JSON %s lacks %s", raw, want)
+		}
 	}
 }
 
