@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	clients := fs.Int("clients", 4, "concurrent closed-loop audit clients per cell")
 	auditRows := fs.String("audit-rows", "2000,20000", "comma-separated synthetic audit sizes to sweep")
 	ingestRate := fs.String("ingest-rate", "0", "comma-separated monitor ingest rates (rows/s) to sweep; 0 disables the monitor arm")
-	epochs := fs.Int("epochs", 20, "logistic training epochs per audit")
+	epochs := fs.Int("epochs", 20, "cap on the logistic fit's Newton iterations per audit")
 	seed := fs.Uint64("seed", 1, "base seed; every request derives a unique seed so the report cache never hits")
 	jsonOut := fs.String("json", "", "write the machine-readable sweep results to this path")
 	maxP99 := fs.Duration("max-p99", 0, "fail (exit 1) when any cell's audit p99 exceeds this; 0 disables")

@@ -60,7 +60,7 @@ type TrainSpec struct {
 	Exclude      []string // additional columns to keep out of the features
 	TestFraction float64  // default 0.3
 	Mitigation   Mitigation
-	Epochs       int // logistic epochs (default 40)
+	Epochs       int // cap on the logistic fit's Newton iterations (default 40)
 	// TrueGroups optionally names a column holding the auditor's
 	// ground-truth sensitive attribute — the curriculum's "auditor's
 	// check" when Sensitive has been privatized (e.g. LDP randomized
@@ -172,7 +172,7 @@ func (p *Pipeline) Train(spec TrainSpec) (*TrainedModel, error) {
 		trainSet.Weights = w
 	}
 
-	model, err := ml.TrainLogistic(trainSet, ml.LogisticConfig{Epochs: spec.Epochs, Seed: p.cfg.Seed})
+	model, err := ml.TrainLogistic(trainSet, ml.LogisticConfig{Epochs: spec.Epochs})
 	if err != nil {
 		return nil, fmt.Errorf("core: training: %w", err)
 	}
@@ -238,7 +238,7 @@ func (p *Pipeline) Train(spec TrainSpec) (*TrainedModel, error) {
 	tm.Card = &provenance.ModelCard{
 		Name:           p.cfg.Name + "/" + spec.Target,
 		Version:        "1",
-		ModelType:      "logistic regression (SGD, standardized)",
+		ModelType:      "logistic regression (Newton/IRLS, standardized)",
 		IntendedUse:    fmt.Sprintf("predict %q; protected group %q vs %q", spec.Target, spec.Protected, spec.Reference),
 		TrainingData:   fmt.Sprintf("pipeline %s working frame [%.12s]", p.cfg.Name, dataHash),
 		Features:       testSet.Features,

@@ -43,6 +43,14 @@ type goldenLogistic struct {
 
 func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 
+func goldenOf(m *Logistic) goldenLogistic {
+	g := goldenLogistic{Bias: hexFloat(m.Bias)}
+	for _, w := range m.Weights {
+		g.Weights = append(g.Weights, hexFloat(w))
+	}
+	return g
+}
+
 // logisticGoldenData draws n rows over five features on different
 // scales with a noisy linear label. weighted adds per-row weights in
 // [0, 2) with every fifth weight zero.
@@ -135,11 +143,11 @@ func computeGoldenModels(t *testing.T) goldenModels {
 		data *Dataset
 		cfg  LogisticConfig
 	}{
-		// 1003 rows in batches of 24 leave a short last batch; every
-		// fifth row carries zero weight, and the ridge penalty is on.
-		{"weighted-zero-weights-l2-ragged-batch", logisticGoldenData(1003, true, 7),
-			LogisticConfig{LearningRate: 0.05, Epochs: 9, L2: 0.01, BatchSize: 24, Seed: 9}},
-		// The audit's configuration: defaults but the epoch count.
+		// Every fifth row carries zero weight, and the ridge penalty is
+		// on.
+		{"weighted-zero-weights-l2", logisticGoldenData(1003, true, 7),
+			LogisticConfig{Epochs: 9, L2: 0.01}},
+		// The audit's configuration: defaults but the iteration cap.
 		{"unweighted-defaults", logisticGoldenData(1500, false, 11),
 			LogisticConfig{Epochs: 40, Seed: 3}},
 	}
@@ -148,12 +156,14 @@ func computeGoldenModels(t *testing.T) goldenModels {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		g := goldenLogistic{Bias: hexFloat(m.Bias)}
-		for _, w := range m.Weights {
-			g.Weights = append(g.Weights, hexFloat(w))
-		}
-		got.Logistic[c.name] = g
+		got.Logistic[c.name] = goldenOf(m)
 	}
+	// The SGD reference reproduces, bit for bit, what TrainLogistic
+	// returned on these cases before it moved to Newton's method.
+	got.Logistic["sgd-weighted-zero-weights-l2-ragged-batch"] = goldenOf(trainLogisticSGD(
+		logisticGoldenData(1003, true, 7), sgdConfig{LearningRate: 0.05, Epochs: 9, L2: 0.01, BatchSize: 24, Seed: 9}))
+	got.Logistic["sgd-unweighted-defaults"] = goldenOf(trainLogisticSGD(
+		logisticGoldenData(1500, false, 11), sgdConfig{Epochs: 40, Seed: 3}))
 	tree := []struct {
 		name string
 		data *Dataset

@@ -3,8 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-
-	"github.com/responsible-data-science/rds/internal/rng"
 )
 
 // Classifier is a binary probabilistic classifier. PredictProba returns
@@ -41,25 +39,19 @@ func PredictProbaAll(c Classifier, X [][]float64) []float64 {
 
 // LogisticConfig holds the hyperparameters of logistic-regression training.
 type LogisticConfig struct {
-	LearningRate float64 // SGD step size (default 0.1)
-	Epochs       int     // passes over the data (default 100)
-	L2           float64 // ridge penalty (default 0)
-	BatchSize    int     // minibatch size (default 32)
-	Seed         uint64  // shuffling seed (default 1)
+	// Epochs caps the Newton iterations (default 100). Training stops
+	// earlier once it converges, in a handful of iterations on typical
+	// data, so only a cap below that changes the model.
+	Epochs int
+	L2     float64 // ridge penalty on the standardized weights, not the bias (default 0)
+	// Seed is ignored: the fit depends only on the training rows as a
+	// set. It is kept so that callers that set it still compile.
+	Seed uint64
 }
 
 func (c LogisticConfig) withDefaults() LogisticConfig {
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 100
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -80,8 +72,28 @@ func Sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// TrainLogistic fits binary logistic regression by minibatch SGD with
-// optional L2 regularization and per-sample weights. Targets must be 0/1.
+const (
+	// newtonRidge is added to every coefficient's penalty, the bias
+	// included, so that single-class and separable data still have a
+	// finite optimum.
+	newtonRidge = 1e-6
+	// newtonTol stops the iteration once the Newton decrement -g·Δ, the
+	// objective's predicted remaining decrease (times two), falls below
+	// it.
+	newtonTol = 1e-14
+	// maxHalvings bounds the step halvings of one line search.
+	maxHalvings = 40
+)
+
+// TrainLogistic fits binary logistic regression with optional L2
+// regularization and per-sample weights. Targets must be 0/1.
+//
+// It minimizes the weighted mean log-loss plus (L2/2)·‖w‖² over the
+// standardized weights by Newton's method, also called iteratively
+// reweighted least squares. Each iteration takes the full Newton step
+// unless the objective rises, halving it until it does not. The
+// optimum is unique, so the model depends only on the rows as a set:
+// not on their order, and not on a seed.
 func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -95,73 +107,17 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 		}
 	}
 	cfg = cfg.withDefaults()
-	// Standardize internally for SGD stability on raw feature scales,
-	// then fold the affine transform back into the returned weights so the
-	// model predicts over the caller's original feature space. The
-	// standardized rows live in one row-major matrix, and the minibatch
-	// loop below computes PredictProba's z inline over it: each z
-	// accumulates in the same order, so the model is the same to the
-	// last bit.
+	// Fit over standardized features with an intercept column, then
+	// fold the affine transform back into the returned weights so the
+	// model predicts over the caller's original feature space.
 	std := FitStandardizer(d)
-	n, dim := d.N(), d.D()
-	xs := make([]float64, n*dim)
-	for i, row := range d.X {
-		for j, v := range row {
-			xs[i*dim+j] = (v - std.Mean[j]) / std.Scale[j]
-		}
+	dim := d.D()
+	p := newNewtonProblem(d, std, cfg.L2)
+	beta := make([]float64, dim+1)
+	if p.sumW > 0 {
+		p.solve(beta, cfg.Epochs)
 	}
-	m := &Logistic{Weights: make([]float64, dim), Features: append([]string(nil), d.Features...)}
-	src := rng.New(cfg.Seed)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	wts := m.Weights
-	gw := make([]float64, len(wts))
-	zbuf := make([]float64, cfg.BatchSize)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		src.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		// Decaying step size stabilizes late epochs.
-		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
-		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			for j := range gw {
-				gw[j] = 0
-			}
-			gb := 0.0
-			var batchW float64
-			// The weights hold still within a batch, so every row's z
-			// comes first and the dot products overlap instead of each
-			// waiting on the previous row's Sigmoid.
-			batch := idx[start:end]
-			zs := zbuf[:len(batch)]
-			batchZ(zs, xs, batch, wts, m.Bias)
-			for k, i := range batch {
-				w := 1.0
-				if d.Weights != nil {
-					if w = d.Weights[i]; w == 0 {
-						continue
-					}
-				}
-				err := (Sigmoid(zs[k]) - d.Y[i]) * w
-				for j, xj := range xs[i*dim:][:len(gw)] {
-					gw[j] += err * xj
-				}
-				gb += err
-				batchW += w
-			}
-			if batchW == 0 {
-				continue
-			}
-			for j := range wts {
-				wts[j] -= lr * (gw[j]/batchW + cfg.L2*wts[j])
-			}
-			m.Bias -= lr * gb / batchW
-		}
-	}
+	m := &Logistic{Weights: beta[:dim], Bias: beta[dim], Features: append([]string(nil), d.Features...)}
 	// Un-standardize: w'_j = w_j / s_j, b' = b - sum_j w_j m_j / s_j.
 	for j := range m.Weights {
 		m.Bias -= m.Weights[j] * std.Mean[j] / std.Scale[j]
@@ -170,29 +126,207 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 	return m, nil
 }
 
-// batchZ sets zs[k] to bias + w·x for row batch[k] of the row-major
-// matrix xs, summing in feature order as PredictProba does. Rows go in
-// pairs so that two independent sums are in flight at once.
-func batchZ(zs, xs []float64, batch []int, w []float64, bias float64) {
-	dim := len(w)
-	k := 0
-	for ; k+1 < len(batch); k += 2 {
-		x0, x1 := xs[batch[k]*dim:][:dim], xs[batch[k+1]*dim:][:dim]
-		z0, z1 := bias, bias
-		for j, wj := range w {
-			z0 += wj * x0[j]
-			z1 += wj * x1[j]
-		}
-		zs[k], zs[k+1] = z0, z1
+// newtonProblem is the penalized, weighted log-loss over one flat
+// row-major matrix of standardized rows, each ending in an intercept 1.
+type newtonProblem struct {
+	xs   []float64 // n rows of dim values
+	y, w []float64 // targets and row weights; w is nil when unweighted
+	dim  int       // features plus the intercept
+	sumW float64
+	l2   float64
+	// g and h hold the gradient and the upper triangle of the Hessian,
+	// packed row by row, at the last point eval visited.
+	g, h []float64
+}
+
+func newNewtonProblem(d *Dataset, std *Standardizer, l2 float64) *newtonProblem {
+	dim := d.D() + 1
+	p := &newtonProblem{
+		xs: make([]float64, d.N()*dim), y: d.Y, w: d.Weights, dim: dim, l2: l2,
+		g: make([]float64, dim), h: make([]float64, dim*(dim+1)/2),
 	}
-	if k < len(batch) {
-		x := xs[batch[k]*dim:][:dim]
-		z := bias
-		for j, wj := range w {
-			z += wj * x[j]
+	for i, row := range d.X {
+		x := p.xs[i*dim:][:dim]
+		for j, v := range row {
+			x[j] = (v - std.Mean[j]) / std.Scale[j]
 		}
-		zs[k] = z
+		x[dim-1] = 1
 	}
+	if d.Weights == nil {
+		p.sumW = float64(d.N())
+	}
+	for _, wi := range d.Weights {
+		p.sumW += wi
+	}
+	return p
+}
+
+// solve runs at most maxIter Newton iterations from beta, updating it
+// in place.
+func (p *newtonProblem) solve(beta []float64, maxIter int) {
+	dim := p.dim
+	next := make([]float64, dim)
+	step := make([]float64, dim)
+	chol := make([]float64, len(p.h))
+	cur := p.eval(beta)
+	for iter := 0; iter < maxIter; iter++ {
+		// step = -H⁻¹g; the decrement is tested before any line search,
+		// since near the optimum rounding alone can make a step look
+		// uphill.
+		for j, gj := range p.g {
+			step[j] = -gj
+		}
+		if !cholSolve(chol, p.h, step) {
+			return
+		}
+		dec := 0.0
+		for j, gj := range p.g {
+			dec -= gj * step[j]
+		}
+		if !(dec > newtonTol) {
+			return
+		}
+		t := 1.0
+		for halvings := 0; ; halvings++ {
+			if halvings == maxHalvings {
+				return
+			}
+			for j := range next {
+				next[j] = beta[j] + t*step[j]
+			}
+			// eval leaves g and h at the trial point, which is what the
+			// next iteration needs once the step is accepted.
+			if obj := p.eval(next); obj <= cur {
+				cur = obj
+				break
+			}
+			t /= 2
+		}
+		copy(beta, next)
+	}
+}
+
+// eval returns the objective at beta and sets p.g and p.h to its
+// gradient and Hessian, in one pass over the rows. Rows go in pairs, so
+// each sweep over the Hessian's upper triangle serves two of them.
+func (p *newtonProblem) eval(beta []float64) float64 {
+	dim := p.dim
+	g, h := p.g, p.h
+	for j := range g {
+		g[j] = 0
+	}
+	for k := range h {
+		h[k] = 0
+	}
+	loss := 0.0
+	n := len(p.y)
+	for i := 0; i < n; i += 2 {
+		x0 := p.xs[i*dim:][:dim]
+		l0, r0, c0 := p.row(i, beta, x0)
+		// An odd last row pairs with itself at zero weight, which adds
+		// exact zeros.
+		x1, l1, r1, c1 := x0, 0.0, 0.0, 0.0
+		if i+1 < n {
+			x1 = p.xs[(i+1)*dim:][:dim]
+			l1, r1, c1 = p.row(i+1, beta, x1)
+		}
+		loss += l0 + l1
+		off := 0
+		for j := range x0 {
+			g[j] += r0*x0[j] + r1*x1[j]
+			a, b := c0*x0[j], c1*x1[j]
+			row := h[off:][:dim-j]
+			y0, y1 := x0[j:][:len(row)], x1[j:][:len(row)]
+			for k := range row {
+				row[k] += a*y0[k] + b*y1[k]
+			}
+			off += dim - j
+		}
+	}
+	inv := 1 / p.sumW
+	obj := loss * inv
+	off := 0
+	for j, bj := range beta {
+		pen := newtonRidge
+		if j < dim-1 {
+			pen += p.l2
+		}
+		obj += pen / 2 * bj * bj
+		g[j] = g[j]*inv + pen*bj
+		for k := off; k < off+dim-j; k++ {
+			h[k] *= inv
+		}
+		h[off] += pen
+		off += dim - j
+	}
+	return obj
+}
+
+// row returns row i's weighted loss term and its weighted residual and
+// curvature, the row's factors in the gradient and the Hessian.
+func (p *newtonProblem) row(i int, beta, x []float64) (loss, r, c float64) {
+	wi := 1.0
+	if p.w != nil {
+		if wi = p.w[i]; wi == 0 {
+			return 0, 0, 0
+		}
+	}
+	z := 0.0
+	for j, bj := range beta {
+		z += bj * x[j]
+	}
+	// One exp serves the probability and the loss:
+	// log(1+e^z) = max(z, 0) + log(1+e^-|z|).
+	e := math.Exp(-math.Abs(z))
+	prob, softplus := e/(1+e), math.Log(1+e)
+	if z >= 0 {
+		prob, softplus = 1/(1+e), z+softplus
+	}
+	yi := p.y[i]
+	return wi * (softplus - yi*z), wi * (prob - yi), wi * prob * (1 - prob)
+}
+
+// cholSolve solves H·x = b in place in b for the symmetric matrix whose
+// upper triangle h packs row by row, using l (the same length) as
+// scratch for the Cholesky factor. It reports false when H is not
+// positive definite.
+func cholSolve(l, h, b []float64) bool {
+	dim := len(b)
+	// at returns the packed index of (i, j), i <= j.
+	at := func(i, j int) int { return i*dim - i*(i-1)/2 + j - i }
+	// Factor H = UᵀU with U upper triangular, stored in l.
+	for i := 0; i < dim; i++ {
+		for j := i; j < dim; j++ {
+			s := h[at(i, j)]
+			for k := 0; k < i; k++ {
+				s -= l[at(k, i)] * l[at(k, j)]
+			}
+			if i == j {
+				if !(s > 0) {
+					return false
+				}
+				l[at(i, i)] = math.Sqrt(s)
+			} else {
+				l[at(i, j)] = s / l[at(i, i)]
+			}
+		}
+	}
+	// Uᵀy = b, then Ux = y.
+	for i := 0; i < dim; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l[at(k, i)] * b[k]
+		}
+		b[i] = s / l[at(i, i)]
+	}
+	for i := dim - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < dim; k++ {
+			s -= l[at(i, k)] * b[k]
+		}
+		b[i] = s / l[at(i, i)]
+	}
+	return true
 }
 
 // PredictProba returns P(y=1 | x).

@@ -39,7 +39,9 @@ type SpecWire struct {
 	Mitigation string `json:"mitigation,omitempty"`
 	// TestFraction is the held-out fraction (default 0.3).
 	TestFraction float64 `json:"test_fraction,omitempty"`
-	// Epochs is the logistic training epoch count (default 40).
+	// Epochs caps the logistic fit's Newton iterations (default 40).
+	// The fit converges in a handful, so only a cap below that changes
+	// the model.
 	Epochs int `json:"epochs,omitempty"`
 	// Seed drives each window audit's stochastic steps (default 1).
 	Seed uint64 `json:"seed,omitempty"`

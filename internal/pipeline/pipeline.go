@@ -81,7 +81,9 @@ type Spec struct {
 	Exclude []string `json:"exclude,omitempty"`
 	// TestFraction is the held-out fraction (default 0.3).
 	TestFraction float64 `json:"test_fraction,omitempty"`
-	// Epochs is the logistic training epoch count (default 40).
+	// Epochs caps the logistic fit's Newton iterations (default 40).
+	// The fit converges in a handful, so only a cap below that changes
+	// the model.
 	Epochs int `json:"epochs,omitempty"`
 
 	// Mitigation is the fairness intervention the mitigate stage (and
