@@ -59,6 +59,11 @@ func (c *rawColumn) push(v string) {
 // sentinel export), and coercing it to all-NaN floats silently corrupts
 // drift statistics downstream, so it stays String.
 func ReadCSV(r io.Reader) (*Frame, error) {
+	return readCSV(r, inferChunks)
+}
+
+// readCSV is ReadCSV with the per-column type inference as a parameter.
+func readCSV(r io.Reader, infer func(string, *rawColumn) *Series) (*Frame, error) {
 	br := bufio.NewReader(r)
 	if lead, err := br.Peek(len(utf8BOM)); err == nil && bytes.Equal(lead, utf8BOM) {
 		if _, err := br.Discard(len(utf8BOM)); err != nil {
@@ -101,7 +106,7 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 
 	cols := make([]*Series, len(names))
 	for j, name := range names {
-		cols[j] = inferChunks(name, &raws[j])
+		cols[j] = infer(name, &raws[j])
 	}
 	return New(cols...)
 }
@@ -118,29 +123,50 @@ func inferSeries(name string, raw []string) *Series {
 	return inferChunks(name, &rawColumn{chunks: [][]string{raw}, n: len(raw)})
 }
 
-// inferChunks scans a chunked raw column twice: one pass to pick the
-// narrowest type (Int64, Float64, Bool, String — with the NaN/Inf guard
-// described on ReadCSV), one pass to build the typed series.
+// inferChunks picks the narrowest type for a chunked raw column (Int64,
+// Float64, Bool, String, with the NaN/Inf guard described on ReadCSV)
+// and builds the typed series. The inference pass keeps the ints and
+// floats it parses, so a numeric cell is parsed once. A float column
+// whose first cells are ints parses those cells again as floats when
+// the first non-int appears: ParseFloat("-0") is -0, which converting
+// the parsed int would turn into +0.
 func inferChunks(name string, raw *rawColumn) *Series {
+	n := raw.n
 	isInt, isFloat, isBool := true, true, true
 	hasFinite, hasNonFinite := false, false
+	var ints []int64
+	var floats []float64
+	i := 0
 	for _, chunk := range raw.chunks {
 		for _, v := range chunk {
 			if v == "" {
+				i++
 				continue
 			}
 			if isInt {
-				if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-					isInt = false
+				if x, err := strconv.ParseInt(v, 10, 64); err == nil {
+					if ints == nil {
+						ints = make([]int64, n)
+					}
+					// Every int is also a finite float.
+					ints[i], hasFinite = x, true
+				} else {
+					isInt, ints = false, nil
+					if isFloat {
+						floats = parseFloatPrefix(raw, i)
+					}
 				}
 			}
-			if isFloat {
+			if !isInt && isFloat {
 				if f, err := strconv.ParseFloat(v, 64); err != nil {
-					isFloat = false
-				} else if math.IsNaN(f) || math.IsInf(f, 0) {
-					hasNonFinite = true
+					isFloat, floats = false, nil
 				} else {
-					hasFinite = true
+					floats[i] = f
+					if math.IsNaN(f) || math.IsInf(f, 0) {
+						hasNonFinite = true
+					} else {
+						hasFinite = true
+					}
 				}
 			}
 			if isBool {
@@ -148,6 +174,7 @@ func inferChunks(name string, raw *rawColumn) *Series {
 					isBool = false
 				}
 			}
+			i++
 		}
 	}
 	var s *Series
@@ -155,25 +182,26 @@ func inferChunks(name string, raw *rawColumn) *Series {
 	var finish func()
 	switch {
 	case isInt:
-		s = &Series{name: name, dtype: Int64, ints: make([]int64, raw.n)}
-		set = func(i int, v string) { s.ints[i], _ = strconv.ParseInt(v, 10, 64) }
+		if ints == nil {
+			ints = make([]int64, n) // every cell is null
+		}
+		s = &Series{name: name, dtype: Int64, ints: ints}
 	// A column whose only parseable floats are NaN/Inf literals falls
 	// through to String: see the ReadCSV doc comment.
 	case isFloat && (hasFinite || !hasNonFinite):
-		s = &Series{name: name, dtype: Float64, floats: make([]float64, raw.n)}
-		set = func(i int, v string) { s.floats[i], _ = strconv.ParseFloat(v, 64) }
+		s = &Series{name: name, dtype: Float64, floats: floats}
 	case isBool:
-		s = &Series{name: name, dtype: Bool, bools: make([]bool, raw.n)}
+		s = &Series{name: name, dtype: Bool, bools: make([]bool, n)}
 		set = func(i int, v string) { s.bools[i], _ = strconv.ParseBool(v) }
 	default:
-		s, set, finish = dictColumn(name, raw.n)
+		s, set, finish = dictColumn(name, n)
 	}
-	i := 0
+	i = 0
 	for _, chunk := range raw.chunks {
 		for _, v := range chunk {
 			if v == "" {
 				s.SetNull(i)
-			} else {
+			} else if set != nil {
 				set(i, v)
 			}
 			i++
@@ -183,6 +211,25 @@ func inferChunks(name string, raw *rawColumn) *Series {
 		finish()
 	}
 	return s
+}
+
+// parseFloatPrefix returns a float column for raw with its first end
+// cells, all ints or empty, parsed as floats.
+func parseFloatPrefix(raw *rawColumn, end int) []float64 {
+	floats := make([]float64, raw.n)
+	i := 0
+	for _, chunk := range raw.chunks {
+		for _, v := range chunk {
+			if i == end {
+				return floats
+			}
+			if v != "" {
+				floats[i], _ = strconv.ParseFloat(v, 64)
+			}
+			i++
+		}
+	}
+	return floats
 }
 
 // dictFallbackMinRows is the smallest column the mostly-unique
