@@ -57,7 +57,9 @@ func (rs *runState) init() error {
 	if err != nil {
 		return err
 	}
-	if err := pipe.Load(rs.spec.DatasetRef, rs.base); err != nil {
+	// A registry ref is the frame's content hash, so the load records it
+	// instead of hashing the resident frame again.
+	if err := pipe.LoadHashed(rs.spec.DatasetRef, rs.base, rs.spec.DatasetRef); err != nil {
 		return err
 	}
 	// The accountant's ceiling is the policy's epsilon cap when the
