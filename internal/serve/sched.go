@@ -75,6 +75,9 @@ type tenantQueue struct {
 	inRing     bool
 }
 
+// queueKey names one (tenant, admission class) queue.
+type queueKey struct{ tenant, class string }
+
 // scheduler replaces the engine's single FIFO channel: per-tenant FIFO
 // queues drained in deficit-round-robin order, with per-tenant
 // token-bucket admission at the front door. Enqueue rejections carry
@@ -96,7 +99,7 @@ type scheduler struct {
 	// the engine.
 	busyAfter func(depth int) time.Duration
 
-	queues  map[string]*tenantQueue
+	queues  map[queueKey]*tenantQueue
 	ring    []*tenantQueue
 	ringIdx int
 	closed  bool
@@ -117,7 +120,7 @@ func newScheduler(capacity int, now func() time.Time, quotas func(string) tenant
 		now:       now,
 		quotas:    quotas,
 		busyAfter: busyAfter,
-		queues:    map[string]*tenantQueue{},
+		queues:    map[queueKey]*tenantQueue{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -163,7 +166,7 @@ func (s *scheduler) admit(tenantID, class string, j *job, readmit bool) error {
 	if s.closed {
 		return ErrClosed
 	}
-	key := tenantID + "\x00" + class
+	key := queueKey{tenantID, class}
 	q := s.queues[key]
 	if q == nil {
 		q = &tenantQueue{tenant: tenantID, class: class}

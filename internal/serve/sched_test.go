@@ -201,3 +201,26 @@ func TestQueueCapacitySnapshot(t *testing.T) {
 		t.Fatalf("QueueCapacity() = %d, want the construction-time 7", got)
 	}
 }
+
+// TestQuotaOverrideAppliesOnNextAdmit checks that admit resolves a
+// tenant's quotas on every call: an override set after the tenant's
+// queue exists binds the very next admit.
+func TestQuotaOverrideAppliesOnNextAdmit(t *testing.T) {
+	clock := newFakeClock()
+	var maxQueue int
+	quotas := func(string) tenant.Quotas { return tenant.Quotas{MaxQueue: maxQueue} }
+	s := newScheduler(100, clock.now, quotas, nil)
+	for i := 0; i < 2; i++ {
+		if err := s.admit("t", ClassInteractive, &job{}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	maxQueue = 2
+	if err := s.admit("t", ClassInteractive, &job{}, false); !errors.Is(err, ErrTenantBusy) {
+		t.Fatalf("admit after lowering MaxQueue to 2: got %v, want ErrTenantBusy", err)
+	}
+	maxQueue = 3
+	if err := s.admit("t", ClassInteractive, &job{}, false); err != nil {
+		t.Fatalf("admit after raising MaxQueue to 3: %v", err)
+	}
+}
