@@ -12,6 +12,11 @@
 // metric the benchmark reported (rows/s, windows/s, B/op, allocs/op,
 // ...). Context lines (goos, goarch, cpu, pkg) are captured as they
 // appear and attached to subsequent entries.
+//
+// Repeated lines of one benchmark, as `go test -count N` prints them,
+// fold into one entry holding their medians (ns/op, iterations and
+// each metric), with runs counting the lines, so one noisy run cannot
+// move a gated number on its own.
 package main
 
 import (
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,6 +36,7 @@ type benchEntry struct {
 	Name       string             `json:"name"`
 	Pkg        string             `json:"pkg,omitempty"`
 	Procs      int                `json:"procs"`
+	Runs       int                `json:"runs"` // result lines folded into this entry
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -109,7 +116,62 @@ func parse(r io.Reader) (*benchDoc, error) {
 			doc.Entries = append(doc.Entries, e)
 		}
 	}
+	doc.Entries = fold(doc.Entries)
 	return doc, sc.Err()
+}
+
+// fold merges the entries of one benchmark (same package, name and
+// procs) into one at the position of its first line: ns/op, iterations
+// and each metric become their median over the merged entries, and
+// Runs counts them.
+func fold(entries []benchEntry) []benchEntry {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	groups := map[key][]benchEntry{}
+	var order []key
+	for _, e := range entries {
+		k := key{e.Pkg, e.Name, e.Procs}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], e)
+	}
+	out := make([]benchEntry, 0, len(order))
+	for _, k := range order {
+		runs := groups[k]
+		ns := make([]float64, len(runs))
+		iters := make([]float64, len(runs))
+		metrics := map[string][]float64{}
+		for i, r := range runs {
+			ns[i], iters[i] = r.NsPerOp, float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		e := runs[0]
+		e.Runs, e.NsPerOp, e.Iterations, e.Metrics = len(runs), median(ns), int64(median(iters)), nil
+		for unit, vs := range metrics {
+			if e.Metrics == nil {
+				e.Metrics = map[string]float64{}
+			}
+			e.Metrics[unit] = median(vs)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// median returns the middle of vs, or the mean of the two middle
+// values when len(vs) is even. It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // parseLine parses one result line of the form

@@ -95,3 +95,45 @@ func TestParseEmpty(t *testing.T) {
 		t.Fatalf("entries = %d, want 0", len(doc.Entries))
 	}
 }
+
+func TestFoldRepeatedRunsIntoMedians(t *testing.T) {
+	in := `pkg: p
+BenchmarkA-2 5 300 ns/op 30 rows/s 7 B/op
+BenchmarkB 10 50 ns/op
+BenchmarkA-2 5 100 ns/op 10 rows/s 7 B/op
+BenchmarkA-4 5 900 ns/op 90 rows/s
+BenchmarkA-2 6 200 ns/op 20 rows/s 9 B/op
+BenchmarkB 12 70 ns/op
+`
+	doc, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Entries) != 3 {
+		t.Fatalf("entries = %+v, want A-2, B and A-4 once each", doc.Entries)
+	}
+	a, b, a4 := doc.Entries[0], doc.Entries[1], doc.Entries[2]
+	if a.Name != "BenchmarkA" || a.Procs != 2 || b.Name != "BenchmarkB" || a4.Procs != 4 {
+		t.Fatalf("order = %s-%d, %s, %s-%d; want each benchmark at its first line",
+			a.Name, a.Procs, b.Name, a4.Name, a4.Procs)
+	}
+	if a.Runs != 3 || a.NsPerOp != 200 || a.Iterations != 5 || a.Metrics["rows/s"] != 20 || a.Metrics["B/op"] != 7 {
+		t.Errorf("odd count: %+v, want the middle value of each field", a)
+	}
+	if b.Runs != 2 || b.NsPerOp != 60 || b.Iterations != 11 || b.Metrics != nil {
+		t.Errorf("even count: %+v, want the mean of the two middle values", b)
+	}
+	if a4.Runs != 1 || a4.NsPerOp != 900 || a4.Metrics["rows/s"] != 90 {
+		t.Errorf("a single line at other procs: %+v, want it unchanged", a4)
+	}
+}
+
+func TestFoldKeepsPackagesApart(t *testing.T) {
+	doc, err := parse(strings.NewReader("pkg: p\nBenchmarkA 1 10 ns/op\npkg: q\nBenchmarkA 1 30 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Entries) != 2 || doc.Entries[0].NsPerOp != 10 || doc.Entries[1].NsPerOp != 30 {
+		t.Fatalf("entries = %+v, want one per package", doc.Entries)
+	}
+}
