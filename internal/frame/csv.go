@@ -127,9 +127,9 @@ func inferSeries(name string, raw []string) *Series {
 // Float64, Bool, String, with the NaN/Inf guard described on ReadCSV)
 // and builds the typed series. The inference pass keeps the ints and
 // floats it parses, so a numeric cell is parsed once. A float column
-// whose first cells are ints parses those cells again as floats when
-// the first non-int appears: ParseFloat("-0") is -0, which converting
-// the parsed int would turn into +0.
+// whose first cells are ints parses those cells again as floats at its
+// first non-int float: ParseFloat("-0") is -0, which converting the
+// parsed int would turn into +0.
 func inferChunks(name string, raw *rawColumn) *Series {
 	n := raw.n
 	isInt, isFloat, isBool := true, true, true
@@ -152,15 +152,15 @@ func inferChunks(name string, raw *rawColumn) *Series {
 					ints[i], hasFinite = x, true
 				} else {
 					isInt, ints = false, nil
-					if isFloat {
-						floats = parseFloatPrefix(raw, i)
-					}
 				}
 			}
 			if !isInt && isFloat {
 				if f, err := strconv.ParseFloat(v, 64); err != nil {
 					isFloat, floats = false, nil
 				} else {
+					if floats == nil {
+						floats = parseFloatPrefix(raw, i)
+					}
 					floats[i] = f
 					if math.IsNaN(f) || math.IsInf(f, 0) {
 						hasNonFinite = true
