@@ -89,9 +89,11 @@ const (
 // regularization and per-sample weights. Targets must be 0/1.
 //
 // It minimizes the weighted mean log-loss plus (L2/2)·‖w‖² over the
-// standardized weights by Newton's method, also called iteratively
+// standardized weights, plus a fixed ridge of newtonRidge on every
+// coefficient and the bias, by Newton's method, also called iteratively
 // reweighted least squares. Each iteration takes the full Newton step
-// unless the objective rises, halving it until it does not. The
+// unless the objective rises, halving it until it does not, and the
+// fit stops once the Newton decrement falls below newtonTol. The
 // optimum is unique, so the model depends only on the rows as a set:
 // not on their order, and not on a seed.
 func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
