@@ -14,19 +14,20 @@ var TrainLogisticSGD = trainLogisticSGD
 func LogisticObjective(d *Dataset, m *Logistic, l2 float64) float64 {
 	std := FitStandardizer(d)
 	p := newNewtonProblem(d, std, l2)
-	return p.eval(standardizedBeta(m, std))
+	return p.eval(p.coords(m, std))
 }
 
-// standardizedBeta maps m's weights and bias into the standardized
-// space TrainLogistic fits in, intercept last: the inverse of the
-// un-standardizing step at the end of TrainLogistic.
-func standardizedBeta(m *Logistic, std *Standardizer) []float64 {
-	dim := len(m.Weights)
-	beta := make([]float64, dim+1)
-	beta[dim] = m.Bias
-	for j, w := range m.Weights {
-		beta[j] = w * std.Scale[j]
-		beta[dim] += w * std.Mean[j]
+// coords maps m's weights and bias into the coordinates p fits in: the
+// inverse of the un-standardizing step at the end of TrainLogistic.
+func (p *newtonProblem) coords(m *Logistic, std *Standardizer) []float64 {
+	beta := make([]float64, p.dim)
+	beta[0] = m.Bias
+	for k := 1; k < p.dim; k++ {
+		j := p.feat[k]
+		beta[k] = m.Weights[j] * std.Scale[j]
+		if k < p.nd {
+			beta[0] += m.Weights[j] * std.Mean[j]
+		}
 	}
 	return beta
 }

@@ -94,8 +94,15 @@ const (
 // reweighted least squares. Each iteration takes the full Newton step
 // unless the objective rises, halving it until it does not, and the
 // fit stops once the Newton decrement falls below newtonTol. The
-// optimum is unique, so the model depends only on the rows as a set:
-// not on their order, and not on a seed.
+// optimum is unique, so the model does not depend on a seed, and
+// depends on the order of the rows only through rounding (about 1e-13
+// relative).
+//
+// An iteration costs one pass over the rows, and a row costs its dense
+// features, those nonzero in more than half of the rows, squared: a
+// sparse feature such as a one-hot level enters the Hessian only
+// where it is nonzero. Many dense features make Newton slow, since
+// the Hessian of d dense features costs d² per row.
 func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -109,53 +116,105 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 		}
 	}
 	cfg = cfg.withDefaults()
-	// Fit over standardized features with an intercept column, then
-	// fold the affine transform back into the returned weights so the
-	// model predicts over the caller's original feature space.
 	std := FitStandardizer(d)
-	dim := d.D()
 	p := newNewtonProblem(d, std, cfg.L2)
-	beta := make([]float64, dim+1)
+	beta := make([]float64, p.dim)
 	if p.sumW > 0 {
 		p.solve(beta, cfg.Epochs)
 	}
-	m := &Logistic{Weights: beta[:dim], Bias: beta[dim], Features: append([]string(nil), d.Features...)}
-	// Un-standardize: w'_j = w_j / s_j, b' = b - sum_j w_j m_j / s_j.
-	for j := range m.Weights {
-		m.Bias -= m.Weights[j] * std.Mean[j] / std.Scale[j]
-		m.Weights[j] /= std.Scale[j]
+	// Fold the scaling and the dense features' centering back into the
+	// weights so the model predicts over the caller's feature space.
+	m := &Logistic{Weights: make([]float64, d.D()), Bias: beta[0], Features: append([]string(nil), d.Features...)}
+	for k := 1; k < p.dim; k++ {
+		j := p.feat[k]
+		m.Weights[j] = beta[k] / std.Scale[j]
+		if k < p.nd {
+			m.Bias -= beta[k] * std.Mean[j] / std.Scale[j]
+		}
 	}
 	return m, nil
 }
 
-// newtonProblem is the penalized, weighted log-loss over one flat
-// row-major matrix of standardized rows, each ending in an intercept 1.
+// newtonProblem is the penalized, weighted log-loss in the coordinates
+// the iteration runs in. Column 0 is the intercept. Columns 1 to nd-1
+// are the dense features, standardized, and kept with the intercept in
+// one flat row-major matrix. The remaining columns are the sparse
+// features, scaled but not centered, so that only their nonzeros are
+// stored and visited. Leaving a feature uncentered shifts the intercept
+// by (mean/scale)·β, so the ridge goes on the standardized model's bias,
+// bias·β, and the objective is that of the fully standardized fit.
+// Newton's method is invariant to such a linear change of coordinates,
+// so its iterates are too, up to rounding.
 type newtonProblem struct {
-	xs   []float64 // n rows of dim values
-	y, w []float64 // targets and row weights; w is nil when unweighted
 	dim  int       // features plus the intercept
+	nd   int       // the intercept and the dense features
+	feat []int     // feat[k] is the Dataset feature in column k >= 1
+	xs   []float64 // n rows of nd values
+	// Row i's sparse nonzeros are spVal[spAt[i]:spAt[i+1]], in the
+	// ascending columns spCol[spAt[i]:spAt[i+1]].
+	spAt  []int
+	spCol []int
+	spVal []float64
+	// bias holds the standardized model's bias as a linear function of
+	// the coefficients: 1 for the intercept, mean/scale for a sparse
+	// feature and 0 for a dense one.
+	bias []float64
+	y, w []float64 // targets and row weights; w is nil when unweighted
 	sumW float64
 	l2   float64
-	// g and h hold the gradient and the upper triangle of the Hessian,
-	// packed row by row, at the last point eval visited.
+	// g and h hold the gradient and the row-major Hessian at the last
+	// point eval visited.
 	g, h []float64
 }
 
 func newNewtonProblem(d *Dataset, std *Standardizer, l2 float64) *newtonProblem {
-	dim := d.D() + 1
-	p := &newtonProblem{
-		xs: make([]float64, d.N()*dim), y: d.Y, w: d.Weights, dim: dim, l2: l2,
-		g: make([]float64, dim), h: make([]float64, dim*(dim+1)/2),
-	}
-	for i, row := range d.X {
-		x := p.xs[i*dim:][:dim]
+	n, dim := d.N(), d.D()+1
+	nonzero := make([]int, d.D())
+	for _, row := range d.X {
 		for j, v := range row {
-			x[j] = (v - std.Mean[j]) / std.Scale[j]
+			if v != 0 {
+				nonzero[j]++
+			}
 		}
-		x[dim-1] = 1
+	}
+	p := &newtonProblem{
+		dim: dim, feat: make([]int, dim), spAt: make([]int, n+1), bias: make([]float64, dim),
+		y: d.Y, w: d.Weights, l2: l2, g: make([]float64, dim), h: make([]float64, dim*dim),
+	}
+	p.bias[0] = 1
+	k := 1
+	for j, c := range nonzero {
+		if 2*c > n {
+			p.feat[k] = j
+			k++
+		}
+	}
+	p.nd = k
+	for j, c := range nonzero {
+		if 2*c <= n {
+			p.feat[k] = j
+			p.bias[k] = std.Mean[j] / std.Scale[j]
+			k++
+		}
+	}
+	p.xs = make([]float64, n*p.nd)
+	for i, row := range d.X {
+		x := p.xs[i*p.nd:][:p.nd]
+		x[0] = 1
+		for k := 1; k < p.nd; k++ {
+			j := p.feat[k]
+			x[k] = (row[j] - std.Mean[j]) / std.Scale[j]
+		}
+		for k := p.nd; k < dim; k++ {
+			if v := row[p.feat[k]]; v != 0 {
+				p.spCol = append(p.spCol, k)
+				p.spVal = append(p.spVal, v/std.Scale[p.feat[k]])
+			}
+		}
+		p.spAt[i+1] = len(p.spCol)
 	}
 	if d.Weights == nil {
-		p.sumW = float64(d.N())
+		p.sumW = float64(n)
 	}
 	for _, wi := range d.Weights {
 		p.sumW += wi
@@ -168,17 +227,20 @@ func newNewtonProblem(d *Dataset, std *Standardizer, l2 float64) *newtonProblem 
 func (p *newtonProblem) solve(beta []float64, maxIter int) {
 	dim := p.dim
 	next := make([]float64, dim)
-	step := make([]float64, dim)
-	chol := make([]float64, len(p.h))
+	rhs := make([]float64, dim)
+	rows := make([][]float64, dim)
 	cur := p.eval(beta)
 	for iter := 0; iter < maxIter; iter++ {
-		// step = -H⁻¹g; the decrement is tested before any line search,
+		// step = -H⁻¹g. The solve consumes h, which the next eval
+		// refills. The decrement is tested before any line search,
 		// since near the optimum rounding alone can make a step look
 		// uphill.
 		for j, gj := range p.g {
-			step[j] = -gj
+			rows[j] = p.h[j*dim:][:dim]
+			rhs[j] = -gj
 		}
-		if !cholSolve(chol, p.h, step) {
+		step, err := solveLinearSystem(rows, rhs)
+		if err != nil {
 			return
 		}
 		dec := 0.0
@@ -210,63 +272,79 @@ func (p *newtonProblem) solve(beta []float64, maxIter int) {
 
 // eval returns the objective at beta and sets p.g and p.h to its
 // gradient and Hessian, in one pass over the rows. Rows go in pairs, so
-// each sweep over the Hessian's upper triangle serves two of them.
+// each sweep over the dense block of the Hessian's upper triangle
+// serves two of them.
 func (p *newtonProblem) eval(beta []float64) float64 {
-	dim := p.dim
+	dim, nd := p.dim, p.nd
 	g, h := p.g, p.h
-	for j := range g {
-		g[j] = 0
-	}
-	for k := range h {
-		h[k] = 0
-	}
+	clear(g)
+	clear(h)
 	loss := 0.0
 	n := len(p.y)
 	for i := 0; i < n; i += 2 {
-		x0 := p.xs[i*dim:][:dim]
-		l0, r0, c0 := p.row(i, beta, x0)
+		x0, sc0, sv0 := p.rowAt(i)
+		l0, r0, c0 := p.terms(i, beta, x0, sc0, sv0)
 		// An odd last row pairs with itself at zero weight, which adds
 		// exact zeros.
-		x1, l1, r1, c1 := x0, 0.0, 0.0, 0.0
+		x1, sc1, sv1, l1, r1, c1 := x0, []int(nil), []float64(nil), 0.0, 0.0, 0.0
 		if i+1 < n {
-			x1 = p.xs[(i+1)*dim:][:dim]
-			l1, r1, c1 = p.row(i+1, beta, x1)
+			x1, sc1, sv1 = p.rowAt(i + 1)
+			l1, r1, c1 = p.terms(i+1, beta, x1, sc1, sv1)
 		}
 		loss += l0 + l1
-		off := 0
-		for j := range x0 {
-			g[j] += r0*x0[j] + r1*x1[j]
-			a, b := c0*x0[j], c1*x1[j]
-			row := h[off:][:dim-j]
-			y0, y1 := x0[j:][:len(row)], x1[j:][:len(row)]
-			for k := range row {
-				row[k] += a*y0[k] + b*y1[k]
+		// The upper triangle: dense by dense and dense by sparse here,
+		// sparse by sparse in addSparse.
+		for k := range x0 {
+			g[k] += r0*x0[k] + r1*x1[k]
+			a, b := c0*x0[k], c1*x1[k]
+			row := h[k*dim:][:dim]
+			dense := row[k:nd]
+			y0, y1 := x0[k:][:len(dense)], x1[k:][:len(dense)]
+			for m := range dense {
+				dense[m] += a*y0[m] + b*y1[m]
 			}
-			off += dim - j
+			for j, m := range sc0 {
+				row[m] += a * sv0[j]
+			}
+			for j, m := range sc1 {
+				row[m] += b * sv1[j]
+			}
 		}
+		p.addSparse(r0, c0, sc0, sv0)
+		p.addSparse(r1, c1, sc1, sv1)
 	}
 	inv := 1 / p.sumW
-	obj := loss * inv
-	off := 0
-	for j, bj := range beta {
-		pen := newtonRidge
-		if j < dim-1 {
-			pen += p.l2
+	bias := 0.0
+	for k, bk := range p.bias {
+		bias += bk * beta[k]
+	}
+	obj := loss*inv + newtonRidge/2*bias*bias
+	for k, bk := range beta {
+		pen := 0.0
+		if k > 0 {
+			pen = newtonRidge + p.l2
+			obj += pen / 2 * bk * bk
 		}
-		obj += pen / 2 * bj * bj
-		g[j] = g[j]*inv + pen*bj
-		for k := off; k < off+dim-j; k++ {
-			h[k] *= inv
+		g[k] = g[k]*inv + pen*bk + newtonRidge*bias*p.bias[k]
+		row := h[k*dim:][:dim]
+		for m := k; m < dim; m++ {
+			row[m] = row[m]*inv + newtonRidge*p.bias[k]*p.bias[m]
+			h[m*dim+k] = row[m]
 		}
-		h[off] += pen
-		off += dim - j
+		row[k] += pen
 	}
 	return obj
 }
 
-// row returns row i's weighted loss term and its weighted residual and
-// curvature, the row's factors in the gradient and the Hessian.
-func (p *newtonProblem) row(i int, beta, x []float64) (loss, r, c float64) {
+// rowAt returns row i's dense values and its sparse nonzeros.
+func (p *newtonProblem) rowAt(i int) (x []float64, sc []int, sv []float64) {
+	lo, hi := p.spAt[i], p.spAt[i+1]
+	return p.xs[i*p.nd:][:p.nd], p.spCol[lo:hi], p.spVal[lo:hi]
+}
+
+// terms returns row i's weighted loss term and its weighted residual
+// and curvature, the row's factors in the gradient and the Hessian.
+func (p *newtonProblem) terms(i int, beta, x []float64, sc []int, sv []float64) (loss, r, c float64) {
 	wi := 1.0
 	if p.w != nil {
 		if wi = p.w[i]; wi == 0 {
@@ -274,8 +352,11 @@ func (p *newtonProblem) row(i int, beta, x []float64) (loss, r, c float64) {
 		}
 	}
 	z := 0.0
-	for j, bj := range beta {
-		z += bj * x[j]
+	for k, v := range x {
+		z += beta[k] * v
+	}
+	for a, k := range sc {
+		z += beta[k] * sv[a]
 	}
 	// One exp serves the probability and the loss:
 	// log(1+e^z) = max(z, 0) + log(1+e^-|z|). With e^-|z| at most 1,
@@ -290,47 +371,17 @@ func (p *newtonProblem) row(i int, beta, x []float64) (loss, r, c float64) {
 	return wi * (softplus - yi*z), wi * (prob - yi), wi * prob * (1 - prob)
 }
 
-// cholSolve solves H·x = b in place in b for the symmetric matrix whose
-// upper triangle h packs row by row, using l (the same length) as
-// scratch for the Cholesky factor. It reports false when H is not
-// positive definite.
-func cholSolve(l, h, b []float64) bool {
-	dim := len(b)
-	// at returns the packed index of (i, j), i <= j.
-	at := func(i, j int) int { return i*dim - i*(i-1)/2 + j - i }
-	// Factor H = UᵀU with U upper triangular, stored in l.
-	for i := 0; i < dim; i++ {
-		for j := i; j < dim; j++ {
-			s := h[at(i, j)]
-			for k := 0; k < i; k++ {
-				s -= l[at(k, i)] * l[at(k, j)]
-			}
-			if i == j {
-				if !(s > 0) {
-					return false
-				}
-				l[at(i, i)] = math.Sqrt(s)
-			} else {
-				l[at(i, j)] = s / l[at(i, i)]
-			}
+// addSparse adds a row's sparse nonzeros to the gradient and their
+// products, columns ascending, to the Hessian's upper triangle.
+func (p *newtonProblem) addSparse(r, c float64, sc []int, sv []float64) {
+	for a, k := range sc {
+		p.g[k] += r * sv[a]
+		cv := c * sv[a]
+		row := p.h[k*p.dim:][:p.dim]
+		for b, m := range sc[a:] {
+			row[m] += cv * sv[a+b]
 		}
 	}
-	// Uᵀy = b, then Ux = y.
-	for i := 0; i < dim; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l[at(k, i)] * b[k]
-		}
-		b[i] = s / l[at(i, i)]
-	}
-	for i := dim - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < dim; k++ {
-			s -= l[at(i, k)] * b[k]
-		}
-		b[i] = s / l[at(i, i)]
-	}
-	return true
 }
 
 // PredictProba returns P(y=1 | x).

@@ -7,12 +7,34 @@ import (
 	"github.com/responsible-data-science/rds/internal/rng"
 )
 
+// withSparseColumns appends two sparse features to d: a 0/1 level set
+// in about a quarter of the rows and a positive value in about a tenth.
+func withSparseColumns(d *Dataset, seed uint64) *Dataset {
+	src := rng.New(seed)
+	d.Features = append(d.Features, "level", "rare")
+	for i, x := range d.X {
+		level, rare := 0.0, 0.0
+		if src.Intn(4) == 0 {
+			level = 1
+		}
+		if src.Intn(10) == 0 {
+			rare = src.Exp(0.5)
+		}
+		d.X[i] = append(x, level, rare)
+	}
+	return d
+}
+
 // TestNewtonEvalDerivatives checks eval's fused pass against central
 // differences of its own objective and gradient, weighted and with the
-// L2 penalty on, at a point away from the optimum.
+// L2 penalty on, at a point away from the optimum, over dense and
+// sparse features.
 func TestNewtonEvalDerivatives(t *testing.T) {
-	d := logisticGoldenData(300, true, 5)
+	d := withSparseColumns(logisticGoldenData(300, true, 5), 6)
 	p := newNewtonProblem(d, FitStandardizer(d), 0.05)
+	if p.nd != 6 || p.dim != 8 {
+		t.Fatalf("%d dense columns of %d, want 6 of 8", p.nd, p.dim)
+	}
 	src := rng.New(8)
 	beta := make([]float64, p.dim)
 	for j := range beta {
@@ -22,7 +44,6 @@ func TestNewtonEvalDerivatives(t *testing.T) {
 	g := append([]float64(nil), p.g...)
 	h := append([]float64(nil), p.h...)
 	const eps = 1e-5
-	at := func(i, j int) int { return i*p.dim - i*(i-1)/2 + j - i }
 	for j := range beta {
 		plus := append([]float64(nil), beta...)
 		minus := append([]float64(nil), beta...)
@@ -33,11 +54,45 @@ func TestNewtonEvalDerivatives(t *testing.T) {
 		if num := (fPlus - fMinus) / (2 * eps); math.Abs(num-g[j]) > 1e-7 {
 			t.Errorf("gradient %d: %.10g, central difference %.10g", j, g[j], num)
 		}
-		for k := j; k < p.dim; k++ {
+		for k := range beta {
 			// The Hessian's column j is the derivative of g along beta_j.
-			if num := (gPlus[k] - gMinus[k]) / (2 * eps); math.Abs(num-h[at(j, k)]) > 1e-7 {
-				t.Errorf("Hessian (%d,%d): %.10g, central difference %.10g", j, k, h[at(j, k)], num)
+			if num := (gPlus[k] - gMinus[k]) / (2 * eps); math.Abs(num-h[k*p.dim+j]) > 1e-7 {
+				t.Errorf("Hessian (%d,%d): %.10g, central difference %.10g", k, j, h[k*p.dim+j], num)
 			}
+		}
+	}
+}
+
+// TestLogisticSparseColumnsChangeOnlyRounding: complementing a 0/1
+// feature moves it from the sparse columns to the dense ones. The
+// standardized fit only flips that feature's sign, so the model maps
+// exactly to the original one, the ridge on the bias included.
+func TestLogisticSparseColumnsChangeOnlyRounding(t *testing.T) {
+	d := withSparseColumns(logisticGoldenData(400, true, 9), 10)
+	flipped := &Dataset{Features: d.Features, Y: d.Y, Weights: d.Weights}
+	for _, x := range d.X {
+		x = append([]float64(nil), x...)
+		x[5] = 1 - x[5]
+		flipped.X = append(flipped.X, x)
+	}
+	m, err := TrainLogistic(d, LogisticConfig{Epochs: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf, err := TrainLogistic(flipped, LogisticConfig{Epochs: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBias := m.Bias + m.Weights[5]
+	if math.Abs(mf.Bias-wantBias) > 1e-9*math.Abs(wantBias) {
+		t.Errorf("bias %v, want %v", mf.Bias, wantBias)
+	}
+	for j, w := range m.Weights {
+		if j == 5 {
+			w = -w
+		}
+		if math.Abs(mf.Weights[j]-w) > 1e-9*math.Abs(w) {
+			t.Errorf("weight %d: %v, want %v", j, mf.Weights[j], w)
 		}
 	}
 }
