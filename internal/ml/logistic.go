@@ -44,8 +44,8 @@ type LogisticConfig struct {
 	// data, so only a cap below that changes the model.
 	Epochs int
 	L2     float64 // ridge penalty on the standardized weights, not the bias (default 0)
-	// Seed is ignored: the fit depends only on the training rows as a
-	// set. It is kept so that callers that set it still compile.
+	// Seed is ignored: no step of the fit is random. It is kept so that
+	// callers that set it still compile.
 	Seed uint64
 }
 
@@ -190,14 +190,17 @@ func newNewtonProblem(d *Dataset, std *Standardizer, l2 float64) *newtonProblem 
 		}
 	}
 	p.nd = k
+	nnz := 0
 	for j, c := range nonzero {
 		if 2*c <= n {
 			p.feat[k] = j
 			p.bias[k] = std.Mean[j] / std.Scale[j]
 			k++
+			nnz += c
 		}
 	}
 	p.xs = make([]float64, n*p.nd)
+	p.spCol, p.spVal = make([]int, 0, nnz), make([]float64, 0, nnz)
 	for i, row := range d.X {
 		x := p.xs[i*p.nd:][:p.nd]
 		x[0] = 1
