@@ -813,6 +813,45 @@ func BenchmarkLogisticTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkLogisticTrainWidth times TrainLogistic at the audit's cap of
+// 40 iterations on a 70% training split of wider frames than the
+// audit's credit data: synth.Hospital, 67 features after one-hot
+// encoding of which 3 are dense, and synth.JunkPredictors with p dense
+// predictors, a quarter of them carrying signal. A Newton pass costs
+// each row the square of its dense features plus its nonzeros, so the
+// junk arms show where the trainer slows down with width.
+func BenchmarkLogisticTrainWidth(b *testing.B) {
+	run := func(b *testing.B, f *frame.Frame, target string, exclude ...string) {
+		ds, err := ml.FromFrame(f, target, exclude...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perm := rng.New(1).Perm(ds.N())
+		train := ds.Subset(perm[int(0.3*float64(ds.N())):])
+		b.ReportMetric(float64(ds.D()), "features")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ml.TrainLogistic(train, ml.LogisticConfig{Epochs: 40}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, rows := range []int{2000, 20000} {
+		f, err := synth.Hospital(synth.HospitalConfig{N: rows, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("hospital/rows=%d", rows), func(b *testing.B) { run(b, f, "readmitted", "sex") })
+	}
+	for _, p := range []int{8, 16, 24, 32, 48, 64, 96, 128, 200} {
+		f, err := synth.JunkPredictors(synth.JunkPredictorsConfig{N: 5000, Predictors: p, Signal: p / 4, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("junk/rows=5000/p=%d", p), func(b *testing.B) { run(b, f, "response") })
+	}
+}
+
 func BenchmarkTreeTrain(b *testing.B) {
 	f, err := synth.Credit(synth.CreditConfig{N: 2000, Seed: 19})
 	if err != nil {
