@@ -98,11 +98,11 @@ const (
 // depends on the order of the rows only through rounding (about 1e-13
 // relative).
 //
-// An iteration costs one pass over the rows, and a row costs its dense
-// features, those nonzero in more than half of the rows, squared: a
-// sparse feature such as a one-hot level enters the Hessian only
-// where it is nonzero. Many dense features make Newton slow, since
-// the Hessian of d dense features costs d² per row.
+// An iteration costs one pass over the rows. A feature nonzero in more
+// than half of the rows is dense; the others, one-hot levels
+// typically, are sparse and enter a row's Hessian update only where
+// they are nonzero. A row costs about the square of its dense features
+// plus its sparse nonzeros, so many dense features make Newton slow.
 func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -142,7 +142,8 @@ func TrainLogistic(d *Dataset, cfg LogisticConfig) (*Logistic, error) {
 // features, scaled but not centered, so that only their nonzeros are
 // stored and visited. Leaving a feature uncentered shifts the intercept
 // by (mean/scale)·β, so the ridge goes on the standardized model's bias,
-// bias·β, and the objective is that of the fully standardized fit.
+// the dot product of the bias field with β, and the objective is that
+// of the fully standardized fit.
 // Newton's method is invariant to such a linear change of coordinates,
 // so its iterates are too, up to rounding.
 type newtonProblem struct {
