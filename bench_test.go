@@ -16,7 +16,6 @@ import (
 	"github.com/responsible-data-science/rds/internal/causal"
 	"github.com/responsible-data-science/rds/internal/core"
 	"github.com/responsible-data-science/rds/internal/dataset"
-	"github.com/responsible-data-science/rds/internal/exec"
 	"github.com/responsible-data-science/rds/internal/experiments"
 	"github.com/responsible-data-science/rds/internal/explain"
 	"github.com/responsible-data-science/rds/internal/fairness"
@@ -28,7 +27,6 @@ import (
 	"github.com/responsible-data-science/rds/internal/provenance"
 	"github.com/responsible-data-science/rds/internal/rng"
 	"github.com/responsible-data-science/rds/internal/serve"
-	"github.com/responsible-data-science/rds/internal/stats"
 	"github.com/responsible-data-science/rds/internal/store"
 	"github.com/responsible-data-science/rds/internal/store/fsjson"
 	"github.com/responsible-data-science/rds/internal/stream"
@@ -167,51 +165,6 @@ func BenchmarkAuditCache(b *testing.B) {
 		if js, err := e.Wait(context.Background(), id); err != nil || js.Status != serve.StatusDone {
 			b.Fatalf("job %s: %v %v", id, js.Status, err)
 		}
-	}
-}
-
-// BenchmarkShardedAudit measures the execution plane (internal/exec) on
-// the audit hot path at 1M synthetic rows: per iteration it runs the
-// row-scan kernels every audit routes through — the fairness group
-// tallies over the dictionary-encoded group column (the code-indexed
-// path Pipeline.Audit takes), the descriptive profile of a numeric
-// column (parallel chunk sorts + mergeable moments), and the drift
-// scorers' PSI/KS inputs — sweeping 1, 4, and 16 shards. Results are
-// bit-identical across the sweep (see TestRunAuditShardInvariance) and
-// to the string-keyed kernels (the frame package's dict-identity
-// property tests); only wall-clock time moves.
-func BenchmarkShardedAudit(b *testing.B) {
-	const rows = 1_000_000
-	f, err := synth.Credit(synth.CreditConfig{N: rows, Bias: 0.5, Seed: 41})
-	if err != nil {
-		b.Fatal(err)
-	}
-	y := f.MustCol("approved").Floats()
-	groupCol := f.MustCol("group")
-	if _, _, ok := groupCol.DictView(); !ok {
-		b.Fatal("synth group column should be dictionary-encoded")
-	}
-	income := f.MustCol("income").Floats()
-	edges := []float64{20000, 40000, 60000, 80000, 100000}
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fairness.EvaluateSeriesSharded(y, y, groupCol, "B", "A", shards); err != nil {
-					b.Fatal(err)
-				}
-				if s := stats.DescribeSharded(income, shards); s.N != rows {
-					b.Fatalf("profile covered %d rows", s.N)
-				}
-				st, err := exec.RunOne(rows, exec.Options{Shards: shards}, exec.NewHist(income, edges))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.(*exec.Hist).Total() != rows {
-					b.Fatalf("histogram covered %d rows", st.(*exec.Hist).Total())
-				}
-			}
-			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	rds-serve [-addr :8080] [-workers N] [-shards N] [-queue 64]
+//	rds-serve [-addr :8080] [-workers N] [-queue 64]
 //	          [-timeout 60s] [-cache 128] [-allow-paths]
 //	          [-dataset-budget-bytes 268435456]
 //	          [-chunk-cache-bytes 67108864]
@@ -80,6 +80,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -97,7 +98,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "audit workers (default GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "row shards per audit for the sharded execution engine (default GOMAXPROCS; results are shard-invariant)")
 	queue := flag.Int("queue", 64, "job queue capacity (backpressure bound)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-job wall-clock timeout")
 	cache := flag.Int("cache", 128, "report cache entries (negative disables)")
@@ -147,7 +147,6 @@ func main() {
 		QueueSize:    *queue,
 		JobTimeout:   *timeout,
 		CacheSize:    *cache,
-		Shards:       *shards,
 		TenantQuotas: tenants.Quotas,
 	})
 	datasets := dataset.NewRegistry(*datasetBudget)
@@ -232,8 +231,9 @@ func main() {
 	if chunkStates != nil {
 		chunkBudget = fmt.Sprintf("%d MiB", chunkStates.Budget()>>20)
 	}
+	// Every audit's row-scans run at GOMAXPROCS shards (internal/exec).
 	fmt.Printf("rds-serve listening on %s (%d workers, %d shards/audit, queue %d, cache %d, timeout %s, dataset budget %d MiB, chunk cache %s, monitor history %d)\n",
-		*addr, cfg.Workers, cfg.Shards, cfg.QueueSize, cfg.CacheSize, cfg.JobTimeout, datasets.Budget()>>20, chunkBudget, *monHistory)
+		*addr, cfg.Workers, runtime.GOMAXPROCS(0), cfg.QueueSize, cfg.CacheSize, cfg.JobTimeout, datasets.Budget()>>20, chunkBudget, *monHistory)
 	if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "rds-serve:", err)
 		os.Exit(1)

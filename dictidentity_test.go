@@ -188,8 +188,9 @@ func dictCloneFrame(t *testing.T, f *frame.Frame) *frame.Frame {
 
 // TestDictIdentityFairness drives randomized labels and stress-alphabet
 // group columns through every fairness entry point — the string-slice
-// reference path, the plain-series path, and the dict-series path, at
-// several shard counts — and demands bit-identical reports.
+// reference path, then the plain-series and dict-series paths at
+// several shard counts (0 selects GOMAXPROCS) — and demands
+// bit-identical reports.
 func TestDictIdentityFairness(t *testing.T) {
 	src := rng.New(101)
 	for trial := 0; trial < 20; trial++ {
@@ -202,43 +203,18 @@ func TestDictIdentityFairness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantAll, err := fairness.EvaluateAll(y, pred, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, col := range []*frame.Series{plain, dict} {
 			repr := "plain"
 			if _, _, ok := col.DictView(); ok {
 				repr = "dict"
 			}
-			got, err := fairness.EvaluateSeries(y, pred, col, "B", "A")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitEqual(want, got) {
-				t.Fatalf("trial %d: EvaluateSeries(%s) diverged:\n%+v\nvs\n%+v", trial, repr, want, got)
-			}
-			gotAll, err := fairness.EvaluateAllSeries(y, pred, col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitEqual(wantAll, gotAll) {
-				t.Fatalf("trial %d: EvaluateAllSeries(%s) diverged", trial, repr)
-			}
-			for _, shards := range []int{1, 3, 8} {
-				gotSh, err := fairness.EvaluateSeriesSharded(y, pred, col, "B", "A", shards)
+			for _, shards := range []int{0, 1, 3, 8} {
+				got, err := fairness.EvaluateSeriesSharded(y, pred, col, "B", "A", shards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bitEqual(want, gotSh) {
-					t.Fatalf("trial %d: EvaluateSeriesSharded(%s, shards=%d) diverged", trial, repr, shards)
-				}
-				gotAllSh, err := fairness.EvaluateAllSeriesSharded(y, pred, col, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bitEqual(wantAll, gotAllSh) {
-					t.Fatalf("trial %d: EvaluateAllSeriesSharded(%s, shards=%d) diverged", trial, repr, shards)
+				if !bitEqual(want, got) {
+					t.Fatalf("trial %d: EvaluateSeriesSharded(%s, shards=%d) diverged:\n%+v\nvs\n%+v", trial, repr, shards, want, got)
 				}
 			}
 		}
@@ -247,7 +223,9 @@ func TestDictIdentityFairness(t *testing.T) {
 
 // TestDictIdentityFairnessHighCardinality repeats the fairness identity
 // on a column with thousands of distinct levels, where the kernel's
-// code-indexed tally arrays are largest.
+// code-indexed tally arrays are largest: two of the levels are the
+// protected and reference groups, so the per-code restriction mask
+// spans the whole dictionary.
 func TestDictIdentityFairnessHighCardinality(t *testing.T) {
 	src := rng.New(211)
 	const n = 20_000
@@ -255,23 +233,26 @@ func TestDictIdentityFairnessHighCardinality(t *testing.T) {
 	for i := range groups {
 		groups[i] = fmt.Sprintf("level-%04d", src.Intn(5000))
 	}
-	copy(groups, []string{"A", "A", "B", "B"})
 	y, pred := randBits(src, n), randBits(src, n)
 	plain, dict := stringPair("group", groups, nil)
+	if _, levels, ok := dict.DictView(); !ok || len(levels) < 4000 {
+		t.Fatalf("expected thousands of dictionary levels, got %d", len(levels))
+	}
+	protected, reference := groups[0], groups[1]
+	if protected == reference {
+		t.Fatal("fixture drew the same level twice")
+	}
 
-	want, err := fairness.EvaluateAllSeries(y, pred, plain)
+	want, err := fairness.EvaluateSeriesSharded(y, pred, plain, protected, reference, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fairness.EvaluateAllSeriesSharded(y, pred, dict, 4)
+	got, err := fairness.EvaluateSeriesSharded(y, pred, dict, protected, reference, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bitEqual(want, got) {
-		t.Fatal("high-cardinality EvaluateAll diverged between plain and dict")
-	}
-	if len(want.Groups) < 4000 {
-		t.Fatalf("expected thousands of groups, got %d", len(want.Groups))
+		t.Fatalf("high-cardinality report diverged between plain and dict:\n%+v\nvs\n%+v", want, got)
 	}
 }
 

@@ -47,9 +47,7 @@ func main() {
 	go func() { _ = server.Serve(ln) }()
 	defer server.Close()
 	base := "http://" + ln.Addr().String()
-	cfg := engine.Config()
-	fmt.Printf("audit service listening on %s (%d workers, %d shards/audit)\n\n",
-		base, cfg.Workers, cfg.Shards)
+	fmt.Printf("audit service listening on %s (%d workers)\n\n", base, engine.Config().Workers)
 
 	// 2. Audit two synthetic populations: one with heavy injected bias
 	// (should grade RED under the four-fifths rule) and one with fair

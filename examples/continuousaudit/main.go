@@ -47,9 +47,7 @@ func main() {
 	go func() { _ = server.Serve(ln) }()
 	defer server.Close()
 	base := "http://" + ln.Addr().String()
-	cfg := engine.Config()
-	fmt.Printf("two-plane audit service listening on %s (%d workers, %d shards/audit)\n\n",
-		base, cfg.Workers, cfg.Shards)
+	fmt.Printf("two-plane audit service listening on %s (%d workers)\n\n", base, engine.Config().Workers)
 
 	// 2. A webhook receiver standing in for the on-call channel.
 	alerts := make(chan monitor.Alert, 16)

@@ -49,9 +49,7 @@ func main() {
 	go func() { _ = server.Serve(ln) }()
 	defer server.Close()
 	base := "http://" + ln.Addr().String()
-	cfg := engine.Config()
-	fmt.Printf("remediation service listening on %s (%d workers, %d shards/audit)\n\n",
-		base, cfg.Workers, cfg.Shards)
+	fmt.Printf("remediation service listening on %s (%d workers)\n\n", base, engine.Config().Workers)
 
 	// 2. A credit population whose historical labels are biased against
 	// group B — the dataset the curriculum has to fix.

@@ -67,18 +67,10 @@ func (p *Pipeline) Audit(tm *TrainedModel) (*FACTReport, error) {
 	pol := p.cfg.Policy
 	rep := &FACTReport{Pipeline: p.cfg.Name}
 
-	// --- Fairness (Q1). Routed through the sharded execution engine;
-	// cfg.Shards only changes wall-clock time, never the metrics. A
-	// dict-encoded group column takes the code-keyed kernel (identical
-	// report, property-tested); models without the column fall back to
-	// the rendered group labels.
-	var fr fairness.Report
-	var err error
-	if tm.TestGroupCol != nil {
-		fr, err = fairness.EvaluateSeriesSharded(tm.Test.Y, tm.TestPreds, tm.TestGroupCol, tm.Spec.Protected, tm.Spec.Reference, p.cfg.Shards)
-	} else {
-		fr, err = fairness.EvaluateSharded(tm.Test.Y, tm.TestPreds, tm.TestGroups, tm.Spec.Protected, tm.Spec.Reference, p.cfg.Shards)
-	}
+	// --- Fairness (Q1). The group column keeps its dictionary
+	// encoding, so the kernel tallies by code; cfg.Shards only changes
+	// wall-clock time, never the metrics.
+	fr, err := fairness.EvaluateSeriesSharded(tm.Test.Y, tm.TestPreds, tm.TestGroupCol, tm.Spec.Protected, tm.Spec.Reference, p.cfg.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("core: fairness evaluation: %w", err)
 	}

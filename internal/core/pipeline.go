@@ -35,8 +35,8 @@ type Config struct {
 	Policy policy.FACTPolicy
 	Seed   uint64 // drives every stochastic step; recorded in provenance
 	Actor  string // who runs the pipeline (audit log attribution)
-	// Shards is the goroutine count for the sharded execution engine
-	// (internal/exec) Audit's row-scans run on; 0 selects
+	// Shards is the shard count of Audit's fairness scan
+	// (internal/exec); 0, what the service's audit planes pass, selects
 	// runtime.GOMAXPROCS. Audit results are shard-invariant: Shards
 	// changes wall-clock time, never the report.
 	Shards int

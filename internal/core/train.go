@@ -78,14 +78,11 @@ type TrainedModel struct {
 	Model ml.Classifier
 	Spec  TrainSpec
 	Test  *ml.Dataset
-	// TestGroups is the fairness-evaluation grouping restricted to the
-	// test split: the Sensitive column, or TrueGroups when the spec
+	// TestGroupCol is the fairness-evaluation grouping restricted to
+	// the test split: the Sensitive column, or TrueGroups when the spec
 	// sets it (the auditor's ground-truth check over a privatized
-	// attribute).
-	TestGroups []string
-	// TestGroupCol is the evaluation column restricted to the test
-	// split — the same values as TestGroups, but keeping the column's
-	// dictionary encoding so the fairness kernel can tally by code.
+	// attribute). It keeps the column's dictionary encoding so the
+	// fairness kernel can tally by code.
 	TestGroupCol *frame.Series
 	TestProbs    []float64
 	TestPreds    []float64
@@ -129,14 +126,13 @@ func (p *Pipeline) Train(spec TrainSpec) (*TrainedModel, error) {
 	groups := groupCol.Strings()
 	// evalCol carries the fairness-evaluation grouping: the true
 	// attribute when TrueGroups is set, otherwise Sensitive itself.
-	evalCol, evalGroups := groupCol, groups
+	evalCol := groupCol
 	if spec.TrueGroups != "" {
 		c, err := p.data.Col(spec.TrueGroups)
 		if err != nil {
 			return nil, fmt.Errorf("core: TrueGroups column: %w", err)
 		}
 		evalCol = c
-		evalGroups = c.Strings()
 	}
 
 	// Deterministic split that keeps group labels aligned with rows.
@@ -150,14 +146,10 @@ func (p *Pipeline) Train(spec TrainSpec) (*TrainedModel, error) {
 	testSet := ds.Subset(testIdx)
 	// testGroups follows Sensitive — it drives mitigation (thresholds
 	// are keyed by the attribute the served model can actually see);
-	// testEval follows evalCol and drives the fairness evaluation.
+	// the fairness evaluation follows evalCol.
 	testGroups := make([]string, len(testIdx))
 	for i, idx := range testIdx {
 		testGroups[i] = groups[idx]
-	}
-	testEval := make([]string, len(testIdx))
-	for i, idx := range testIdx {
-		testEval[i] = evalGroups[idx]
 	}
 	trainGroups := make([]string, len(trainIdx))
 	for i, idx := range trainIdx {
@@ -181,7 +173,6 @@ func (p *Pipeline) Train(spec TrainSpec) (*TrainedModel, error) {
 		Model:        model,
 		Spec:         spec,
 		Test:         testSet,
-		TestGroups:   testEval,
 		TestGroupCol: evalCol.Take(testIdx),
 		TestProbs:    ml.PredictProbaAll(model, testSet.X),
 	}

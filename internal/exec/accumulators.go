@@ -7,26 +7,10 @@ import (
 	"github.com/responsible-data-science/rds/internal/frame"
 )
 
-// Subtractor is implemented by states whose Merge is exactly
-// invertible: Subtract removes a previously merged state, leaving the
-// receiver bit-identical to a fold that never included it. Only the
-// pure integer-count accumulators (Hist, Levels) qualify — float folds
-// like Moments depend on merge order and cannot be un-merged exactly,
-// Outcomes' ErrRow is a min-fold that loses the runner-up, and
-// Sorted's runs are cheaper to re-merge than to excise.
-// Sliding-window consumers use it to retire chunks that slid out of a
-// window without rebuilding the whole fold.
-type Subtractor interface {
-	State
-	// Subtract removes a previously merged state of the same concrete
-	// type.
-	Subtract(other State)
-}
-
 // --- Moments ---
 
 // Moments is the mergeable count/sum/min/max/mean/variance accumulator
-// behind the sharded descriptive statistics: per-chunk states combine
+// behind the baseline profile's summary moments: per-chunk states combine
 // with the parallel-variance merge of Chan, Golub and LeVeque, so the
 // result depends only on the chunk layout, never on the shard count.
 // NaN inputs propagate through Sum/Mean/Variance exactly as they do
@@ -354,84 +338,6 @@ func (o *Outcomes) Merge(other State) {
 	}
 }
 
-// --- Hist ---
-
-// Hist is the mergeable histogram sketch feeding the PSI drift scorer:
-// integer counts over fixed bin edges, so shard merges are exact. Bin i
-// holds values v with edges[i-1] < v <= edges[i]; the last bin is
-// unbounded above. Non-finite values are skipped.
-type Hist struct {
-	xs    []float64
-	edges []float64
-
-	// Counts has len(edges)+1 bins.
-	Counts []int64
-}
-
-// NewHist returns a kernel counting the finite values of xs into the
-// bins defined by the sorted edges.
-func NewHist(xs, edges []float64) Kernel {
-	return Kernel{Name: "hist", New: func() State {
-		return &Hist{xs: xs, edges: edges, Counts: make([]int64, len(edges)+1)}
-	}}
-}
-
-// histLinearMaxEdges is the edge count below which Update scans edges
-// linearly: for the decile grids drift uses, a predictable short scan
-// beats binary-search branching.
-const histLinearMaxEdges = 16
-
-// Update absorbs rows [lo, hi).
-func (h *Hist) Update(lo, hi int) {
-	if len(h.edges) <= histLinearMaxEdges {
-		for _, x := range h.xs[lo:hi] {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			// First bin whose edge is >= x: the index
-			// sort.SearchFloat64s(h.edges, x) returns.
-			b := 0
-			for b < len(h.edges) && h.edges[b] < x {
-				b++
-			}
-			h.Counts[b]++
-		}
-		return
-	}
-	for _, x := range h.xs[lo:hi] {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		h.Counts[sort.SearchFloat64s(h.edges, x)]++
-	}
-}
-
-// Merge adds another Hist's bin counts.
-func (h *Hist) Merge(other State) {
-	o := other.(*Hist)
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-}
-
-// Subtract removes a previously merged Hist's bin counts — the exact
-// inverse of Merge, since the counts are integers.
-func (h *Hist) Subtract(other State) {
-	o := other.(*Hist)
-	for i, c := range o.Counts {
-		h.Counts[i] -= c
-	}
-}
-
-// Total returns the number of counted (finite) values.
-func (h *Hist) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // --- Sorted ---
 
 // Sorted collects a column's values fully sorted: chunks gather their
@@ -516,60 +422,6 @@ func (s *Sorted) Values() []float64 {
 		}
 	}
 	return MergeRuns(s.runs)
-}
-
-// Count returns the number of collected values (after any finiteOnly
-// filtering), without sorting them.
-func (s *Sorted) Count() int {
-	total := 0
-	for _, r := range s.runs {
-		total += len(r)
-	}
-	return total
-}
-
-// OrderStats returns the k-th smallest collected value for each rank
-// in ks (0-based, strictly ascending) under the exact ordering Values
-// reports, without materializing the full sort: ranks are located by
-// introselect over the same order-preserving uint64 keys the radix
-// sort uses, O(n) expected per call instead of the sort's O(n log n).
-// ok is false — callers fall back to Values — when any rank is out of
-// range or the sample carries NaN or negative-zero values, whose rank
-// positions among equal-comparing ties are the comparison sort's to
-// decide; under the gate equal values have equal bits, so each rank's
-// value is unique and bit-identical to indexing the sorted slice. The
-// collected runs are not disturbed.
-func (s *Sorted) OrderStats(ks []int) ([]float64, bool) {
-	if s.hasNaN || s.hasNegZero {
-		return nil, false
-	}
-	total := s.Count()
-	for i, k := range ks {
-		if k < 0 || k >= total || (i > 0 && k <= ks[i-1]) {
-			return nil, false
-		}
-	}
-	if len(ks) == 0 {
-		return nil, true
-	}
-	keys := make([]uint64, 0, total)
-	for _, r := range s.runs {
-		for _, v := range r {
-			b := math.Float64bits(v)
-			keys = append(keys, b^(uint64(int64(b)>>63)|(1<<63)))
-		}
-	}
-	out := make([]float64, len(ks))
-	lo := 0
-	for i, k := range ks {
-		// Ranks below a previous selection are already in place, so
-		// each pass narrows to the unresolved suffix.
-		selectKth(keys, lo, len(keys), k)
-		kk := keys[k]
-		out[i] = math.Float64frombits(kk ^ (((kk >> 63) - 1) | (1 << 63)))
-		lo = k + 1
-	}
-	return out, true
 }
 
 // MergeRuns folds sorted runs into one sorted slice with the same
@@ -698,19 +550,6 @@ func (l *Levels) Update(lo, hi int) {
 func (l *Levels) Merge(other State) {
 	for v, c := range other.(*Levels).Counts {
 		l.Counts[v] += c
-	}
-}
-
-// Subtract removes a previously merged Levels' counts, deleting levels
-// that drop to zero so Keys and Counts are bit-identical to a fold
-// that never saw the subtracted state.
-func (l *Levels) Subtract(other State) {
-	for v, c := range other.(*Levels).Counts {
-		if n := l.Counts[v] - c; n == 0 {
-			delete(l.Counts, v)
-		} else {
-			l.Counts[v] = n
-		}
 	}
 }
 

@@ -5,10 +5,10 @@
 //
 // The design goal is parallelism without nondeterminism. Every audit in
 // this repo — batch audits through core.Audit, request/response audits
-// through serve.Engine, and window re-audits through internal/monitor —
-// routes its row-scans through this planner, and all of them must
-// produce the same bits no matter how many shards run. Two properties
-// guarantee that:
+// through serve.Engine, and window drift scoring through
+// internal/monitor — routes its row-scans through this planner, and all
+// of them must produce the same bits no matter how many shards run. Two
+// properties guarantee that:
 //
 //   - The chunk layout depends only on the row count and the chunk
 //     size, never on the shard count. Shards are workers pulling chunks
@@ -19,14 +19,19 @@
 //     tree is fixed. Completion order cannot leak into the result.
 //
 // Consequently Run(n, Options{Shards: 1}, k) and Run(n, Options{Shards:
-// 64}, k) return bit-for-bit identical states — the shard-invariance
-// property the package's consumers (fairness.Evaluate, stats.
-// DescribeSharded, monitor.DetectDrift) test for, and the reason the
-// serve report cache can ignore shard count in its keys.
+// 64}, k) return bit-for-bit identical states. The shard count is a
+// fixed rule, not a service setting: serve, pipeline and monitor scans
+// run at runtime.GOMAXPROCS(0) shards, so the GOMAXPROCS environment
+// variable bounds them. An explicit Options.Shards reaches Run only
+// from this package's shard-invariance property tests and from the
+// shards argument of fairness.EvaluateSeriesSharded (fed by
+// core.Config.Shards, which nothing in the service sets); the serve and
+// monitor invariance tests sweep GOMAXPROCS instead.
 //
 // Kernels close over the column data they scan; the package ships the
-// accumulators the FACT audit needs (Moments, Outcomes, Hist, Sorted,
-// Levels) and callers can add their own by implementing State.
+// accumulators the FACT audit and the drift scorers need (Moments,
+// Outcomes, Sorted, Levels) and callers can add their own by
+// implementing State.
 package exec
 
 import (
@@ -93,27 +98,7 @@ func (o Options) withDefaults() Options {
 // merges the per-chunk states in ascending chunk order. It returns one
 // final state per kernel, in kernel order. n == 0 returns the kernels'
 // empty states.
-//
-// Run is exactly RunChunks followed by MergeStates; callers that want
-// to retain or re-merge the per-chunk states (incremental re-audits)
-// use those two halves directly.
 func Run(n int, opt Options, kernels ...Kernel) ([]State, error) {
-	partials, err := RunChunks(n, opt, kernels...)
-	if err != nil {
-		return nil, err
-	}
-	return MergeStates(kernels, partials)
-}
-
-// RunChunks is the chunk-states plan mode: it evaluates every kernel
-// over every chunk exactly as Run does, but returns the raw per-chunk
-// states — indexed [chunk][kernel] — instead of folding them. The
-// chunk layout depends only on n and opt.ChunkSize, so the returned
-// states are identical at every shard count. Folding them with
-// MergeStates reproduces Run bit for bit; retaining them lets a
-// sliding-window consumer re-merge surviving chunks and rescan only
-// the rows that entered. n == 0 returns an empty (nil) chunk list.
-func RunChunks(n int, opt Options, kernels ...Kernel) ([][]State, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("exec: Run needs n >= 0, got %d", n)
 	}
@@ -127,14 +112,10 @@ func RunChunks(n int, opt Options, kernels ...Kernel) ([][]State, error) {
 	}
 	opt = opt.withDefaults()
 
-	chunks := (n + opt.ChunkSize - 1) / opt.ChunkSize
-	if chunks == 0 {
-		return nil, nil
-	}
-
 	// Workers pull chunk indices from a shared counter, so a slow chunk
 	// never stalls the others; the partials land in a slice indexed by
 	// chunk so the merge below is independent of completion order.
+	chunks := (n + opt.ChunkSize - 1) / opt.ChunkSize
 	partials := make([][]State, chunks)
 	workers := opt.Shards
 	if workers > chunks {
@@ -167,30 +148,12 @@ func RunChunks(n int, opt Options, kernels ...Kernel) ([][]State, error) {
 		}()
 	}
 	wg.Wait()
-	return partials, nil
-}
 
-// MergeStates folds per-chunk states — as returned by RunChunks, or a
-// re-assembled subset of cached chunk states — into one final state
-// per kernel. Chunks are merged strictly in ascending slice order, so
-// for the same chunk sequence the fold is deterministic: handing it
-// RunChunks' full output reproduces Run exactly. Every chunk must
-// carry one state per kernel, in kernel order.
-func MergeStates(kernels []Kernel, chunks [][]State) ([]State, error) {
-	if len(kernels) == 0 {
-		return nil, fmt.Errorf("exec: MergeStates needs at least one kernel")
-	}
 	final := make([]State, len(kernels))
 	for i, k := range kernels {
-		if k.New == nil {
-			return nil, fmt.Errorf("exec: kernel %d (%q) has no state constructor", i, k.Name)
-		}
 		final[i] = k.New()
 	}
-	for c, states := range chunks {
-		if len(states) != len(kernels) {
-			return nil, fmt.Errorf("exec: chunk %d carries %d states for %d kernels", c, len(states), len(kernels))
-		}
+	for _, states := range partials {
 		for i := range kernels {
 			final[i].Merge(states[i])
 		}

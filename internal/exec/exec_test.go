@@ -176,26 +176,6 @@ func TestOutcomesCountsAndRestriction(t *testing.T) {
 	}
 }
 
-func TestHistMatchesEdgeSemantics(t *testing.T) {
-	xs := []float64{0, 1, 1.5, 2, 2.5, 3, math.NaN(), math.Inf(1)}
-	edges := []float64{1, 2}
-	st, err := RunOne(len(xs), Options{Shards: 3, ChunkSize: 2}, NewHist(xs, edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := st.(*Hist)
-	// bin 0: v <= 1 -> {0, 1}; bin 1: 1 < v <= 2 -> {1.5, 2}; bin 2: v > 2.
-	want := []int64{2, 2, 2}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6 (non-finite skipped)", h.Total())
-	}
-}
-
 func TestSortedMatchesSequentialSort(t *testing.T) {
 	xs := ramp(1000, 7)
 	st, err := RunOne(len(xs), Options{Shards: 5, ChunkSize: 37}, NewSorted(xs, false))

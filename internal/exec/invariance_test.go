@@ -34,26 +34,23 @@ func TestShardInvariance(t *testing.T) {
 			preds[i] = float64((i / 3) % 2)
 			groups[i] = string(rune('a' + i%3))
 		}
-		edges := []float64{25, 50, 75}
 
-		run := func(shards int) (*Moments, *Outcomes, *Hist, *Sorted, *Levels) {
+		run := func(shards int) (*Moments, *Outcomes, *Sorted, *Levels) {
 			states, err := Run(n, Options{Shards: shards, ChunkSize: chunk},
 				NewMoments(xs),
 				NewOutcomes(ys, preds, groups, "a", "b"),
-				NewHist(xs, edges),
 				NewSorted(xs, true),
 				NewLevels(groups),
 			)
 			if err != nil {
 				t.Fatalf("n=%d shards=%d: %v", n, shards, err)
 			}
-			return states[0].(*Moments), states[1].(*Outcomes),
-				states[2].(*Hist), states[3].(*Sorted), states[4].(*Levels)
+			return states[0].(*Moments), states[1].(*Outcomes), states[2].(*Sorted), states[3].(*Levels)
 		}
 
-		m1, o1, h1, s1, l1 := run(1)
+		m1, o1, s1, l1 := run(1)
 		for _, shards := range shardCounts[1:] {
-			mN, oN, hN, sN, lN := run(shards)
+			mN, oN, sN, lN := run(shards)
 
 			// Moments: every field including the float sums must match bitwise.
 			if m1.N != mN.N ||
@@ -73,13 +70,6 @@ func TestShardInvariance(t *testing.T) {
 				cN := oN.Counts[g]
 				if cN == nil || *c1 != *cN {
 					t.Errorf("n=%d shards=%d: group %q counts %+v vs %+v", n, shards, g, c1, cN)
-				}
-			}
-
-			// Hist: exact bin counts.
-			for i := range h1.Counts {
-				if h1.Counts[i] != hN.Counts[i] {
-					t.Errorf("n=%d shards=%d: bin %d: %d vs %d", n, shards, i, h1.Counts[i], hN.Counts[i])
 				}
 			}
 
@@ -107,13 +97,13 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
-// TestRunChunksMergeStatesMatchesRun proves the incremental plan's two
-// halves recompose exactly: RunChunks yields one state bundle per chunk
-// regardless of shard count, folding all of them with MergeStates is
-// bit-identical to Run, and folding a chunk-aligned suffix is
-// bit-identical to Run over just those rows — the window-slide re-merge
-// the monitor's chunk-state cache performs.
-func TestRunChunksMergeStatesMatchesRun(t *testing.T) {
+// TestChunkFoldMatchesRun proves the chunk-ordered merge composes the
+// way the monitor's chunk-state cache relies on: folding, in chunk
+// order, states that were each computed over one chunk's rows is
+// bit-identical to Run over all of them, and folding a chunk-aligned
+// suffix is bit-identical to Run over just those rows — the window
+// slide's re-merge.
+func TestChunkFoldMatchesRun(t *testing.T) {
 	const chunk = 64
 	for _, n := range sizes {
 		xs := ramp(n, uint64(n)+3)
@@ -121,61 +111,48 @@ func TestRunChunksMergeStatesMatchesRun(t *testing.T) {
 		for i := range groups {
 			groups[i] = string(rune('a' + i%4))
 		}
-		edges := []float64{25, 50, 75}
-		kernels := func(vals []float64, gs []string) []Kernel {
-			return []Kernel{NewMoments(vals), NewHist(vals, edges), NewSorted(vals, true), NewLevels(gs)}
+		kernels := func(lo, hi int) []Kernel {
+			return []Kernel{NewMoments(xs[lo:hi]), NewSorted(xs[lo:hi], true), NewLevels(groups[lo:hi])}
 		}
-
+		// fold merges per-chunk Run states over [lo, n) in chunk order.
+		fold := func(lo int) []State {
+			var out []State
+			for _, k := range kernels(0, 0) {
+				out = append(out, k.New())
+			}
+			for c := lo; c < n; c += chunk {
+				hi := min(c+chunk, n)
+				states, err := Run(hi-c, Options{ChunkSize: chunk}, kernels(c, hi)...)
+				if err != nil {
+					t.Fatalf("n=%d chunk at %d: %v", n, c, err)
+				}
+				for i := range out {
+					out[i].Merge(states[i])
+				}
+			}
+			return out
+		}
 		for _, shards := range shardCounts {
 			opt := Options{Shards: shards, ChunkSize: chunk}
-			ks := kernels(xs, groups)
-			partials, err := RunChunks(n, opt, ks...)
-			if err != nil {
-				t.Fatalf("n=%d shards=%d: RunChunks: %v", n, shards, err)
-			}
-			wantChunks := (n + chunk - 1) / chunk
-			if len(partials) != wantChunks {
-				t.Fatalf("n=%d shards=%d: %d chunks, want %d", n, shards, len(partials), wantChunks)
-			}
-			merged, err := MergeStates(ks, partials)
-			if err != nil {
-				t.Fatalf("n=%d shards=%d: MergeStates: %v", n, shards, err)
-			}
-			direct, err := Run(n, opt, kernels(xs, groups)...)
+			direct, err := Run(n, opt, kernels(0, n)...)
 			if err != nil {
 				t.Fatalf("n=%d shards=%d: Run: %v", n, shards, err)
 			}
-			assertStatesEqual(t, "full fold", merged, direct)
-
-			// Window slide: drop the first chunk and re-merge the
-			// survivors; the result must match a fresh Run over the
-			// suffix rows (same chunk size, so the same boundaries).
-			if len(partials) < 2 {
+			assertStatesEqual(t, "full fold", fold(0), direct)
+			if n <= chunk {
 				continue
 			}
-			suffix, err := MergeStates(ks, partials[1:])
-			if err != nil {
-				t.Fatalf("n=%d shards=%d: suffix MergeStates: %v", n, shards, err)
-			}
-			rescan, err := Run(n-chunk, opt, kernels(xs[chunk:], groups[chunk:])...)
+			rescan, err := Run(n-chunk, opt, kernels(chunk, n)...)
 			if err != nil {
 				t.Fatalf("n=%d shards=%d: suffix Run: %v", n, shards, err)
 			}
-			assertStatesEqual(t, "suffix fold", suffix, rescan)
+			assertStatesEqual(t, "suffix fold", fold(chunk), rescan)
 		}
-	}
-
-	if _, err := MergeStates(nil, nil); err == nil {
-		t.Error("MergeStates accepted zero kernels")
-	}
-	ks := []Kernel{NewHist(nil, nil)}
-	if _, err := MergeStates(ks, [][]State{{}}); err == nil {
-		t.Error("MergeStates accepted a chunk with missing states")
 	}
 }
 
-// assertStatesEqual compares [Moments, Hist, Sorted, Levels] state
-// bundles bitwise.
+// assertStatesEqual compares [Moments, Sorted, Levels] state bundles
+// bitwise.
 func assertStatesEqual(t *testing.T, label string, got, want []State) {
 	t.Helper()
 	gm, wm := got[0].(*Moments), want[0].(*Moments)
@@ -183,13 +160,7 @@ func assertStatesEqual(t *testing.T, label string, got, want []State) {
 		bits(gm.Max) != bits(wm.Max) || bits(gm.Variance()) != bits(wm.Variance()) {
 		t.Errorf("%s: Moments diverged: %+v vs %+v", label, gm, wm)
 	}
-	gh, wh := got[1].(*Hist), want[1].(*Hist)
-	for i := range wh.Counts {
-		if gh.Counts[i] != wh.Counts[i] {
-			t.Errorf("%s: Hist bin %d: %d vs %d", label, i, gh.Counts[i], wh.Counts[i])
-		}
-	}
-	gv, wv := got[2].(*Sorted).Values(), want[2].(*Sorted).Values()
+	gv, wv := got[1].(*Sorted).Values(), want[1].(*Sorted).Values()
 	if len(gv) != len(wv) {
 		t.Fatalf("%s: Sorted lengths %d vs %d", label, len(gv), len(wv))
 	}
@@ -198,75 +169,13 @@ func assertStatesEqual(t *testing.T, label string, got, want []State) {
 			t.Errorf("%s: Sorted[%d] %v vs %v", label, i, gv[i], wv[i])
 		}
 	}
-	gl, wl := got[3].(*Levels), want[3].(*Levels)
+	gl, wl := got[2].(*Levels), want[2].(*Levels)
 	if len(gl.Counts) != len(wl.Counts) {
 		t.Errorf("%s: level sets diverged: %v vs %v", label, gl.Counts, wl.Counts)
 	}
 	for k, c := range wl.Counts {
 		if gl.Counts[k] != c {
 			t.Errorf("%s: level %q %d vs %d", label, k, gl.Counts[k], c)
-		}
-	}
-}
-
-// TestSubtractExact proves Subtract is the exact inverse of Merge for
-// the pure-integer accumulators: folding chunks then subtracting one is
-// bit-identical to a fold that never saw it — including the level-set
-// shape, when the subtracted chunk held a level's only occurrences.
-func TestSubtractExact(t *testing.T) {
-	xs := ramp(300, 9)
-	edges := []float64{25, 50, 75}
-	groups := make([]string, 300)
-	for i := range groups {
-		groups[i] = string(rune('a' + i%3))
-	}
-	// Level "z" lives only in the first chunk: subtracting that chunk
-	// must delete the level, not leave a zero count behind.
-	for i := 0; i < 64; i += 7 {
-		groups[i] = "z"
-	}
-	const chunk = 64
-	opt := Options{Shards: 3, ChunkSize: chunk}
-
-	ks := []Kernel{NewHist(xs, edges), NewLevels(groups)}
-	partials, err := RunChunks(300, opt, ks...)
-	if err != nil {
-		t.Fatalf("RunChunks: %v", err)
-	}
-	full, err := MergeStates(ks, partials)
-	if err != nil {
-		t.Fatalf("MergeStates: %v", err)
-	}
-	full[0].(*Hist).Subtract(partials[0][0])
-	full[1].(*Levels).Subtract(partials[0][1])
-
-	want, err := Run(300-chunk, opt, NewHist(xs[chunk:], edges), NewLevels(groups[chunk:]))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	gh, wh := full[0].(*Hist), want[0].(*Hist)
-	for i := range wh.Counts {
-		if gh.Counts[i] != wh.Counts[i] {
-			t.Errorf("Hist bin %d after Subtract: %d, want %d", i, gh.Counts[i], wh.Counts[i])
-		}
-	}
-	gl, wl := full[1].(*Levels), want[1].(*Levels)
-	if len(gl.Counts) != len(wl.Counts) {
-		t.Fatalf("level sets diverged after Subtract: %v vs %v", gl.Counts, wl.Counts)
-	}
-	if _, ok := gl.Counts["z"]; ok {
-		t.Error(`level "z" survived subtracting its only chunk`)
-	}
-	for k, c := range wl.Counts {
-		if gl.Counts[k] != c {
-			t.Errorf("level %q after Subtract: %d, want %d", k, gl.Counts[k], c)
-		}
-	}
-
-	// Both must satisfy the Subtractor contract the monitor relies on.
-	for i, st := range full {
-		if _, ok := st.(Subtractor); !ok {
-			t.Errorf("state %d does not implement Subtractor", i)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"math"
-	mathbits "math/bits"
-	"slices"
-)
+import "math"
 
 // radixMinLen is the value count below which Sorted.Values keeps the
 // comparison-sort path: the radix pass allocates two key buffers and
@@ -83,62 +79,4 @@ func radixSortFloat64(vals []float64) {
 	for i, k := range keys {
 		vals[i] = math.Float64frombits(k ^ (((k >> 63) - 1) | (1 << 63)))
 	}
-}
-
-// selectKth partially orders keys[lo:hi] so keys[k] holds the value
-// rank k would receive in a full ascending sort, with everything left
-// of k no greater and everything right no smaller — introselect:
-// median-of-three quickselect with a depth limit that falls back to a
-// full sort of the remaining range, so the worst case stays O(n log n)
-// while the expected cost is O(hi-lo).
-func selectKth(keys []uint64, lo, hi, k int) {
-	limit := 2 * mathbits.Len(uint(hi-lo))
-	for hi-lo > 16 {
-		if limit == 0 {
-			slices.Sort(keys[lo:hi])
-			return
-		}
-		limit--
-		p := median3(keys[lo], keys[lo+(hi-lo)/2], keys[hi-1])
-		i, j := lo-1, hi
-		for {
-			i++
-			for keys[i] < p {
-				i++
-			}
-			j--
-			for keys[j] > p {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			keys[i], keys[j] = keys[j], keys[i]
-		}
-		// Hoare partition: [lo, j] <= p <= [j+1, hi).
-		if k <= j {
-			hi = j + 1
-		} else {
-			lo = j + 1
-		}
-	}
-	for a := lo + 1; a < hi; a++ {
-		for b := a; b > lo && keys[b] < keys[b-1]; b-- {
-			keys[b], keys[b-1] = keys[b-1], keys[b]
-		}
-	}
-}
-
-// median3 returns the median of its three arguments.
-func median3(a, b, c uint64) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }

@@ -29,7 +29,7 @@ func E6PrivacyBudget(scale Scale) (*Result, error) {
 	}
 	los := f.MustCol("length_of_stay").Floats()
 	src := rng.New(37)
-	var epss, errsLap, errsGauss []float64
+	var epss, errsLap []float64
 	tbl := report.NewTable("E6: DP mean(length_of_stay) error vs epsilon",
 		"eps", "laplace_mean_abs_err", "gaussian_mean_abs_err", "err_x_eps")
 	headline := map[string]float64{}
@@ -63,7 +63,6 @@ func E6PrivacyBudget(scale Scale) (*Result, error) {
 		tbl.AddRow(eps, lap, gauss, lap*eps)
 		epss = append(epss, eps)
 		errsLap = append(errsLap, lap)
-		errsGauss = append(errsGauss, gauss)
 		headline[fmt.Sprintf("eps%.2f/err", eps)] = lap
 	}
 	var b strings.Builder
@@ -86,7 +85,6 @@ func E6PrivacyBudget(scale Scale) (*Result, error) {
 	}
 	fmt.Fprintf(&b, "\nbudget eps=1.0, queries at eps=0.3 each: %d of 10 granted (expected 3)\n", granted)
 	headline["granted"] = float64(granted)
-	_ = errsGauss
 	return &Result{
 		ID:       "E6",
 		Title:    "Confidentiality: analysis under a strict privacy budget (Q3)",

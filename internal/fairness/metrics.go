@@ -65,37 +65,26 @@ func (r Report) FourFifths() bool { return r.DisparateImpact >= 0.8 }
 
 // Evaluate computes the group-fairness report for hard predictions yPred
 // against true labels yTrue, with groups naming each row's group
-// membership. Labels and predictions must be 0/1. It routes through the
-// sharded execution engine at the default shard count; see
-// EvaluateSharded for the parallelism contract.
+// membership. Labels and predictions must be 0/1. The group tallies are
+// integer outcome counts merged in deterministic chunk order by
+// internal/exec, so the report is bit-for-bit identical at every
+// GOMAXPROCS: parallelism changes wall-clock time, never the metrics.
 func Evaluate(yTrue, yPred []float64, groups []string, protected, reference string) (Report, error) {
-	return EvaluateSharded(yTrue, yPred, groups, protected, reference, 0)
-}
-
-// EvaluateSharded is Evaluate on an explicit shard count (0 selects
-// runtime.GOMAXPROCS). The group tallies are integer outcome counts
-// merged in deterministic chunk order by internal/exec, so the report
-// is bit-for-bit identical at every shard count — parallelism changes
-// wall-clock time, never the metrics.
-func EvaluateSharded(yTrue, yPred []float64, groups []string, protected, reference string, shards int) (Report, error) {
 	if len(yTrue) != len(yPred) || len(yTrue) != len(groups) {
 		return Report{}, fmt.Errorf("fairness: length mismatch: %d labels, %d predictions, %d groups",
 			len(yTrue), len(yPred), len(groups))
 	}
 	kernel := exec.NewOutcomes(yTrue, yPred, groups, protected, reference)
-	return reportFromKernel(kernel, yTrue, yPred, func(i int) string { return groups[i] }, protected, reference, shards)
+	return reportFromKernel(kernel, yTrue, yPred, func(i int) string { return groups[i] }, protected, reference, 0)
 }
 
-// EvaluateSeries is Evaluate keyed on the group column itself instead
-// of pre-rendered strings: dictionary-encoded columns tally by int32
-// code — no string hash per row — and the report is bit-identical to
-// the string-keyed path (property-tested).
-func EvaluateSeries(yTrue, yPred []float64, groups *frame.Series, protected, reference string) (Report, error) {
-	return EvaluateSeriesSharded(yTrue, yPred, groups, protected, reference, 0)
-}
-
-// EvaluateSeriesSharded is EvaluateSeries on an explicit shard count;
-// see EvaluateSharded for the parallelism contract.
+// EvaluateSeriesSharded is Evaluate keyed on the group column itself
+// instead of pre-rendered strings, on an explicit shard count (0
+// selects runtime.GOMAXPROCS). Dictionary-encoded columns tally by
+// int32 code — no string hash per row — and the report is
+// bit-identical to the string-keyed path and to every other shard count
+// (property-tested). It is the fairness kernel of every FACT audit
+// (core.Audit).
 func EvaluateSeriesSharded(yTrue, yPred []float64, groups *frame.Series, protected, reference string, shards int) (Report, error) {
 	if len(yTrue) != len(yPred) || len(yTrue) != groups.Len() {
 		return Report{}, fmt.Errorf("fairness: length mismatch: %d labels, %d predictions, %d groups",

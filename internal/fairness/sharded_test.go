@@ -5,13 +5,14 @@ import (
 	"math"
 	"testing"
 
+	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/ml"
 	"github.com/responsible-data-science/rds/internal/rng"
 )
 
 // referenceEvaluate is the pre-sharding sequential implementation,
 // kept verbatim as the oracle: filter each group's rows in order, run
-// them through ml.Confusion, and derive the rates. EvaluateSharded
+// them through ml.Confusion, and derive the rates. EvaluateSeriesSharded
 // must reproduce it bit for bit at every shard count.
 func referenceEvaluate(yTrue, yPred []float64, groups []string, protected, reference string) (Report, error) {
 	gs := func(name string) (GroupStats, error) {
@@ -114,8 +115,9 @@ func randomCase(n int, seed uint64) (yTrue, yPred []float64, groups []string) {
 // TestEvaluateShardInvariance is the merge-correctness property test
 // for every fairness metric: for random populations of many sizes —
 // including single-row and fewer-rows-than-shards (empty-shard) cases —
-// the sharded evaluation at 1 shard, at many shards, and the sequential
-// reference implementation all agree bit for bit.
+// the sharded evaluation of a plain string column at 1 shard, at many
+// shards, and the sequential reference implementation all agree bit
+// for bit.
 func TestEvaluateShardInvariance(t *testing.T) {
 	for _, n := range []int{2, 3, 17, 100, 1000, 8192, 8193} {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -124,8 +126,9 @@ func TestEvaluateShardInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: reference: %v", n, seed, err)
 			}
+			col := frame.NewString("group", groups)
 			for _, shards := range []int{1, 2, 4, 16, 64} {
-				got, err := EvaluateSharded(yTrue, yPred, groups, "B", "A", shards)
+				got, err := EvaluateSeriesSharded(yTrue, yPred, col, "B", "A", shards)
 				if err != nil {
 					t.Fatalf("n=%d seed=%d shards=%d: %v", n, seed, shards, err)
 				}
@@ -144,7 +147,7 @@ func TestEvaluateShardedEdgeCases(t *testing.T) {
 	// A single row can only populate one group; the other must error
 	// identically at every shard count.
 	for _, shards := range []int{1, 8} {
-		_, err := EvaluateSharded([]float64{1}, []float64{1}, []string{"A"}, "B", "A", shards)
+		_, err := EvaluateSeriesSharded([]float64{1}, []float64{1}, frame.NewString("g", []string{"A"}), "B", "A", shards)
 		if err == nil {
 			t.Fatalf("shards=%d: single-row missing group should error", shards)
 		}
@@ -153,33 +156,13 @@ func TestEvaluateShardedEdgeCases(t *testing.T) {
 	// evaluated group.
 	yTrue := []float64{1, 2, 0}
 	yPred := []float64{1, 1, 0}
-	groups := []string{"A", "C", "B"}
+	groups := frame.NewString("g", []string{"A", "C", "B"})
 	for _, shards := range []int{1, 4} {
-		if _, err := EvaluateSharded(yTrue, yPred, groups, "B", "A", shards); err != nil {
+		if _, err := EvaluateSeriesSharded(yTrue, yPred, groups, "B", "A", shards); err != nil {
 			t.Errorf("shards=%d: invalid row in unevaluated group C should be skipped: %v", shards, err)
 		}
-		if _, err := EvaluateSharded(yTrue, yPred, groups, "C", "A", shards); err == nil {
+		if _, err := EvaluateSeriesSharded(yTrue, yPred, groups, "C", "A", shards); err == nil {
 			t.Errorf("shards=%d: invalid row in evaluated group C should error", shards)
-		}
-	}
-}
-
-// TestEvaluateAllShardInvariance checks the multigroup report the same
-// way: one sharded pass must match itself at every shard count, and
-// match the per-group sequential oracle.
-func TestEvaluateAllShardInvariance(t *testing.T) {
-	yTrue, yPred, groups := randomCase(5000, 12345)
-	base, err := EvaluateAll(yTrue, yPred, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range base.Groups {
-		want, err := referenceEvaluate(yTrue, yPred, groups, g.Group, g.Group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eqGroupStats(g, want.Protected) {
-			t.Errorf("group %q: %+v vs sequential %+v", g.Group, g, want.Protected)
 		}
 	}
 }

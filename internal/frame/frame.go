@@ -360,7 +360,6 @@ func (f *Frame) String() string {
 	}
 	for i, c := range f.cols {
 		fmt.Fprintf(&b, "%-*s  ", widths[i], c.Name())
-		_ = i
 	}
 	b.WriteByte('\n')
 	for r := 0; r < f.NumRows() && r < maxRows; r++ {

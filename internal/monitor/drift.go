@@ -40,11 +40,6 @@ type DriftConfig struct {
 	// Columns restricts scoring to the named columns (default: every
 	// column present in both frames).
 	Columns []string `json:"columns,omitempty"`
-	// Shards is the goroutine count for the sharded execution engine
-	// that builds the per-column histogram sketches and sorted samples
-	// (default runtime.GOMAXPROCS). Scores are shard-invariant: the
-	// shard count changes wall-clock time, never the statistics.
-	Shards int `json:"shards,omitempty"`
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
@@ -95,7 +90,7 @@ type DriftReport struct {
 // (one pass serves the KS statistic, the PSI bin edges, and the PSI
 // bin counts by binary search), categorical columns go through
 // mergeable level counts. Scores are identical at every shard count
-// (cfg.Shards), so a re-audit on a differently provisioned host
+// (GOMAXPROCS), so a re-audit on a differently provisioned host
 // reproduces the same drift report bit for bit.
 func DetectDrift(baseline, current *frame.Frame, cfg DriftConfig) (*DriftReport, error) {
 	if baseline == nil || current == nil || baseline.NumRows() == 0 || current.NumRows() == 0 {
@@ -110,7 +105,6 @@ func DetectDrift(baseline, current *frame.Frame, cfg DriftConfig) (*DriftReport,
 			}
 		}
 	}
-	opt := exec.Options{Shards: cfg.Shards}
 	rep := &DriftReport{}
 	for _, name := range cols {
 		if !baseline.Has(name) || !current.Has(name) {
@@ -129,11 +123,11 @@ func DetectDrift(baseline, current *frame.Frame, cfg DriftConfig) (*DriftReport,
 				return nil, fmt.Errorf("monitor: drift: column %q changed type %s -> %s since the baseline",
 					name, b.DType(), ct)
 			}
-			bv, err := sortedFinite(b, opt)
+			bv, err := sortedFinite(b)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := sortedFinite(c, opt)
+			cv, err := sortedFinite(c)
 			if err != nil {
 				return nil, err
 			}
@@ -144,7 +138,7 @@ func DetectDrift(baseline, current *frame.Frame, cfg DriftConfig) (*DriftReport,
 			cd.KS = ksStatistic(bv, cv)
 			cd.KSPValue = ksPValue(cd.KS, len(bv), len(cv))
 		default:
-			psiVal, err := categoricalPSI(b, c, opt)
+			psiVal, err := categoricalPSI(b, c)
 			if err != nil {
 				return nil, err
 			}
@@ -168,9 +162,9 @@ func (r *DriftReport) add(cd ColumnDrift, cfg DriftConfig) {
 
 // sortedFinite extracts a column's finite values, sorted by parallel
 // chunk sorts and one deterministic merge.
-func sortedFinite(s *frame.Series, opt exec.Options) ([]float64, error) {
+func sortedFinite(s *frame.Series) ([]float64, error) {
 	vals := s.Floats()
-	st, err := exec.RunOne(len(vals), opt, exec.NewSorted(vals, true))
+	st, err := exec.RunOne(len(vals), exec.Options{}, exec.NewSorted(vals, true))
 	if err != nil {
 		return nil, fmt.Errorf("monitor: drift sort: %w", err)
 	}
@@ -180,8 +174,7 @@ func sortedFinite(s *frame.Series, opt exec.Options) ([]float64, error) {
 // numericPSI bins both samples by the baseline's quantile edges and
 // sums (p-q)·ln(p/q) over bins. Inputs must be sorted (the merged
 // output of the exec sort kernel), so each bin count is a difference
-// of binary-search positions — no further pass over the data. The
-// counts are identical to an exec.Hist scan of the raw values: bin i
+// of binary-search positions — no further pass over the data. Bin i
 // holds values v with edges[i-1] < v <= edges[i].
 func numericPSI(baseline, current []float64, bins int) float64 {
 	edges := psiEdges(baseline, bins)
@@ -221,12 +214,12 @@ func histSorted(sorted, edges []float64) []float64 {
 // sides, folded over the sorted union of levels so the float result is
 // deterministic. The kernels tally dictionary-encoded columns by int32
 // code — no per-row string materialization or map lookup.
-func categoricalPSI(baseline, current *frame.Series, opt exec.Options) (float64, error) {
-	bs, err := exec.RunOne(baseline.Len(), opt, exec.NewLevelsSeries(baseline))
+func categoricalPSI(baseline, current *frame.Series) (float64, error) {
+	bs, err := exec.RunOne(baseline.Len(), exec.Options{}, exec.NewLevelsSeries(baseline))
 	if err != nil {
 		return 0, fmt.Errorf("monitor: drift levels: %w", err)
 	}
-	cs, err := exec.RunOne(current.Len(), opt, exec.NewLevelsSeries(current))
+	cs, err := exec.RunOne(current.Len(), exec.Options{}, exec.NewLevelsSeries(current))
 	if err != nil {
 		return 0, fmt.Errorf("monitor: drift levels: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/responsible-data-science/rds/internal/exec"
 	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/synth"
 )
@@ -132,18 +131,21 @@ func TestDetectDriftColumnSubset(t *testing.T) {
 }
 
 // TestDetectDriftShardInvariance: the drift report — every PSI, KS,
-// and p-value — is bit-for-bit identical at every shard count, because
-// the histogram sketches and sorted samples merge in deterministic
-// chunk order.
+// and p-value — is bit-for-bit identical at every shard count
+// (GOMAXPROCS, swept from 1 to 16), because the sorted samples and
+// level counts merge in deterministic chunk order. The 20000-row frames
+// span three exec chunks.
 func TestDetectDriftShardInvariance(t *testing.T) {
-	baseline := creditFrame(t, 3000, 0, 0.35, 1)
-	current := creditFrame(t, 3000, 0.8, 0.6, 2)
-	want, err := DetectDrift(baseline, current, DriftConfig{Shards: 1})
+	baseline := creditFrame(t, 20000, 0, 0.35, 1)
+	current := creditFrame(t, 20000, 0.8, 0.6, 2)
+	setGOMAXPROCS(t, 1)
+	want, err := DetectDrift(baseline, current, DriftConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 4, 16} {
-		got, err := DetectDrift(baseline, current, DriftConfig{Shards: shards})
+		setGOMAXPROCS(t, shards)
+		got, err := DetectDrift(baseline, current, DriftConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +215,7 @@ func TestKSPValueBounds(t *testing.T) {
 func TestCategoricalPSIVanishingLevelStaysFinite(t *testing.T) {
 	a := frame.NewString("a", []string{"x", "x", "y", "y"})
 	b := frame.NewString("b", []string{"x", "x", "x", "x"})
-	got, err := categoricalPSI(a, b, exec.Options{})
+	got, err := categoricalPSI(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,6 +225,16 @@ func TestHTTPMonitorValidation(t *testing.T) {
 		})
 	}
 
+	// The drift config's shard count was removed (GOMAXPROCS sets it):
+	// a client still sending it gets a 400 naming the field.
+	var rejected struct {
+		Error string `json:"error"`
+	}
+	doJSON(t, http.MethodPost, srv.URL+"/v1/monitors", `{"name":"x","drift":{"shards":4}}`, http.StatusBadRequest, &rejected)
+	if !strings.Contains(rejected.Error, `"shards"`) {
+		t.Errorf("drift.shards rejection %q does not name the field", rejected.Error)
+	}
+
 	// Ingest source must be exactly one of csv/synthetic.
 	m, err := reg.Register(creditSpec("src"))
 	if err != nil {

@@ -110,7 +110,6 @@ func (s *chunkState) sizeBytes() int64 {
 
 // buildState scans one chunk into its per-column drift state.
 func (s *ChunkScorer) buildState(rows *frame.Frame) (*chunkState, error) {
-	opt := exec.Options{Shards: s.profile.cfg.Shards}
 	st := &chunkState{rows: rows.NumRows(), cols: make([]chunkColumn, len(s.profile.cols))}
 	for i := range s.profile.cols {
 		pc := &s.profile.cols[i]
@@ -130,13 +129,13 @@ func (s *ChunkScorer) buildState(rows *frame.Frame) (*chunkState, error) {
 				continue
 			}
 			vals := c.Floats()
-			sorted, err := exec.RunOne(len(vals), opt, exec.NewSorted(vals, true))
+			sorted, err := exec.RunOne(len(vals), exec.Options{}, exec.NewSorted(vals, true))
 			if err != nil {
 				return nil, fmt.Errorf("monitor: chunk state %q: %w", pc.name, err)
 			}
 			cc.sorted = sorted.(*exec.Sorted).Values()
 		} else {
-			lv, err := exec.RunOne(c.Len(), opt, exec.NewLevelsSeries(c))
+			lv, err := exec.RunOne(c.Len(), exec.Options{}, exec.NewLevelsSeries(c))
 			if err != nil {
 				return nil, fmt.Errorf("monitor: chunk state %q: %w", pc.name, err)
 			}

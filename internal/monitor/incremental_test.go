@@ -229,12 +229,13 @@ func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []
 	return m.History(), m.Status()
 }
 
-// TestIncrementalEqualsRescanRandomized is the tentpole's property
-// test: for randomized frames (NaN/Inf cells, schema and size edges),
-// random window shapes, and any shard count, a monitor running the
-// incremental chunk-state path produces a history bit-identical to the
-// same stream graded by the full-rescan path — FACT reports, drift
-// scores, skip decisions, and error strings included.
+// TestIncrementalEqualsRescanRandomized is the chunk-state cache's
+// property test: for randomized frames (NaN/Inf cells, schema and size
+// edges), random window shapes, and any shard count, a monitor running
+// the incremental chunk-state path produces a history bit-identical to
+// the same stream graded by the full-rescan path — FACT reports, drift
+// scores, skip decisions, and error strings included. The shard count
+// is GOMAXPROCS, which is process-wide, so the cases run sequentially.
 func TestIncrementalEqualsRescanRandomized(t *testing.T) {
 	shards := []int{1, 3, 8}
 	slides := []int64{100, 40, 25}
@@ -244,11 +245,10 @@ func TestIncrementalEqualsRescanRandomized(t *testing.T) {
 			name := fmt.Sprintf("shards=%d/slide=%d", shard, slide)
 			seed := int64(101 + 17*si + 31*wi)
 			t.Run(name, func(t *testing.T) {
-				t.Parallel()
+				setGOMAXPROCS(t, shard)
 				arrivals := randomArrivals(t, seed, 70)
 				spec := creditSpec("prop")
 				spec.Window = WindowConfig{WidthMS: 100, SlideMS: slide}
-				spec.Drift.Shards = shard
 				spec.AuditEvery = 2
 				spec.History = 1024
 
@@ -366,6 +366,74 @@ func TestChunkScorerTypeDriftParity(t *testing.T) {
 	}
 	if _, err := NewChunkScorer(nil, nil); err == nil {
 		t.Error("NewChunkScorer(nil) accepted a nil profile")
+	}
+}
+
+// TestRescanFallbackCounted: every window whose incremental score
+// fails — chunks of two schemas, or a profiled column that changed
+// dtype — bumps drift_rescan_fallbacks once and grades exactly as the
+// rescan-only run does, while a clean sliding stream never falls back.
+func TestRescanFallbackCounted(t *testing.T) {
+	pool := creditFrame(t, 2000, 0, 0.35, 3)
+	dropped, err := pool.Drop("employment_years")
+	if err != nil {
+		t.Fatalf("Drop: %v", err)
+	}
+	typed := stringifyColumn(t, pool, "income")
+	run := func(spec Spec, cache *dataset.StateCache, arrivals []stream.Arrival) ([]WindowEntry, MetricsSnapshot) {
+		r, err := NewRegistry(RegistryConfig{Engine: newTestEngine(t), ChunkStates: cache})
+		if err != nil {
+			t.Fatalf("NewRegistry: %v", err)
+		}
+		t.Cleanup(r.Close)
+		m, err := r.Register(spec)
+		if err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		if err := m.Ingest(arrivals...); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		m.Flush()
+		return m.History(), r.Metrics()
+	}
+
+	// Tumbling 100 ms windows: a clean baseline, a window mixing two
+	// schemas, a window whose income column arrives as strings, and a
+	// clean window.
+	spec := creditSpec("fallback")
+	spec.AuditEvery = 100
+	faulty := []stream.Arrival{
+		{TimeMS: 0, Rows: pool.Slice(0, 300)},
+		{TimeMS: 100, Rows: pool.Slice(300, 500)},
+		{TimeMS: 150, Rows: dropped.Slice(500, 700)},
+		{TimeMS: 200, Rows: typed.Slice(700, 1000)},
+		{TimeMS: 300, Rows: pool.Slice(1000, 1300)},
+	}
+	got, snap := run(spec, dataset.NewStateCache(1<<20), faulty)
+	want, _ := run(spec, nil, faulty)
+	mustEqualHistories(t, "faulty stream", got, want)
+	if snap.DriftFallbacks != 2 {
+		t.Errorf("drift_rescan_fallbacks = %d, want 2 (schema mix + dtype flip)", snap.DriftFallbacks)
+	}
+	if len(got) != 4 || got[1].Error == "" || got[2].Error == "" || got[3].Drift == nil {
+		t.Fatalf("stream did not exercise both failures and a clean window: %+v", got)
+	}
+
+	// A clean sliding stream scores every window incrementally.
+	spec = creditSpec("clean")
+	spec.Window = WindowConfig{WidthMS: 100, SlideMS: 25}
+	spec.AuditEvery = 100
+	var clean []stream.Arrival
+	for i := 0; i < 12; i++ {
+		clean = append(clean, stream.Arrival{TimeMS: int64(25 * i), Rows: pool.Slice(100*i, 100*i+100)})
+	}
+	cache := dataset.NewStateCache(1 << 20)
+	hist, snap := run(spec, cache, clean)
+	if snap.DriftFallbacks != 0 {
+		t.Errorf("clean sliding stream fell back %d times", snap.DriftFallbacks)
+	}
+	if snap.DriftWindows == 0 || cache.Metrics().Hits == 0 {
+		t.Fatalf("clean stream never scored incrementally: %+v, history %d entries", snap, len(hist))
 	}
 }
 

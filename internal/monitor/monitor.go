@@ -210,6 +210,7 @@ type registryMetrics struct {
 	profileBuildMillis  float64
 	driftWindows        uint64
 	driftMillis         float64
+	driftFallbacks      uint64
 	persistFailures     uint64
 }
 
@@ -252,6 +253,12 @@ type MetricsSnapshot struct {
 	// latency.
 	DriftWindows uint64  `json:"drift_windows_scored"`
 	DriftMillis  float64 `json:"drift_millis_total"`
+	// DriftFallbacks counts windows whose incremental (chunk-state)
+	// drift score failed — chunks disagreeing on schema, a profiled
+	// column changing dtype — and were scored by the full rescan
+	// instead. The grading is the same either way; the counter shows
+	// how often the slower path ran.
+	DriftFallbacks uint64 `json:"drift_rescan_fallbacks"`
 	// PersistFailures counts best-effort store writes/deletes that
 	// failed (stream-pinned profile saves, post-delete record removal);
 	// persist failures on the registration path fail the registration
@@ -514,6 +521,7 @@ func (r *Registry) Metrics() MetricsSnapshot {
 		ProfileBuildMillis:  m.profileBuildMillis,
 		DriftWindows:        m.driftWindows,
 		DriftMillis:         m.driftMillis,
+		DriftFallbacks:      m.driftFallbacks,
 		PersistFailures:     m.persistFailures,
 		Tenants:             perTenant,
 	}
@@ -821,11 +829,11 @@ func (m *Monitor) processWindow(w *closedWindow) {
 	// Drift path. With a chunk-state cache configured, score the window
 	// incrementally from its chunk states — O(delta) per slide — and
 	// defer materialization until an audit actually needs the flat
-	// frame. Any incremental error (cache type confusion, mid-window
-	// schema change, type drift) falls back to the full rescan, which
-	// re-derives the legacy outcome — including the legacy error —
-	// from the materialized window, so a miss can cost time but never
-	// a wrong or failed grading.
+	// frame. Any incremental error (mid-window schema change, type
+	// drift) falls back to the full rescan, which re-derives the legacy
+	// outcome — including the legacy error — from the materialized
+	// window, so a miss can cost time but never a wrong or failed
+	// grading; drift_rescan_fallbacks counts the windows that took it.
 	var (
 		f     *frame.Frame
 		drift *DriftReport
@@ -836,6 +844,8 @@ func (m *Monitor) processWindow(w *closedWindow) {
 		if sc := m.chunkScorer(); sc != nil {
 			if rep, err := sc.Score(chunks); err == nil {
 				drift = rep
+			} else {
+				m.reg.metrics.bump(&m.reg.metrics.driftFallbacks, 1)
 			}
 		}
 	}

@@ -175,7 +175,6 @@ func decodeProfile(payload []byte) (*BaselineProfile, *policy.Grade, error) {
 		return nil, nil, fmt.Errorf("%w: profile has row count %d", store.ErrCorrupt, doc.Rows)
 	}
 	cfg := doc.Config.withDefaults()
-	opt := exec.Options{Shards: cfg.Shards}
 	p := &BaselineProfile{
 		cfg:   cfg,
 		rows:  doc.Rows,
@@ -203,7 +202,7 @@ func decodeProfile(payload []byte) (*BaselineProfile, *policy.Grade, error) {
 				pc.sorted = cd.Sorted
 				pc.edges = psiEdges(pc.sorted, cfg.Bins)
 				pc.hist = histSorted(pc.sorted, pc.edges)
-				ms, err := exec.RunOne(len(pc.sorted), opt, exec.NewMoments(pc.sorted))
+				ms, err := exec.RunOne(len(pc.sorted), exec.Options{}, exec.NewMoments(pc.sorted))
 				if err != nil {
 					return nil, nil, fmt.Errorf("monitor: rebuilding profile column %q: %w", cd.Name, err)
 				}

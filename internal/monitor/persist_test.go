@@ -95,6 +95,63 @@ func TestRestoreBaselineRefBitIdentity(t *testing.T) {
 	}
 }
 
+// TestRestoreIgnoresRemovedShardsField: records persisted while the
+// drift config still carried a shard count — "shards" inside the spec
+// record's "drift" object and the profile record's "config" object —
+// restore, and the restored profile scores exactly like the original.
+func TestRestoreIgnoresRemovedShardsField(t *testing.T) {
+	st := memory.New()
+	r1, d1 := persistRegistry(t, st)
+	meta, err := d1.Put("baseline", creditFrame(t, 800, 0, 0.35, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := creditSpec("legacy")
+	spec.BaselineRef = meta.Ref
+	m1, err := r1.Register(spec)
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	for _, rec := range []struct {
+		kind store.Kind
+		obj  string
+	}{{store.KindMonitor, "drift"}, {store.KindProfile, "config"}} {
+		raw, ok, err := st.Find(rec.kind, m1.ID())
+		if err != nil || !ok {
+			t.Fatalf("%s record: (%v, %v)", rec.kind, ok, err)
+		}
+		open := `"` + rec.obj + `":{`
+		i := strings.Index(string(raw), open)
+		if i < 0 {
+			t.Fatalf("%s record has no %q object: %s", rec.kind, rec.obj, raw)
+		}
+		i += len(open)
+		member := `"shards":4`
+		if raw[i] != '}' {
+			member += ","
+		}
+		legacy := string(raw[:i]) + member + string(raw[i:])
+		if err := st.Save(rec.kind, m1.ID(), []byte(legacy)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r2, _ := persistRegistry(t, st)
+	if n, err := r2.Restore(); err != nil || n != 1 {
+		t.Fatalf("Restore: (%d, %v), want (1, nil)", n, err)
+	}
+	m2, ok := r2.Get(m1.ID())
+	if !ok || m2.profile == nil {
+		t.Fatalf("monitor %s restored without its profile", m1.ID())
+	}
+	probe := scaleColumn(t, creditFrame(t, 500, 0, 0.35, 7), "income", 1.8)
+	rep1, err1 := DetectDriftProfiled(m1.profile, probe)
+	rep2, err2 := DetectDriftProfiled(m2.profile, probe)
+	if err1 != nil || err2 != nil || !reflect.DeepEqual(rep1, rep2) {
+		t.Fatalf("drift reports diverge after restore (%v / %v):\n%+v\n%+v", err1, err2, rep1, rep2)
+	}
+}
+
 // TestRestoreStreamPinnedProfile proves the stream-pinned path
 // persists too: a monitor whose baseline came from its first auditable
 // window restores with that profile and keeps scoring bit-identically,

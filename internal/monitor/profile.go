@@ -54,10 +54,10 @@ type profileColumn struct {
 // NewBaselineProfile scans the baseline frame once and precomputes
 // every per-column statistic DetectDriftProfiled needs. The column set
 // and binning come from cfg exactly as in DetectDrift (zero values
-// select the package defaults); cfg.Shards parameterizes the build's
-// exec scans. The profile preserves DetectDrift's column order —
-// cfg.Columns when given, the baseline's column order otherwise — so
-// profiled reports list columns identically to recomputed ones.
+// select the package defaults). The profile preserves DetectDrift's
+// column order — cfg.Columns when given, the baseline's column order
+// otherwise — so profiled reports list columns identically to
+// recomputed ones.
 func NewBaselineProfile(baseline *frame.Frame, cfg DriftConfig) (*BaselineProfile, error) {
 	if baseline == nil || baseline.NumRows() == 0 {
 		return nil, fmt.Errorf("monitor: baseline profile needs a non-empty baseline frame")
@@ -68,7 +68,6 @@ func NewBaselineProfile(baseline *frame.Frame, cfg DriftConfig) (*BaselineProfil
 	if len(names) == 0 {
 		names = baseline.Names()
 	}
-	opt := exec.Options{Shards: cfg.Shards}
 	p := &BaselineProfile{cfg: cfg, rows: baseline.NumRows(), cols: make([]profileColumn, 0, len(names))}
 	for _, name := range names {
 		pc := profileColumn{name: name, present: baseline.Has(name)}
@@ -82,7 +81,7 @@ func NewBaselineProfile(baseline *frame.Frame, cfg DriftConfig) (*BaselineProfil
 		case frame.Float64, frame.Int64:
 			pc.numeric = true
 			vals := b.Floats()
-			st, err := exec.RunOne(len(vals), opt, exec.NewSorted(vals, true))
+			st, err := exec.RunOne(len(vals), exec.Options{}, exec.NewSorted(vals, true))
 			if err != nil {
 				return nil, fmt.Errorf("monitor: baseline profile %q: %w", name, err)
 			}
@@ -94,14 +93,14 @@ func NewBaselineProfile(baseline *frame.Frame, cfg DriftConfig) (*BaselineProfil
 				// drift scores use, so the payload's mean/min/max
 				// describe exactly the profiled values (a raw-column
 				// scan would let one NaN poison the mean).
-				ms, err := exec.RunOne(len(pc.sorted), opt, exec.NewMoments(pc.sorted))
+				ms, err := exec.RunOne(len(pc.sorted), exec.Options{}, exec.NewMoments(pc.sorted))
 				if err != nil {
 					return nil, fmt.Errorf("monitor: baseline profile %q: %w", name, err)
 				}
 				pc.moments = ms.(*exec.Moments)
 			}
 		default:
-			st, err := exec.RunOne(b.Len(), opt, exec.NewLevelsSeries(b))
+			st, err := exec.RunOne(b.Len(), exec.Options{}, exec.NewLevelsSeries(b))
 			if err != nil {
 				return nil, fmt.Errorf("monitor: baseline profile %q: %w", name, err)
 			}
@@ -141,7 +140,6 @@ func DetectDriftProfiled(p *BaselineProfile, current *frame.Frame) (*DriftReport
 	if current == nil || current.NumRows() == 0 {
 		return nil, fmt.Errorf("monitor: drift detection needs non-empty baseline and current frames")
 	}
-	opt := exec.Options{Shards: p.cfg.Shards}
 	rep := &DriftReport{}
 	for i := range p.cols {
 		pc := &p.cols[i]
@@ -160,7 +158,7 @@ func DetectDriftProfiled(p *BaselineProfile, current *frame.Frame) (*DriftReport
 			if len(pc.sorted) == 0 {
 				continue
 			}
-			cv, err := sortedFinite(c, opt)
+			cv, err := sortedFinite(c)
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +169,7 @@ func DetectDriftProfiled(p *BaselineProfile, current *frame.Frame) (*DriftReport
 			cd.KS = ksStatistic(pc.sorted, cv)
 			cd.KSPValue = ksPValue(cd.KS, len(pc.sorted), len(cv))
 		} else {
-			st, err := exec.RunOne(c.Len(), opt, exec.NewLevelsSeries(c))
+			st, err := exec.RunOne(c.Len(), exec.Options{}, exec.NewLevelsSeries(c))
 			if err != nil {
 				return nil, fmt.Errorf("monitor: drift levels: %w", err)
 			}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/responsible-data-science/rds/internal/frame"
@@ -21,13 +22,23 @@ func reportJSON(t testing.TB, rep *DriftReport) string {
 	return string(b)
 }
 
+// setGOMAXPROCS sets GOMAXPROCS, and with it the exec shard count, for
+// the rest of the test; the previous value is restored when the test
+// ends. GOMAXPROCS is process-wide, so callers must not run in
+// parallel with other tests.
+func setGOMAXPROCS(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // requireProfiledMatchesRecompute asserts DetectDriftProfiled over a
 // fresh profile of baseline produces a byte-identical report to the
-// legacy full recompute, at every shard count in the sweep.
+// legacy full recompute, at every shard count (GOMAXPROCS) in the
+// sweep.
 func requireProfiledMatchesRecompute(t *testing.T, baseline, current *frame.Frame, cfg DriftConfig) {
 	t.Helper()
 	for _, shards := range []int{1, 3, 8} {
-		cfg.Shards = shards
+		setGOMAXPROCS(t, shards)
 		want, werr := DetectDrift(baseline, current, cfg)
 		prof, perr := NewBaselineProfile(baseline, cfg)
 		if perr != nil {

@@ -112,17 +112,24 @@ func TestHTTPPipelineErrorPaths(t *testing.T) {
 	defer srv.Close()
 
 	for _, tc := range []struct {
-		name string
-		body any
-		want int
+		name    string
+		body    any
+		want    int
+		wantErr string // substring the error body must carry
 	}{
-		{"missing dataset_ref", map[string]any{}, http.StatusBadRequest},
-		{"unknown dataset", map[string]any{"dataset_ref": "nope"}, http.StatusBadRequest},
-		{"unknown stage", map[string]any{"dataset_ref": w.ref, "stages": []string{"ship-it"}}, http.StatusBadRequest},
-		{"bad mitigation", map[string]any{"dataset_ref": w.ref, "mitigation": "hope"}, http.StatusBadRequest},
+		{"missing dataset_ref", map[string]any{}, http.StatusBadRequest, ""},
+		{"unknown dataset", map[string]any{"dataset_ref": "nope"}, http.StatusBadRequest, ""},
+		{"unknown stage", map[string]any{"dataset_ref": w.ref, "stages": []string{"ship-it"}}, http.StatusBadRequest, ""},
+		{"bad mitigation", map[string]any{"dataset_ref": w.ref, "mitigation": "hope"}, http.StatusBadRequest, ""},
+		// The spec's shard count was removed: GOMAXPROCS sets it.
+		{"removed shards field", map[string]any{"dataset_ref": w.ref, "shards": 4}, http.StatusBadRequest, "shards"},
 	} {
-		if code, raw := doJSON(t, srv, http.MethodPost, "/v1/pipelines", "", tc.body); code != tc.want {
+		code, raw := doJSON(t, srv, http.MethodPost, "/v1/pipelines", "", tc.body)
+		if code != tc.want {
 			t.Errorf("%s: POST = %d (%s), want %d", tc.name, code, raw, tc.want)
+		}
+		if !bytes.Contains(raw, []byte(tc.wantErr)) {
+			t.Errorf("%s: error %s does not name %q", tc.name, raw, tc.wantErr)
 		}
 	}
 	if code, _ := doJSON(t, srv, http.MethodDelete, "/v1/pipelines", "", nil); code != http.StatusMethodNotAllowed {

@@ -97,8 +97,6 @@ type Spec struct {
 	// dataset_ref it makes the whole run — and its post-restart replay —
 	// deterministic.
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards overrides the service shard count for row-scans.
-	Shards int `json:"shards,omitempty"`
 
 	// Stages is the ordered stage list (default DefaultStages).
 	Stages []string `json:"stages,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -258,7 +259,6 @@ func TestResumeAtLastCompletedStage(t *testing.T) {
 	// Re-create the kill point after every prefix length: the store
 	// holds the spec plus k completed stages, status still running.
 	for k := 1; k < len(full.Stages); k++ {
-		st := memory.New()
 		cut := *full
 		cut.Status = serve.StatusRunning
 		cut.Error = ""
@@ -268,46 +268,84 @@ func TestResumeAtLastCompletedStage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Save("pipelines", cut.ID, payload); err != nil {
-			t.Fatal(err)
-		}
+		resumeMatches(t, w, fmt.Sprintf("k=%d", k), payload, full, k)
+	}
+}
 
-		resumed := NewRegistry(w.engine, w.datasets, nil)
-		if err := resumed.AttachStore(st); err != nil {
-			t.Fatalf("k=%d: AttachStore: %v", k, err)
+// resumeMatches restores the persisted run record payload, cut after k
+// completed stages of the uninterrupted run full, into a fresh
+// registry and requires the resumed run to finish with every later
+// stage byte-identical to full's.
+func resumeMatches(t *testing.T, w *world, label string, payload []byte, full *Record, k int) {
+	t.Helper()
+	st := memory.New()
+	if err := st.Save("pipelines", full.ID, payload); err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewRegistry(w.engine, w.datasets, nil)
+	if err := resumed.AttachStore(st); err != nil {
+		t.Fatalf("%s: AttachStore: %v", label, err)
+	}
+	var got *Record
+	deadline := time.Now().Add(time.Minute)
+	for time.Now().Before(deadline) {
+		r, ok := resumed.Get("", full.ID)
+		if !ok {
+			t.Fatalf("%s: resumed run vanished", label)
 		}
-		var got *Record
-		deadline := time.Now().Add(time.Minute)
-		for time.Now().Before(deadline) {
-			r, ok := resumed.Get("", cut.ID)
-			if !ok {
-				t.Fatalf("k=%d: resumed run vanished", k)
-			}
-			if terminal(r.Status) {
-				got = r
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
+		if terminal(r.Status) {
+			got = r
+			break
 		}
-		if got == nil {
-			t.Fatalf("k=%d: resumed run never finished", k)
-		}
-		if got.Status != serve.StatusDone {
-			t.Fatalf("k=%d: resumed run = %s (%s)", k, got.Status, got.Error)
-		}
-		if got.Resumed != 1 {
-			t.Fatalf("k=%d: resumed counter = %d, want 1", k, got.Resumed)
-		}
-		if len(got.Stages) != len(full.Stages) {
-			t.Fatalf("k=%d: resumed stages = %d, want %d", k, len(got.Stages), len(full.Stages))
-		}
-		for i := k; i < len(full.Stages); i++ {
-			if string(got.Stages[i].Detail) != string(full.Stages[i].Detail) {
-				t.Fatalf("k=%d: stage %d after resume diverged from uninterrupted run:\n%s\n%s",
-					k, i, got.Stages[i].Detail, full.Stages[i].Detail)
-			}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got == nil {
+		t.Fatalf("%s: resumed run never finished", label)
+	}
+	if got.Status != serve.StatusDone {
+		t.Fatalf("%s: resumed run = %s (%s)", label, got.Status, got.Error)
+	}
+	if got.Resumed != 1 {
+		t.Fatalf("%s: resumed counter = %d, want 1", label, got.Resumed)
+	}
+	if len(got.Stages) != len(full.Stages) {
+		t.Fatalf("%s: resumed stages = %d, want %d", label, len(got.Stages), len(full.Stages))
+	}
+	for i := k; i < len(full.Stages); i++ {
+		if string(got.Stages[i].Detail) != string(full.Stages[i].Detail) {
+			t.Fatalf("%s: stage %d after resume diverged from uninterrupted run:\n%s\n%s",
+				label, i, got.Stages[i].Detail, full.Stages[i].Detail)
 		}
 	}
+}
+
+// TestResumeIgnoresRemovedShardsField: a run record persisted while
+// the spec still carried a shard count ("shards" inside its "spec"
+// object) restores and resumes byte-identically.
+func TestResumeIgnoresRemovedShardsField(t *testing.T) {
+	w := newWorld(t, nil)
+	rec, err := w.runs.Submit(Spec{DatasetRef: w.ref, Epochs: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := w.wait(t, rec.ID)
+	if full.Status != serve.StatusDone {
+		t.Fatalf("reference run = %s (%s)", full.Status, full.Error)
+	}
+	cut := *full
+	cut.Status = serve.StatusRunning
+	cut.Error = ""
+	cut.ElapsedMillis = 0
+	cut.Stages = full.Stages[:2]
+	payload, err := json.Marshal(&cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(payload), `"spec":{`, `"spec":{"shards":4,`, 1)
+	if legacy == string(payload) {
+		t.Fatalf("record has no spec object: %s", payload)
+	}
+	resumeMatches(t, w, "legacy spec", []byte(legacy), full, 2)
 }
 
 // TestRestoreFinalizesAndFails covers the non-resumable restore arcs:

@@ -85,11 +85,10 @@ func (r *Registry) Submit(spec Spec) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, meta, ok := r.datasets.ResolveAs(ten, spec.DatasetRef)
+	base, _, ok := r.datasets.ResolveAs(ten, spec.DatasetRef)
 	if !ok {
 		return nil, fmt.Errorf("pipeline: no dataset %q resident for tenant %q", spec.DatasetRef, ten)
 	}
-	_ = meta
 
 	r.mu.Lock()
 	if max := r.quotas(ten).MaxPipelines; max > 0 && r.live[ten] >= max {

@@ -52,7 +52,6 @@ func (rs *runState) init() error {
 		Policy: pol,
 		Seed:   rs.spec.Seed,
 		Actor:  "rds-pipeline",
-		Shards: rs.spec.Shards,
 	})
 	if err != nil {
 		return err

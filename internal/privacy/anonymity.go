@@ -334,12 +334,7 @@ func ReidentificationRisk(f *frame.Frame, quasiIdentifiers []string) (float64, e
 	if f.NumRows() == 0 {
 		return 0, fmt.Errorf("privacy: empty frame")
 	}
-	var sum float64
-	for _, g := range groups {
-		// Each of the class's members is re-identified with prob 1/size;
-		// summed over members that is exactly 1 per class.
-		sum++
-		_ = g
-	}
-	return sum / float64(f.NumRows()), nil
+	// Each of a class's members is re-identified with prob 1/size;
+	// summed over members that is exactly 1 per class.
+	return float64(len(groups)) / float64(f.NumRows()), nil
 }

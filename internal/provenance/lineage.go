@@ -179,12 +179,6 @@ func HashFrame(f *frame.Frame) (string, error) {
 	return f.Hash(), nil
 }
 
-// HashBytes computes the hex SHA-256 of raw bytes.
-func HashBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // HashStrings hashes a list of strings with length framing (no
 // concatenation ambiguity).
 func HashStrings(parts ...string) string {

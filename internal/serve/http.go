@@ -61,10 +61,6 @@ type AuditRequestWire struct {
 	Epochs int `json:"epochs,omitempty"`
 	// Seed drives the pipeline's stochastic steps (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards overrides the service's default shard count for this
-	// audit's row-scans (internal/exec). Results are shard-invariant;
-	// this tunes latency only.
-	Shards int `json:"shards,omitempty"`
 
 	// Policy holds the FACT thresholds to grade against. When omitted,
 	// DefaultPolicy applies.
@@ -445,6 +441,5 @@ func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, er
 		Policy:    pol,
 		Spec:      spec,
 		Seed:      wire.Seed,
-		Shards:    wire.Shards,
 	}, nil
 }

@@ -204,16 +204,22 @@ func TestHTTPErrorPaths(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
 		wantStatus int
+		wantErr    string // substring the error body must carry
 	}{
-		{"no source", `{}`, http.StatusBadRequest},
-		{"two sources", `{"csv":"a\n1","synthetic":{}}`, http.StatusBadRequest},
-		{"unknown field", `{"bogus":1}`, http.StatusBadRequest},
-		{"path disabled", `{"path":"/etc/passwd"}`, http.StatusBadRequest},
-		{"bad mitigation", `{"synthetic":{},"mitigation":"magic"}`, http.StatusBadRequest},
+		{"no source", `{}`, http.StatusBadRequest, ""},
+		{"two sources", `{"csv":"a\n1","synthetic":{}}`, http.StatusBadRequest, ""},
+		{"unknown field", `{"bogus":1}`, http.StatusBadRequest, "bogus"},
+		// The per-request shard count was removed: GOMAXPROCS sets it.
+		{"removed shards field", `{"synthetic":{"n":200},"shards":4}`, http.StatusBadRequest, "shards"},
+		{"path disabled", `{"path":"/etc/passwd"}`, http.StatusBadRequest, ""},
+		{"bad mitigation", `{"synthetic":{},"mitigation":"magic"}`, http.StatusBadRequest, ""},
 	} {
 		resp, body := postJSON(t, srv.URL+"/v1/audit", tc.body)
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.wantStatus, body)
+		}
+		if !strings.Contains(string(body), tc.wantErr) {
+			t.Errorf("%s: error %q does not name %q", tc.name, body, tc.wantErr)
 		}
 	}
 

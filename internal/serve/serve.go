@@ -63,13 +63,6 @@ type Config struct {
 	// GET /v1/audit/{id} (default 1024). Older finished jobs are
 	// forgotten so an always-on service does not grow without limit.
 	MaxFinishedJobs int
-	// Shards is the default per-audit shard count for the sharded
-	// execution engine (internal/exec) each job's row-scans run on
-	// (default runtime.GOMAXPROCS). Requests may override it per job.
-	// Audit results are shard-invariant — the merge is deterministic in
-	// chunk order — which is why shard count is excluded from the
-	// report-cache key.
-	Shards int
 	// TenantQuotas resolves a tenant id to its admission quotas
 	// (weight, token-bucket rate, queue bound) — typically
 	// (*tenant.Registry).Quotas. Nil applies the zero Quotas to every
@@ -99,9 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxFinishedJobs <= 0 {
 		c.MaxFinishedJobs = 1024
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -125,10 +115,6 @@ type Request struct {
 	Spec core.TrainSpec
 	// Seed drives the pipeline's stochastic steps (default 1).
 	Seed uint64
-	// Shards overrides the engine's default shard count for this
-	// audit's row-scans (0 inherits Config.Shards). Not part of the
-	// cache key: results are shard-invariant by construction.
-	Shards int
 	// DataHash optionally carries a precomputed, collision-free content
 	// identifier for Data — a dataset-registry ref (internal/dataset),
 	// or the monitor's chunk-derived window hash (a hash of the
@@ -368,9 +354,6 @@ func (e *Engine) AuditJob(req *Request) (JobSpec, error) {
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
-	}
-	if req.Shards <= 0 {
-		req.Shards = e.cfg.Shards
 	}
 	if req.Class == "" {
 		req.Class = ClassInteractive
@@ -676,10 +659,10 @@ func (e *Engine) nextID() string {
 // equal keys must produce identical reports. The dataset name is
 // included because the report embeds it; two names for the same bytes
 // are cached separately rather than served a mislabeled report. The
-// shard count is deliberately excluded: the exec merge is
-// shard-invariant, so a report computed at any Shards answers requests
-// at every Shards. A request carrying DataHash (a dataset-registry
-// ref IS the content hash) short-circuits the O(dataset) re-hash.
+// host's GOMAXPROCS, which sets the audit's shard count, is
+// deliberately excluded: the exec merge is shard-invariant. A request
+// carrying DataHash (a dataset-registry ref IS the content hash)
+// short-circuits the O(dataset) re-hash.
 func cacheKey(req *Request) string {
 	dataHash := req.DataHash
 	if dataHash == "" {
@@ -717,16 +700,15 @@ func specHash(s core.TrainSpec) string {
 // RunAudit executes one audit request synchronously on the caller's
 // goroutine: Load -> Train -> Audit over a fresh core.Pipeline, checking
 // ctx between stages. The audit's row-scans run on the sharded
-// execution engine at req.Shards. It is the engine's default job body
-// and is exported so callers (benchmarks, CLIs) can measure the
-// single-worker baseline.
+// execution engine at GOMAXPROCS shards. It is the engine's default
+// job body and is exported so callers (benchmarks, CLIs) can measure
+// the single-worker baseline.
 func RunAudit(ctx context.Context, req *Request) (*core.FACTReport, error) {
 	pipe, err := core.New(core.Config{
 		Name:   req.Dataset,
 		Policy: req.Policy,
 		Seed:   req.Seed,
 		Actor:  "rds-serve",
-		Shards: req.Shards,
 	})
 	if err != nil {
 		return nil, err

@@ -89,16 +89,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-// quantileSorted is Quantile over already-sorted data: the shared
-// interpolation both the sequential and the sharded paths use, so
-// identical sorted inputs yield identical bits.
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
 	if len(s) == 1 {
 		return s[0]
 	}
