@@ -158,7 +158,8 @@ func assertStatesEqual(t *testing.T, label string, got, want []State) {
 	gm, wm := got[0].(*Moments), want[0].(*Moments)
 	if gm.N != wm.N || bits(gm.Sum) != bits(wm.Sum) || bits(gm.Min) != bits(wm.Min) ||
 		bits(gm.Max) != bits(wm.Max) || bits(gm.Variance()) != bits(wm.Variance()) {
-		t.Errorf("%s: Moments diverged: %+v vs %+v", label, gm, wm)
+		t.Errorf("%s: Moments diverged: n=%d sum=%v var=%v vs n=%d sum=%v var=%v",
+			label, gm.N, gm.Sum, gm.Variance(), wm.N, wm.Sum, wm.Variance())
 	}
 	gv, wv := got[1].(*Sorted).Values(), want[1].(*Sorted).Values()
 	if len(gv) != len(wv) {

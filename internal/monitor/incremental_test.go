@@ -210,8 +210,8 @@ func randomArrivals(t testing.TB, seed int64, n int) []stream.Arrival {
 
 // runArrivals feeds one deterministic arrival stream through a fresh
 // registry+monitor (with or without a chunk-state cache) and returns
-// the full history and final summary.
-func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []stream.Arrival) ([]WindowEntry, Summary) {
+// the full history, the final summary and the registry's gauges.
+func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []stream.Arrival) ([]WindowEntry, Summary, MetricsSnapshot) {
 	t.Helper()
 	r, err := NewRegistry(RegistryConfig{Engine: newTestEngine(t), ChunkStates: cache})
 	if err != nil {
@@ -226,7 +226,7 @@ func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []
 		t.Fatalf("Ingest: %v", err)
 	}
 	m.Flush()
-	return m.History(), m.Status()
+	return m.History(), m.Status(), r.Metrics()
 }
 
 // TestIncrementalEqualsRescanRandomized is the chunk-state cache's
@@ -253,8 +253,8 @@ func TestIncrementalEqualsRescanRandomized(t *testing.T) {
 				spec.History = 1024
 
 				cache := dataset.NewStateCache(1 << 20)
-				gotHist, gotSum := runArrivals(t, spec, cache, arrivals)
-				wantHist, wantSum := runArrivals(t, spec, nil, arrivals)
+				gotHist, gotSum, _ := runArrivals(t, spec, cache, arrivals)
+				wantHist, wantSum, _ := runArrivals(t, spec, nil, arrivals)
 
 				mustEqualHistories(t, name, gotHist, wantHist)
 				gotSum.ProfileBuildMillis, wantSum.ProfileBuildMillis = 0, 0
@@ -380,22 +380,6 @@ func TestRescanFallbackCounted(t *testing.T) {
 		t.Fatalf("Drop: %v", err)
 	}
 	typed := stringifyColumn(t, pool, "income")
-	run := func(spec Spec, cache *dataset.StateCache, arrivals []stream.Arrival) ([]WindowEntry, MetricsSnapshot) {
-		r, err := NewRegistry(RegistryConfig{Engine: newTestEngine(t), ChunkStates: cache})
-		if err != nil {
-			t.Fatalf("NewRegistry: %v", err)
-		}
-		t.Cleanup(r.Close)
-		m, err := r.Register(spec)
-		if err != nil {
-			t.Fatalf("Register: %v", err)
-		}
-		if err := m.Ingest(arrivals...); err != nil {
-			t.Fatalf("Ingest: %v", err)
-		}
-		m.Flush()
-		return m.History(), r.Metrics()
-	}
 
 	// Tumbling 100 ms windows: a clean baseline, a window mixing two
 	// schemas, a window whose income column arrives as strings, and a
@@ -409,8 +393,8 @@ func TestRescanFallbackCounted(t *testing.T) {
 		{TimeMS: 200, Rows: typed.Slice(700, 1000)},
 		{TimeMS: 300, Rows: pool.Slice(1000, 1300)},
 	}
-	got, snap := run(spec, dataset.NewStateCache(1<<20), faulty)
-	want, _ := run(spec, nil, faulty)
+	got, _, snap := runArrivals(t, spec, dataset.NewStateCache(1<<20), faulty)
+	want, _, _ := runArrivals(t, spec, nil, faulty)
 	mustEqualHistories(t, "faulty stream", got, want)
 	if snap.DriftFallbacks != 2 {
 		t.Errorf("drift_rescan_fallbacks = %d, want 2 (schema mix + dtype flip)", snap.DriftFallbacks)
@@ -428,7 +412,7 @@ func TestRescanFallbackCounted(t *testing.T) {
 		clean = append(clean, stream.Arrival{TimeMS: int64(25 * i), Rows: pool.Slice(100*i, 100*i+100)})
 	}
 	cache := dataset.NewStateCache(1 << 20)
-	hist, snap := run(spec, cache, clean)
+	hist, _, snap := runArrivals(t, spec, cache, clean)
 	if snap.DriftFallbacks != 0 {
 		t.Errorf("clean sliding stream fell back %d times", snap.DriftFallbacks)
 	}
@@ -485,7 +469,7 @@ func TestChunkCacheEvictionChurn(t *testing.T) {
 	// sequentially.
 	want := make([][]WindowEntry, monitors)
 	for i := range streams {
-		want[i], _ = runArrivals(t, specFor(i), nil, streams[i])
+		want[i], _, _ = runArrivals(t, specFor(i), nil, streams[i])
 	}
 
 	ms := make([]*Monitor, monitors)

@@ -163,8 +163,9 @@ type RegistryConfig struct {
 	// states and only scans the rows that entered — O(delta) per
 	// slide instead of O(window). Results are bit-identical to the
 	// full-rescan path (the incremental≡rescan property tests
-	// enforce it); a cache miss or any condition the merged path
-	// cannot reproduce silently falls back to the rescan.
+	// enforce it); a cache miss rebuilds the chunk's state, and any
+	// condition the merged path cannot reproduce falls back to the
+	// rescan, counted in MetricsSnapshot.DriftFallbacks.
 	ChunkStates *dataset.StateCache
 	// Sinks receive every monitor's alerts (e.g. one LogSink).
 	Sinks []Sink

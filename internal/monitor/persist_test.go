@@ -121,16 +121,10 @@ func TestRestoreIgnoresRemovedShardsField(t *testing.T) {
 			t.Fatalf("%s record: (%v, %v)", rec.kind, ok, err)
 		}
 		open := `"` + rec.obj + `":{`
-		i := strings.Index(string(raw), open)
-		if i < 0 {
+		legacy := strings.Replace(string(raw), open, open+`"shards":4,`, 1)
+		if legacy == string(raw) {
 			t.Fatalf("%s record has no %q object: %s", rec.kind, rec.obj, raw)
 		}
-		i += len(open)
-		member := `"shards":4`
-		if raw[i] != '}' {
-			member += ","
-		}
-		legacy := string(raw[:i]) + member + string(raw[i:])
 		if err := st.Save(rec.kind, m1.ID(), []byte(legacy)); err != nil {
 			t.Fatal(err)
 		}
