@@ -225,8 +225,8 @@ func TestHTTPMonitorValidation(t *testing.T) {
 		})
 	}
 
-	// The drift config's shard count was removed (GOMAXPROCS sets it):
-	// a client still sending it gets a 400 naming the field.
+	// drift.shards is not a field (GOMAXPROCS sets the shard count): a
+	// client that sends it gets a 400 naming the field.
 	var rejected struct {
 		Error string `json:"error"`
 	}

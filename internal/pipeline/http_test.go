@@ -121,7 +121,7 @@ func TestHTTPPipelineErrorPaths(t *testing.T) {
 		{"unknown dataset", map[string]any{"dataset_ref": "nope"}, http.StatusBadRequest, ""},
 		{"unknown stage", map[string]any{"dataset_ref": w.ref, "stages": []string{"ship-it"}}, http.StatusBadRequest, ""},
 		{"bad mitigation", map[string]any{"dataset_ref": w.ref, "mitigation": "hope"}, http.StatusBadRequest, ""},
-		// The spec's shard count was removed: GOMAXPROCS sets it.
+		// shards is not a spec field: GOMAXPROCS sets the shard count.
 		{"removed shards field", map[string]any{"dataset_ref": w.ref, "shards": 4}, http.StatusBadRequest, "shards"},
 	} {
 		code, raw := doJSON(t, srv, http.MethodPost, "/v1/pipelines", "", tc.body)

@@ -209,7 +209,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"no source", `{}`, http.StatusBadRequest, ""},
 		{"two sources", `{"csv":"a\n1","synthetic":{}}`, http.StatusBadRequest, ""},
 		{"unknown field", `{"bogus":1}`, http.StatusBadRequest, "bogus"},
-		// The per-request shard count was removed: GOMAXPROCS sets it.
+		// shards is not a request field: GOMAXPROCS sets the shard count.
 		{"removed shards field", `{"synthetic":{"n":200},"shards":4}`, http.StatusBadRequest, "shards"},
 		{"path disabled", `{"path":"/etc/passwd"}`, http.StatusBadRequest, ""},
 		{"bad mitigation", `{"synthetic":{},"mitigation":"magic"}`, http.StatusBadRequest, ""},
