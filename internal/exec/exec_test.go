@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"github.com/responsible-data-science/rds/internal/frame"
 )
 
 // countState counts rows and records the chunk extents it saw.
@@ -228,6 +230,103 @@ func TestLevelsCounts(t *testing.T) {
 	keys := l.Keys()
 	if len(keys) != 3 || keys[0] != "x" || keys[1] != "y" || keys[2] != "z" {
 		t.Errorf("keys: %v", keys)
+	}
+}
+
+// groupColumns returns the same group labels as a plain column, a
+// dictionary-encoded one, and a dictionary-encoded one with null rows
+// (rendered as ""), keyed by case name.
+func groupColumns(t *testing.T, vals []string, nullRows ...int) map[string]*frame.Series {
+	t.Helper()
+	plain := frame.NewString("g", vals)
+	nulls := plain.Intern()
+	for _, i := range nullRows {
+		nulls.SetNull(i)
+	}
+	cols := map[string]*frame.Series{"plain": plain, "dict": plain.Intern(), "dict-nulls": nulls}
+	for name, col := range cols {
+		if _, _, ok := col.DictView(); ok == (name == "plain") {
+			t.Fatalf("%s: column encoding is not the one the case names", name)
+		}
+	}
+	return cols
+}
+
+// TestOutcomesSeriesMatchesStrings: the column-keyed outcomes kernel
+// tallies exactly what the string-keyed kernel tallies over the
+// rendered values — on plain and dictionary-encoded columns, with null
+// rows counted under "", with and without a restriction that names the
+// "" group — and reports the same smallest invalid row.
+func TestOutcomesSeriesMatchesStrings(t *testing.T) {
+	yTrue := []float64{1, 0, 1, 0, 1, 0, 2, 1, 0, 1}
+	yPred := []float64{1, 1, 0, 0, 1, 0, 1, 1, 1, 0}
+	vals := []string{"a", "a", "b", "", "a", "c", "c", "b", "", "b"}
+	cols := groupColumns(t, vals, 1, 7)
+	for _, tc := range []struct {
+		col  string
+		only []string
+	}{
+		{"plain", nil},
+		{"plain", []string{"a", "b"}},
+		{"dict", nil},
+		{"dict", []string{"a", "b"}},
+		{"dict-nulls", nil},
+		{"dict-nulls", []string{"a", "b"}},
+		{"dict-nulls", []string{"", "b"}},
+	} {
+		col := cols[tc.col]
+		for _, shards := range []int{1, 3} {
+			opt := Options{Shards: shards, ChunkSize: 3}
+			ws, err := RunOne(len(yTrue), opt, NewOutcomes(yTrue, yPred, col.Strings(), tc.only...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs, err := RunOne(len(yTrue), opt, NewOutcomesSeries(yTrue, yPred, col, tc.only...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := ws.(*Outcomes), gs.(*Outcomes)
+			if got.ErrRow != want.ErrRow {
+				t.Errorf("%s only=%q shards=%d: ErrRow %d, want %d", tc.col, tc.only, shards, got.ErrRow, want.ErrRow)
+			}
+			if len(got.Counts) != len(want.Counts) {
+				t.Errorf("%s only=%q shards=%d: groups %v, want %v", tc.col, tc.only, shards, got.Counts, want.Counts)
+			}
+			for g, w := range want.Counts {
+				if c := got.Counts[g]; c == nil || *c != *w {
+					t.Errorf("%s only=%q shards=%d: group %q tallies %+v, want %+v", tc.col, tc.only, shards, g, c, w)
+				}
+			}
+		}
+	}
+}
+
+// TestLevelsSeriesMatchesStrings: the column-keyed level counter
+// counts exactly what NewLevels counts over the rendered values, null
+// rows under "" next to the genuine empty-string level.
+func TestLevelsSeriesMatchesStrings(t *testing.T) {
+	vals := []string{"x", "", "y", "x", "z", "x", "", "y"}
+	for name, col := range groupColumns(t, vals, 0, 4) {
+		for _, shards := range []int{1, 3} {
+			opt := Options{Shards: shards, ChunkSize: 3}
+			ws, err := RunOne(len(vals), opt, NewLevels(col.Strings()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs, err := RunOne(len(vals), opt, NewLevelsSeries(col))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := ws.(*Levels), gs.(*Levels)
+			if len(got.Counts) != len(want.Counts) || got.Total() != int64(len(vals)) {
+				t.Errorf("%s shards=%d: counts %v, want %v", name, shards, got.Counts, want.Counts)
+			}
+			for k, w := range want.Counts {
+				if got.Counts[k] != w {
+					t.Errorf("%s shards=%d: level %q counted %d, want %d", name, shards, k, got.Counts[k], w)
+				}
+			}
+		}
 	}
 }
 

@@ -87,6 +87,98 @@ func TestEvaluatePerfectParity(t *testing.T) {
 	}
 }
 
+// TestEvaluateThreeGroupsPairwise: in a three-group population each
+// pairwise report depends only on the two groups it compares — the
+// third group's rows change nothing — and the four-fifths verdict
+// follows each pair's ratio of positive rates.
+func TestEvaluateThreeGroupsPairwise(t *testing.T) {
+	var yTrue, yPred []float64
+	var groups []string
+	add := func(g string, y, p float64, n int) {
+		for i := 0; i < n; i++ {
+			yTrue = append(yTrue, y)
+			yPred = append(yPred, p)
+			groups = append(groups, g)
+		}
+	}
+	// Positive rates: a = 0.6, b = 0.5, c = 0.3.
+	add("a", 1, 1, 6)
+	add("a", 0, 0, 4)
+	add("b", 1, 1, 5)
+	add("b", 0, 0, 5)
+	add("c", 1, 1, 3)
+	add("c", 0, 0, 7)
+	for _, tc := range []struct {
+		protected, reference string
+		di                   float64
+		fourFifths           bool
+	}{
+		{"b", "a", 0.5 / 0.6, true},
+		{"c", "a", 0.3 / 0.6, false},
+		{"c", "b", 0.3 / 0.5, false},
+	} {
+		r, err := Evaluate(yTrue, yPred, groups, tc.protected, tc.reference)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(r.DisparateImpact-tc.di) > 1e-12 {
+			t.Errorf("%s vs %s: DI = %v, want %v", tc.protected, tc.reference, r.DisparateImpact, tc.di)
+		}
+		if r.FourFifths() != tc.fourFifths {
+			t.Errorf("%s vs %s: FourFifths = %v at DI %v", tc.protected, tc.reference, r.FourFifths(), r.DisparateImpact)
+		}
+		var pt, pp []float64
+		var pg []string
+		for i, g := range groups {
+			if g == tc.protected || g == tc.reference {
+				pt, pp, pg = append(pt, yTrue[i]), append(pp, yPred[i]), append(pg, g)
+			}
+		}
+		pair, err := Evaluate(pt, pp, pg, tc.protected, tc.reference)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eqReport(r, pair) {
+			t.Errorf("%s vs %s: third group's rows changed the report:\n got %+v\nwant %+v",
+				tc.protected, tc.reference, r, pair)
+		}
+	}
+}
+
+// TestEvaluateEqualizedOddsFPRGap: equalized odds is the larger of the
+// two error-rate gaps. With equal true-positive rates the
+// false-positive gap alone sets it.
+func TestEvaluateEqualizedOddsFPRGap(t *testing.T) {
+	var yTrue, yPred []float64
+	var groups []string
+	add := func(g string, y, p float64, n int) {
+		for i := 0; i < n; i++ {
+			yTrue = append(yTrue, y)
+			yPred = append(yPred, p)
+			groups = append(groups, g)
+		}
+	}
+	// Both groups: TPR 3/4. Reference FPR 1/4, protected FPR 3/4.
+	add("ref", 1, 1, 3)
+	add("ref", 1, 0, 1)
+	add("ref", 0, 1, 1)
+	add("ref", 0, 0, 3)
+	add("prot", 1, 1, 3)
+	add("prot", 1, 0, 1)
+	add("prot", 0, 1, 3)
+	add("prot", 0, 0, 1)
+	r, err := Evaluate(yTrue, yPred, groups, "prot", "ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.EqualOpportunityDifference != 0 {
+		t.Errorf("EOD = %v, want 0 (equal TPR)", r.EqualOpportunityDifference)
+	}
+	if r.EqualizedOddsDifference != 0.5 {
+		t.Errorf("EOdds = %v, want 0.5 (the FPR gap)", r.EqualizedOddsDifference)
+	}
+}
+
 func TestEvaluateErrors(t *testing.T) {
 	if _, err := Evaluate([]float64{1}, []float64{1, 0}, []string{"a", "b"}, "a", "b"); err == nil {
 		t.Fatal("length mismatch accepted")

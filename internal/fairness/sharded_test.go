@@ -141,6 +141,53 @@ func TestEvaluateShardInvariance(t *testing.T) {
 	}
 }
 
+// TestEvaluateSeriesShardedDictColumn: a dictionary-encoded group
+// column with null rows evaluates exactly like the rendered strings,
+// nulls forming the "" group, at every shard count — including a
+// report whose protected group is that "" group.
+func TestEvaluateSeriesShardedDictColumn(t *testing.T) {
+	yTrue, yPred, groups := randomCase(20000, 31)
+	col := frame.NewString("group", groups).Intern()
+	if _, _, ok := col.DictView(); !ok {
+		t.Fatal("Intern left the group column plain")
+	}
+	for i := 5; i < len(groups); i += 7 {
+		col.SetNull(i)
+	}
+	rendered := col.Strings()
+	for _, pair := range [][2]string{{"B", "A"}, {"", "C"}} {
+		want, err := referenceEvaluate(yTrue, yPred, rendered, pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 3, 16} {
+			got, err := EvaluateSeriesSharded(yTrue, yPred, col, pair[0], pair[1], shards)
+			if err != nil {
+				t.Fatalf("%q vs %q shards=%d: %v", pair[0], pair[1], shards, err)
+			}
+			if !eqReport(got, want) {
+				t.Errorf("%q vs %q shards=%d: dictionary report diverged from the rendered strings:\n got %+v\nwant %+v",
+					pair[0], pair[1], shards, got, want)
+			}
+		}
+	}
+}
+
+// TestEvaluateSeriesShardedLengthMismatch: the column-keyed evaluation
+// rejects labels, predictions and groups of different lengths, on plain
+// and dictionary-encoded columns alike.
+func TestEvaluateSeriesShardedLengthMismatch(t *testing.T) {
+	plain := frame.NewString("g", []string{"A", "B"})
+	for _, col := range []*frame.Series{plain, plain.Intern()} {
+		if _, err := EvaluateSeriesSharded([]float64{1}, []float64{1, 0}, col, "B", "A", 0); err == nil {
+			t.Error("label/prediction length mismatch accepted")
+		}
+		if _, err := EvaluateSeriesSharded([]float64{1, 0, 1}, []float64{1, 0, 1}, col, "B", "A", 0); err == nil {
+			t.Error("label/group length mismatch accepted")
+		}
+	}
+}
+
 // TestEvaluateShardedEdgeCases covers the degenerate shard layouts the
 // planner must keep exact: one-row inputs and error paths.
 func TestEvaluateShardedEdgeCases(t *testing.T) {

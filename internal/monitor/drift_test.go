@@ -226,3 +226,37 @@ func TestCategoricalPSIVanishingLevelStaysFinite(t *testing.T) {
 		t.Errorf("PSI with vanished level = %v, want > %v", got, DefaultPSIThreshold)
 	}
 }
+
+// TestHistSortedEdgeSemantics: the numeric PSI histogram counts only a
+// column's finite values, puts a value equal to an edge in the bin that
+// edge closes, and leaves the bin between repeated edges — what a
+// heavily tied baseline's quantiles produce — empty.
+func TestHistSortedEdgeSemantics(t *testing.T) {
+	col := frame.NewFloat64("x", []float64{3, 1.5, math.NaN(), 0, 2.5, math.Inf(1), 1, 2, math.Inf(-1)})
+	sorted, err := sortedFinite(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sorted) != 6 {
+		t.Fatalf("sortedFinite kept %v, want the 6 finite values", sorted)
+	}
+	for _, tc := range []struct {
+		edges, want []float64
+	}{
+		// v <= 1: {0, 1}; 1 < v <= 2: {1.5, 2}; v > 2: {2.5, 3}.
+		{[]float64{1, 2}, []float64{2, 2, 2}},
+		{[]float64{1, 1, 2}, []float64{2, 0, 2, 2}},
+		{[]float64{-1, 3}, []float64{0, 6, 0}},
+	} {
+		got := histSorted(sorted, tc.edges)
+		if len(got) != len(tc.want) {
+			t.Fatalf("edges %v: %d bins, want %d", tc.edges, len(got), len(tc.want))
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Errorf("edges %v: bins %v, want %v", tc.edges, got, tc.want)
+				break
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,6 +312,28 @@ func TestSubmitValidation(t *testing.T) {
 	bad.Policy.MinDisparateImpact = 2
 	if _, err := submitAudit(e, bad); err == nil {
 		t.Error("invalid policy must be rejected")
+	}
+}
+
+// TestEngineConfigDefaults: Config reports the effective settings —
+// the zero value's defaults, explicit values kept as given, and a
+// negative cache size kept so it still reads as "disabled". rds-serve
+// prints these values in its startup line.
+func TestEngineConfigDefaults(t *testing.T) {
+	e := NewEngine(Config{})
+	got := e.Config()
+	e.Close()
+	if got.Workers != runtime.GOMAXPROCS(0) || got.QueueSize != 64 || got.JobTimeout != 60*time.Second ||
+		got.CacheSize != 128 || got.MaxFinishedJobs != 1024 {
+		t.Errorf("zero Config defaulted to %+v", got)
+	}
+	want := Config{Workers: 3, QueueSize: 5, JobTimeout: time.Second, CacheSize: -1, MaxFinishedJobs: 7}
+	e = NewEngine(want)
+	got = e.Config()
+	e.Close()
+	if got.Workers != want.Workers || got.QueueSize != want.QueueSize || got.JobTimeout != want.JobTimeout ||
+		got.CacheSize != want.CacheSize || got.MaxFinishedJobs != want.MaxFinishedJobs {
+		t.Errorf("explicit Config %+v reported as %+v", want, got)
 	}
 }
 
