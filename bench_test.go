@@ -427,7 +427,7 @@ func BenchmarkDriftBaseline(b *testing.B) {
 // Per iteration the window advances by delta chunks and is re-scored
 // against the pinned baseline profile. The "rescan" arm is the legacy
 // path the monitor falls back to — materialize the window frame with
-// the same Append chain processWindow uses, then DetectDriftProfiled
+// the same one-pass Append processWindow uses, then DetectDriftProfiled
 // over the 1M flat rows. The "incremental" arm is ChunkScorer.Score:
 // surviving chunk states come out of the cache, so only the delta rows
 // are scanned and the per-column merge is O(window) pointer-free
@@ -457,12 +457,13 @@ func BenchmarkSlidingReaudit(b *testing.B) {
 		return out
 	}
 	materialize := func(chunks []monitor.Chunk) *frame.Frame {
-		out := chunks[0].Rows
-		for _, ch := range chunks[1:] {
-			var err error
-			if out, err = out.Append(ch.Rows); err != nil {
-				b.Fatal(err)
-			}
+		rest := make([]*frame.Frame, len(chunks)-1)
+		for i, ch := range chunks[1:] {
+			rest[i] = ch.Rows
+		}
+		out, err := chunks[0].Rows.Append(rest...)
+		if err != nil {
+			b.Fatal(err)
 		}
 		return out
 	}
@@ -527,6 +528,65 @@ func BenchmarkSlidingReaudit(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "windows/s")
 		})
 	}
+}
+
+// BenchmarkChunkScoreStream times ChunkScorer.Score at the shape of the
+// service benchmark's monitor-stream workload: a 20k-row baseline
+// profile and a sliding window of 20 chunks of 1k rows, one new chunk
+// entering per iteration. The chunk-state cache holds the 19 surviving
+// states, so an iteration builds one state and scores the window. The
+// chunks cycle through a ring of distinct frames; each lap labels them
+// with fresh hashes, so the entering chunk always misses the cache as
+// a new arrival batch does.
+func BenchmarkChunkScoreStream(b *testing.B) {
+	const (
+		baseRows    = 20_000
+		chunkRows   = 1_000
+		windowParts = 20
+		ringParts   = 64
+	)
+	base, err := synth.Credit(synth.CreditConfig{N: baseRows, Bias: 0.5, Seed: 71})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := monitor.NewBaselineProfile(base, monitor.DriftConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := synth.Credit(synth.CreditConfig{N: ringParts * chunkRows, Bias: 0.5, Seed: 72})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring := make([]monitor.Chunk, ringParts)
+	for i := range ring {
+		rows := pool.Slice(i*chunkRows, (i+1)*chunkRows)
+		ring[i] = monitor.Chunk{Rows: rows, Hash: rows.Hash()}
+	}
+	chunk := func(g int) monitor.Chunk {
+		ch := ring[g%ringParts]
+		ch.Hash = fmt.Sprintf("%s/lap-%d", ch.Hash, g/ringParts)
+		return ch
+	}
+	sc, err := monitor.NewChunkScorer(prof, dataset.NewStateCache(dataset.DefaultStateBudgetBytes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	window := make([]monitor.Chunk, 0, windowParts+b.N)
+	for g := 0; g < windowParts; g++ {
+		window = append(window, chunk(g))
+	}
+	if _, err := sc.Score(window); err != nil { // warm the starting window's states
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window = append(window, chunk(windowParts+i))
+		if _, err := sc.Score(window[len(window)-windowParts:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "windows/s")
 }
 
 // BenchmarkMonitorWindow measures the monitoring plane's steady-state

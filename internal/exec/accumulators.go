@@ -108,14 +108,6 @@ func (m *Moments) Variance() float64 {
 	return m.m2 / float64(m.N-1)
 }
 
-// PopVariance returns the population (n) variance, NaN when empty.
-func (m *Moments) PopVariance() float64 {
-	if m.N == 0 {
-		return math.NaN()
-	}
-	return m.m2 / float64(m.N)
-}
-
 // StdDev returns the unbiased sample standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
@@ -421,19 +413,16 @@ func (s *Sorted) Values() []float64 {
 			sort.Float64s(r)
 		}
 	}
-	return MergeRuns(s.runs)
+	return mergeRuns(s.runs)
 }
 
-// MergeRuns folds sorted runs into one sorted slice with the same
-// balanced pairwise merge Sorted.Values uses — O(n log k) over k runs.
-// It is the re-merge half of an incremental sort: callers that cache
-// each chunk's sorted values (themselves Sorted.Values outputs) can
-// fold surviving chunks with fresh ones and get the slice a full
-// re-sort would produce. For finite data the output is the unique
-// sorted permutation of the inputs regardless of how the values were
-// split into runs. The result may alias an input run; treat both as
-// immutable.
-func MergeRuns(runs [][]float64) []float64 {
+// mergeRuns folds sorted runs into one sorted slice by balanced
+// pairwise merges — O(n log k) over k runs — the fold behind
+// Sorted.Values for data a radix sort cannot order. For finite data the
+// output is the unique sorted permutation of the inputs regardless of
+// how the values were split into runs. The result may alias an input
+// run; treat both as immutable.
+func mergeRuns(runs [][]float64) []float64 {
 	for len(runs) > 1 {
 		merged := make([][]float64, 0, (len(runs)+1)/2)
 		for i := 0; i < len(runs); i += 2 {

@@ -181,10 +181,9 @@ func assertStatesEqual(t *testing.T, label string, got, want []State) {
 	}
 }
 
-// TestMergeRunsMatchesFullSort proves the exported re-merge half of the
-// incremental sort: folding arbitrary pre-sorted runs reproduces the
-// one-shot sort of their concatenation bit for bit, however the values
-// were split.
+// TestMergeRunsMatchesFullSort proves the run fold behind Sorted.Values:
+// folding arbitrary pre-sorted runs reproduces the one-shot sort of
+// their concatenation bit for bit, however the values were split.
 func TestMergeRunsMatchesFullSort(t *testing.T) {
 	xs := ramp(500, 17)
 	splits := [][]int{
@@ -205,7 +204,7 @@ func TestMergeRunsMatchesFullSort(t *testing.T) {
 			runs = append(runs, run)
 			off += w
 		}
-		got := MergeRuns(runs)
+		got := mergeRuns(runs)
 		if len(got) != len(want) {
 			t.Fatalf("split %v: len %d, want %d", split, len(got), len(want))
 		}
@@ -215,7 +214,7 @@ func TestMergeRunsMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
-	if got := MergeRuns(nil); got != nil {
-		t.Errorf("MergeRuns(nil) = %v, want nil", got)
+	if got := mergeRuns(nil); got != nil {
+		t.Errorf("mergeRuns(nil) = %v, want nil", got)
 	}
 }

@@ -294,33 +294,57 @@ func compareRows(s *Series, i, j int) int {
 	return 0
 }
 
-// Append returns the vertical concatenation of f and g. Schemas must match
-// exactly (names, order, dtypes).
-func (f *Frame) Append(g *Frame) (*Frame, error) {
-	if f.NumCols() != g.NumCols() {
-		return nil, fmt.Errorf("frame: Append schema mismatch: %d vs %d columns", f.NumCols(), g.NumCols())
+// Append returns the vertical concatenation of f and gs, in order, with
+// each column sized once at the total length; with no gs it returns f.
+// Schemas must match exactly (names, order, dtypes). The result is the
+// one a chain of two-frame appends would build: a String column stays
+// dictionary-encoded when every part is, keeping f's dictionary
+// extended with each later part's novel levels in order; a plain part
+// makes it plain.
+func (f *Frame) Append(gs ...*Frame) (*Frame, error) {
+	for _, g := range gs {
+		if f.NumCols() != g.NumCols() {
+			return nil, fmt.Errorf("frame: Append schema mismatch: %d vs %d columns", f.NumCols(), g.NumCols())
+		}
+		for i, c := range f.cols {
+			if o := g.cols[i]; c.Name() != o.Name() || c.DType() != o.DType() {
+				return nil, fmt.Errorf("frame: Append column %d mismatch: %s %s vs %s %s",
+					i, c.Name(), c.DType(), o.Name(), o.DType())
+			}
+		}
+	}
+	if len(gs) == 0 {
+		return f, nil
 	}
 	out := &Frame{byName: make(map[string]int, len(f.cols))}
+	parts := make([]*Series, len(gs)+1)
 	for i, c := range f.cols {
-		o := g.cols[i]
-		if c.Name() != o.Name() || c.DType() != o.DType() {
-			return nil, fmt.Errorf("frame: Append column %d mismatch: %s %s vs %s %s",
-				i, c.Name(), c.DType(), o.Name(), o.DType())
-		}
-		merged := &Series{name: c.Name(), dtype: c.DType()}
-		merged.floats = append(append([]float64(nil), c.floats...), o.floats...)
-		merged.ints = append(append([]int64(nil), c.ints...), o.ints...)
-		merged.bools = append(append([]bool(nil), c.bools...), o.bools...)
-		if c.DType() == String {
-			appendStringPayload(merged, c, o)
-		}
-		if c.nulls != nil || o.nulls != nil {
-			merged.nulls = make([]bool, c.Len()+o.Len())
-			for i := 0; i < c.Len(); i++ {
-				merged.nulls[i] = c.IsNull(i)
+		rows, nulls := 0, false
+		for j := range parts {
+			if j == 0 {
+				parts[j] = c
+			} else {
+				parts[j] = gs[j-1].cols[i]
 			}
-			for i := 0; i < o.Len(); i++ {
-				merged.nulls[c.Len()+i] = o.IsNull(i)
+			rows += parts[j].Len()
+			nulls = nulls || parts[j].nulls != nil
+		}
+		merged := &Series{
+			name:   c.Name(),
+			dtype:  c.DType(),
+			floats: concatParts(parts, func(s *Series) []float64 { return s.floats }),
+			ints:   concatParts(parts, func(s *Series) []int64 { return s.ints }),
+			bools:  concatParts(parts, func(s *Series) []bool { return s.bools }),
+		}
+		if c.DType() == String {
+			appendStringPayload(merged, parts, rows)
+		}
+		if nulls {
+			merged.nulls = make([]bool, 0, rows)
+			for _, p := range parts {
+				for r := 0; r < p.Len(); r++ {
+					merged.nulls = append(merged.nulls, p.IsNull(r))
+				}
 			}
 		}
 		if err := out.addColumn(merged); err != nil {
@@ -328,6 +352,23 @@ func (f *Frame) Append(g *Frame) (*Frame, error) {
 		}
 	}
 	return out, nil
+}
+
+// concatParts concatenates one payload slice across parts, nil when
+// the parts hold none.
+func concatParts[T any](parts []*Series, payload func(*Series) []T) []T {
+	n := 0
+	for _, p := range parts {
+		n += len(payload(p))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, payload(p)...)
+	}
+	return out
 }
 
 // Equal reports whether two frames are identical in schema and content.

@@ -550,43 +550,53 @@ func (s *Series) Levels() []string {
 }
 
 // appendStringPayload fills merged with the concatenated string payload
-// of a and b (same-schema String columns). When both sides are
-// dict-encoded the result keeps a's dictionary extended with b's novel
-// levels and remaps b's codes — O(levels) dictionary work, O(rows) code
-// copies, no per-row hashing. Mixed representations materialize plain.
-func appendStringPayload(merged, a, b *Series) {
+// of parts (same-schema String columns, rows in total). When every part
+// is dict-encoded the result keeps the first part's dictionary extended
+// with each later part's novel levels and remaps their codes — O(levels)
+// dictionary work, O(rows) code copies, no per-row hashing. Any plain
+// part materializes the result plain.
+func appendStringPayload(merged *Series, parts []*Series, rows int) {
+	allDict, anyDict := true, false
+	for _, p := range parts {
+		allDict = allDict && p.dict != nil
+		anyDict = anyDict || p.dict != nil
+	}
 	switch {
-	case a.dict != nil && b.dict != nil:
-		dict := append(make([]string, 0, len(a.dict)), a.dict...)
+	case allDict:
+		dict := append(make([]string, 0, len(parts[0].dict)), parts[0].dict...)
 		idx := make(map[string]int32, len(dict))
 		for i, v := range dict {
 			idx[v] = int32(i)
 		}
-		remap := make([]int32, len(b.dict))
-		for i, v := range b.dict {
-			c, ok := idx[v]
-			if !ok {
-				c = int32(len(dict))
-				dict = append(dict, v)
-				idx[v] = c
+		codes := append(make([]int32, 0, rows), parts[0].codes...)
+		for _, p := range parts[1:] {
+			remap := make([]int32, len(p.dict))
+			for i, v := range p.dict {
+				c, ok := idx[v]
+				if !ok {
+					c = int32(len(dict))
+					dict = append(dict, v)
+					idx[v] = c
+				}
+				remap[i] = c
 			}
-			remap[i] = c
-		}
-		codes := make([]int32, 0, len(a.codes)+len(b.codes))
-		codes = append(codes, a.codes...)
-		for _, c := range b.codes {
-			codes = append(codes, remap[c])
+			for _, c := range p.codes {
+				codes = append(codes, remap[c])
+			}
 		}
 		merged.codes, merged.dict = codes, dict
-	case a.dict == nil && b.dict == nil:
-		merged.strings = append(append(make([]string, 0, len(a.strings)+len(b.strings)), a.strings...), b.strings...)
-	default:
-		out := make([]string, 0, a.Len()+b.Len())
-		for i := 0; i < a.Len(); i++ {
-			out = append(out, a.strAt(i))
+	case !anyDict:
+		out := make([]string, 0, rows)
+		for _, p := range parts {
+			out = append(out, p.strings...)
 		}
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, b.strAt(i))
+		merged.strings = out
+	default:
+		out := make([]string, 0, rows)
+		for _, p := range parts {
+			for i := 0; i < p.Len(); i++ {
+				out = append(out, p.strAt(i))
+			}
 		}
 		merged.strings = out
 	}

@@ -1,7 +1,13 @@
 package monitor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
+	"sort"
+	"sync"
 
 	"github.com/responsible-data-science/rds/internal/dataset"
 	"github.com/responsible-data-science/rds/internal/exec"
@@ -23,16 +29,19 @@ type Chunk struct {
 
 // ChunkScorer scores a sliding window's drift against a pinned
 // baseline profile from per-chunk states instead of a materialized
-// frame. Each chunk contributes its sorted finite sample per numeric
-// column and its level counts per categorical column — both
-// chunk-layout-invariant, so the deterministic re-merge is
-// bit-identical to DetectDriftProfiled over the concatenated window
-// (the incremental≡rescan property the monitor tests enforce). States
-// are cached in a dataset.StateCache keyed by (chunk hash, profile
-// key): a window advance re-merges surviving chunk states and only
-// scans the rows that entered, making the slide O(delta), not
-// O(window). A cache miss rebuilds the state from the chunk's rows —
-// eviction costs time, never correctness.
+// frame. A chunk's state holds, per numeric column, each finite value's
+// slot among the baseline's distinct values (rankTable), and per
+// categorical column its level counts. Score adds the window's slots
+// into one count array per numeric column and reads the KS statistic
+// and the PSI bins off one pass over it, bit-identical to
+// DetectDriftProfiled over the concatenated window (the
+// incremental≡rescan property the monitor tests enforce). States are
+// cached in a dataset.StateCache keyed by (chunk hash, baseline
+// fingerprint), so a window advance sorts and ranks only the rows that
+// entered, plus, per numeric column, one pass over the window's values
+// and the baseline's distinct values. A cache miss rebuilds the state
+// from the chunk's rows — eviction costs time, never correctness — and
+// the chunks a window misses are built in parallel.
 //
 // Moments are deliberately absent from the chunk state: their
 // parallel-variance merge is chunk-layout-sensitive, and the profiled
@@ -44,12 +53,128 @@ type Chunk struct {
 type ChunkScorer struct {
 	profile *BaselineProfile
 	cache   *dataset.StateCache
+	// ranks holds each numeric profiled column's rank table, in profile
+	// column order; nil for categorical and absent columns and for a
+	// numeric column without finite baseline values.
+	ranks []*rankTable
 	// key fingerprints the profile's column treatment (names + kinds,
-	// in order); it namespaces cache keys so two monitors profiling
-	// the same stream share states while differently configured ones
-	// cannot collide.
+	// in order) and the distinct baseline values the slots are taken
+	// against; it namespaces cache keys so monitors share states only
+	// when their states would be identical. It is a content hash, never
+	// a pointer: a freed profile's address can be reused by another.
 	key string
 }
+
+// rankTable is one numeric column's baseline in the form Score reads:
+// the distinct values u_1 < … < u_m of the sorted finite sample, the
+// baseline CDF at each, and the rank of each PSI edge.
+type rankTable struct {
+	distinct []float64
+	// cdf[k] is the share of baseline values <= u_k, as the float
+	// ksStatistic computes for it: cum[k]/nB with cum[0] = 0.
+	cdf []float64
+	// edgeRank[i] is the k with u_k == edges[i] (edges are baseline
+	// values, non-decreasing, possibly repeated).
+	edgeRank []int
+}
+
+// newRankTable builds the rank table of a sorted, non-empty finite
+// sample and its PSI edges.
+func newRankTable(sorted, edges []float64) *rankTable {
+	rt := &rankTable{cdf: []float64{0}}
+	nb := float64(len(sorted))
+	for i, v := range sorted {
+		if i+1 < len(sorted) && sorted[i+1] == v {
+			continue
+		}
+		rt.distinct = append(rt.distinct, v)
+		rt.cdf = append(rt.cdf, float64(i+1)/nb)
+	}
+	rt.edgeRank = make([]int, len(edges))
+	for i, e := range edges {
+		rt.edgeRank[i] = sort.SearchFloat64s(rt.distinct, e) + 1
+	}
+	return rt
+}
+
+// slots ranks a column's finite values (NaN and ±Inf dropped, as the
+// drift sort drops them) against the distinct baseline values: slot
+// 2k-1 for v == u_k, slot 2k for u_k < v < u_{k+1}, 0 below u_1 and 2m
+// above u_m. The values are sorted first, so each search starts where
+// the previous one ended and the slots come out ascending.
+func (rt *rankTable) slots(vals []float64) ([]uint32, error) {
+	st, err := exec.RunOne(len(vals), exec.Options{}, exec.NewSorted(vals, true))
+	if err != nil {
+		return nil, err
+	}
+	sorted := st.(*exec.Sorted).Values()
+	out := make([]uint32, len(sorted))
+	m, k := len(rt.distinct), 0
+	for i, v := range sorted {
+		// Gallop from the previous rank, then binary-search the bracket.
+		step := 1
+		for k+step <= m && rt.distinct[k+step-1] < v {
+			k += step
+			step *= 2
+		}
+		k += sort.SearchFloat64s(rt.distinct[k:min(k+step, m)], v)
+		s := 2 * k
+		if k < m && rt.distinct[k] == v {
+			s++
+		}
+		out[i] = uint32(s)
+	}
+	return out, nil
+}
+
+// score folds the window's slots of column col into counts and returns
+// the two-sample KS statistic and the window's PSI bin counts, equal
+// bit for bit to ksStatistic and histSorted over the window's sorted
+// finite values. nw is the window's finite count (> 0).
+//
+// The walk visits every u_k with J(<u_k) and J(<=u_k), the window
+// counts below and up to it. Between two baseline values the baseline
+// CDF is flat and the window's only rises, so |F_B - F_W| peaks at an
+// end of each stretch: every pair ksStatistic evaluates is one of the
+// walk's or dominated by one, and every pair of the walk's is one of
+// ksStatistic's or dominated by one. Both take the maximum of the same
+// float expression, so the bits agree.
+func (rt *rankTable) score(states []*chunkState, col, nw int, counts []int32) (float64, []float64) {
+	m := len(rt.distinct)
+	counts = counts[:2*m+1]
+	clear(counts)
+	for _, st := range states {
+		for _, s := range st.cols[col].slots {
+			counts[s]++
+		}
+	}
+	fw := float64(nw)
+	hist := make([]float64, len(rt.edgeRank)+1)
+	// j is the running window count J. Every gap is a non-negative Abs,
+	// never NaN, so a plain compare keeps the maximum math.Max would.
+	var d float64
+	j, prev, e := int(counts[0]), 0, 0
+	for k := 1; k <= m; k++ {
+		if g := math.Abs(rt.cdf[k-1] - float64(j)/fw); g > d {
+			d = g
+		}
+		j += int(counts[2*k-1])
+		if g := math.Abs(rt.cdf[k] - float64(j)/fw); g > d {
+			d = g
+		}
+		for ; e < len(rt.edgeRank) && rt.edgeRank[e] == k; e++ {
+			hist[e] = float64(j - prev)
+			prev = j
+		}
+		j += int(counts[2*k])
+	}
+	hist[len(rt.edgeRank)] = float64(nw - prev)
+	return d, hist
+}
+
+// countPool recycles Score's count arrays. Each call takes its own, so
+// concurrent Score calls never share one.
+var countPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // NewChunkScorer builds a scorer for the given profile. cache may be
 // nil, in which case every Score rebuilds every chunk state (correct,
@@ -58,26 +183,43 @@ func NewChunkScorer(p *BaselineProfile, cache *dataset.StateCache) (*ChunkScorer
 	if p == nil {
 		return nil, fmt.Errorf("monitor: chunk scorer needs a baseline profile")
 	}
-	parts := make([]string, 0, 2*len(p.cols)+1)
-	parts = append(parts, "rds-chunk-state-v1")
+	s := &ChunkScorer{profile: p, cache: cache, ranks: make([]*rankTable, len(p.cols))}
+	parts := make([]string, 0, 3*len(p.cols)+1)
+	parts = append(parts, "rds-chunk-state-v2")
 	for i := range p.cols {
 		pc := &p.cols[i]
-		kind := "absent"
+		kind, fingerprint := "absent", ""
 		if pc.present {
 			if pc.numeric {
 				kind = "numeric"
+				if len(pc.sorted) > 0 {
+					s.ranks[i] = newRankTable(pc.sorted, pc.edges)
+					fingerprint = s.ranks[i].fingerprint()
+				}
 			} else {
 				kind = "categorical"
 			}
 		}
-		parts = append(parts, pc.name, kind)
+		parts = append(parts, pc.name, kind, fingerprint)
 	}
-	return &ChunkScorer{profile: p, cache: cache, key: provenance.HashStrings(parts...)}, nil
+	s.key = provenance.HashStrings(parts...)
+	return s, nil
+}
+
+// fingerprint hashes the distinct baseline values, the only part of
+// the table a chunk's slots depend on.
+func (rt *rankTable) fingerprint() string {
+	buf := make([]byte, 8*len(rt.distinct))
+	for i, u := range rt.distinct {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(u))
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // chunkState is one chunk's cached drift state: per profiled column,
-// the chunk's dtype plus its sorted finite sample (numeric treatment)
-// or level counts (categorical treatment), in profile column order.
+// the chunk's dtype plus its baseline slots (numeric treatment) or
+// level counts (categorical treatment), in profile column order.
 type chunkState struct {
 	rows int
 	cols []chunkColumn
@@ -87,8 +229,9 @@ type chunkState struct {
 type chunkColumn struct {
 	present bool
 	dtype   frame.DType
-	sorted  []float64
-	levels  *exec.Levels
+	// slots holds one rankTable slot per finite value, ascending.
+	slots  []uint32
+	levels *exec.Levels
 }
 
 // sizeBytes estimates the state's heap footprint for the cache's byte
@@ -98,7 +241,7 @@ func (s *chunkState) sizeBytes() int64 {
 	n := int64(48)
 	for i := range s.cols {
 		cc := &s.cols[i]
-		n += colOverhead + 8*int64(len(cc.sorted))
+		n += colOverhead + 4*int64(len(cc.slots))
 		if cc.levels != nil {
 			for k := range cc.levels.Counts {
 				n += 48 + int64(len(k))
@@ -121,19 +264,18 @@ func (s *ChunkScorer) buildState(rows *frame.Frame) (*chunkState, error) {
 		cc.present = true
 		cc.dtype = c.DType()
 		if pc.numeric {
-			if cc.dtype != frame.Float64 && cc.dtype != frame.Int64 {
-				// Type drift: recorded, not scored — Score surfaces it
-				// so the caller falls back to the rescan path, which
-				// reports the schema change exactly as a materialized
-				// window would.
+			// Type drift is recorded, not scored — Score surfaces it so
+			// the caller falls back to the rescan path, which reports
+			// the schema change exactly as a materialized window would.
+			// A column without finite baseline values is never scored.
+			if (cc.dtype != frame.Float64 && cc.dtype != frame.Int64) || s.ranks[i] == nil {
 				continue
 			}
-			vals := c.Floats()
-			sorted, err := exec.RunOne(len(vals), exec.Options{}, exec.NewSorted(vals, true))
+			slots, err := s.ranks[i].slots(c.Floats())
 			if err != nil {
 				return nil, fmt.Errorf("monitor: chunk state %q: %w", pc.name, err)
 			}
-			cc.sorted = sorted.(*exec.Sorted).Values()
+			cc.slots = slots
 		} else {
 			lv, err := exec.RunOne(c.Len(), exec.Options{}, exec.NewLevelsSeries(c))
 			if err != nil {
@@ -169,6 +311,37 @@ func (s *ChunkScorer) state(ch Chunk) (*chunkState, error) {
 	return st, nil
 }
 
+// windowStates is the exec state that gathers a window's chunk states:
+// Update looks up or builds the states of chunks [lo, hi), Merge appends
+// in chunk order and keeps the first error.
+type windowStates struct {
+	scorer *ChunkScorer
+	chunks []Chunk
+	states []*chunkState
+	err    error
+}
+
+// Update gathers the states of chunks [lo, hi).
+func (w *windowStates) Update(lo, hi int) {
+	for _, ch := range w.chunks[lo:hi] {
+		st, err := w.scorer.state(ch)
+		if err != nil {
+			w.err = err
+			return
+		}
+		w.states = append(w.states, st)
+	}
+}
+
+// Merge appends the other state's chunk states after this one's.
+func (w *windowStates) Merge(other exec.State) {
+	o := other.(*windowStates)
+	if w.err == nil {
+		w.err = o.err
+	}
+	w.states = append(w.states, o.states...)
+}
+
 // Score computes the window's drift report from its chunks,
 // bit-identical to DetectDriftProfiled over the chunks' concatenation.
 // Any condition the merged path cannot reproduce exactly — chunks
@@ -190,15 +363,23 @@ func (s *ChunkScorer) Score(chunks []Chunk) (*DriftReport, error) {
 			return nil, fmt.Errorf("monitor: window chunks disagree on schema")
 		}
 	}
-	states := make([]*chunkState, len(chunks))
-	for i, ch := range chunks {
-		st, err := s.state(ch)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = st
+	// The chunks' states are independent of each other, so a window
+	// whose chunks miss the cache builds them in parallel, one chunk per
+	// exec row; the merge puts them back in chunk order.
+	ws, err := exec.RunOne(len(chunks), exec.Options{ChunkSize: 1}, exec.Kernel{
+		Name: "chunk-states",
+		New:  func() exec.State { return &windowStates{scorer: s, chunks: chunks} },
+	})
+	if err != nil {
+		return nil, err
 	}
+	if err := ws.(*windowStates).err; err != nil {
+		return nil, err
+	}
+	states := ws.(*windowStates).states
 
+	counts := countPool.Get().(*[]int32)
+	defer countPool.Put(counts)
 	p := s.profile
 	rep := &DriftReport{}
 	for i := range p.cols {
@@ -212,22 +393,24 @@ func (s *ChunkScorer) Score(chunks []Chunk) (*DriftReport, error) {
 				return nil, fmt.Errorf("monitor: drift: column %q changed type %s -> %s since the baseline",
 					pc.name, pc.dtype, dt)
 			}
-			if len(pc.sorted) == 0 {
+			rt := s.ranks[i]
+			if rt == nil {
 				continue
 			}
-			runs := make([][]float64, 0, len(states))
+			nw := 0
 			for _, st := range states {
-				if len(st.cols[i].sorted) > 0 {
-					runs = append(runs, st.cols[i].sorted)
-				}
+				nw += len(st.cols[i].slots)
 			}
-			cv := exec.MergeRuns(runs)
-			if len(cv) == 0 {
+			if nw == 0 {
 				continue
 			}
-			cd.PSI = psi(pc.hist, histSorted(cv, pc.edges))
-			cd.KS = ksStatistic(pc.sorted, cv)
-			cd.KSPValue = ksPValue(cd.KS, len(pc.sorted), len(cv))
+			if need := 2*len(rt.distinct) + 1; cap(*counts) < need {
+				*counts = make([]int32, need)
+			}
+			ks, hist := rt.score(states, i, nw, *counts)
+			cd.PSI = psi(pc.hist, hist)
+			cd.KS = ks
+			cd.KSPValue = ksPValue(ks, len(pc.sorted), nw)
 		} else {
 			merged := &exec.Levels{Counts: map[string]int64{}}
 			for _, st := range states {

@@ -86,19 +86,20 @@ func (w *closedWindow) chunks() []Chunk {
 	return out
 }
 
-// materializeChunks concatenates chunk frames into one window frame,
-// nil when empty; index labels errors with the window number.
+// materializeChunks concatenates chunk frames into one window frame
+// in one pass, nil when empty; index labels errors with the window
+// number.
 func materializeChunks(chunks []Chunk, index int64) (*frame.Frame, error) {
-	var out *frame.Frame
-	for _, ch := range chunks {
-		if out == nil {
-			out = ch.Rows
-			continue
-		}
-		var err error
-		if out, err = out.Append(ch.Rows); err != nil {
-			return nil, fmt.Errorf("monitor: materializing window %d: %w", index, err)
-		}
+	if len(chunks) == 0 {
+		return nil, nil
+	}
+	rest := make([]*frame.Frame, len(chunks)-1)
+	for i, ch := range chunks[1:] {
+		rest[i] = ch.Rows
+	}
+	out, err := chunks[0].Rows.Append(rest...)
+	if err != nil {
+		return nil, fmt.Errorf("monitor: materializing window %d: %w", index, err)
 	}
 	return out, nil
 }

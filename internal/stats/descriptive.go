@@ -37,21 +37,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// PopVariance returns the population (n) variance, NaN for empty input.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
 // Min returns the minimum, NaN for empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -161,30 +146,4 @@ func SpearmanCorrelation(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return Correlation(rankWithTies(xs), rankWithTies(ys))
-}
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Q25    float64
-	Median float64
-	Q75    float64
-	Max    float64
-}
-
-// Describe computes a Summary of the sample.
-func Describe(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Q25:    Quantile(xs, 0.25),
-		Median: Median(xs),
-		Q75:    Quantile(xs, 0.75),
-		Max:    Max(xs),
-	}
 }
