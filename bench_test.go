@@ -430,10 +430,11 @@ func BenchmarkDriftBaseline(b *testing.B) {
 // the same one-pass Append processWindow uses, then DetectDriftProfiled
 // over the 1M flat rows. The "incremental" arm is ChunkScorer.Score:
 // surviving chunk states come out of the cache, so only the delta rows
-// are scanned and the per-column merge is O(window) pointer-free
-// folding. The two reports are byte-identical — asserted before any
-// timer starts — so only cost moves; at a 1% delta the incremental arm
-// must be ≥10x faster (the acceptance bar BENCH_6.json records).
+// are sorted and ranked, and each numeric column costs one pass over
+// the window's slots and the baseline's distinct values. The two
+// reports are byte-identical — asserted before any timer starts — so
+// only cost moves. At a 1% delta the incremental arm measured 6.2x
+// faster than the rescan (BENCH_19.json); no test asserts a ratio.
 func BenchmarkSlidingReaudit(b *testing.B) {
 	const (
 		partRows    = 10_000

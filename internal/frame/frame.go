@@ -317,15 +317,12 @@ func (f *Frame) Append(gs ...*Frame) (*Frame, error) {
 		return f, nil
 	}
 	out := &Frame{byName: make(map[string]int, len(f.cols))}
-	parts := make([]*Series, len(gs)+1)
+	frames := append([]*Frame{f}, gs...)
+	parts := make([]*Series, len(frames))
 	for i, c := range f.cols {
 		rows, nulls := 0, false
-		for j := range parts {
-			if j == 0 {
-				parts[j] = c
-			} else {
-				parts[j] = gs[j-1].cols[i]
-			}
+		for j, fr := range frames {
+			parts[j] = fr.cols[i]
 			rows += parts[j].Len()
 			nulls = nulls || parts[j].nulls != nil
 		}

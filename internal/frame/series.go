@@ -556,13 +556,11 @@ func (s *Series) Levels() []string {
 // dictionary work, O(rows) code copies, no per-row hashing. Any plain
 // part materializes the result plain.
 func appendStringPayload(merged *Series, parts []*Series, rows int) {
-	allDict, anyDict := true, false
+	allDict := true
 	for _, p := range parts {
 		allDict = allDict && p.dict != nil
-		anyDict = anyDict || p.dict != nil
 	}
-	switch {
-	case allDict:
+	if allDict {
 		dict := append(make([]string, 0, len(parts[0].dict)), parts[0].dict...)
 		idx := make(map[string]int32, len(dict))
 		for i, v := range dict {
@@ -585,21 +583,15 @@ func appendStringPayload(merged *Series, parts []*Series, rows int) {
 			}
 		}
 		merged.codes, merged.dict = codes, dict
-	case !anyDict:
-		out := make([]string, 0, rows)
-		for _, p := range parts {
-			out = append(out, p.strings...)
-		}
-		merged.strings = out
-	default:
-		out := make([]string, 0, rows)
-		for _, p := range parts {
-			for i := 0; i < p.Len(); i++ {
-				out = append(out, p.strAt(i))
-			}
-		}
-		merged.strings = out
+		return
 	}
+	out := make([]string, 0, rows)
+	for _, p := range parts {
+		for i := 0; i < p.Len(); i++ {
+			out = append(out, p.strAt(i))
+		}
+	}
+	merged.strings = out
 }
 
 // Map returns a new float64 series with fn applied to every non-null row of
