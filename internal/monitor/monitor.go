@@ -158,10 +158,11 @@ type RegistryConfig struct {
 	// dataset as their drift baseline by content ref (Spec.BaselineRef).
 	Datasets *dataset.Registry
 	// ChunkStates, when set, enables incremental sliding-window drift
-	// scoring: per-chunk kernel states are cached under (chunk hash,
-	// profile key), so a window advance re-merges surviving chunk
-	// states and only scans the rows that entered — O(delta) per
-	// slide instead of O(window). Results are bit-identical to the
+	// scoring: per-chunk drift states (baseline slots and level
+	// counts, see ChunkScorer) are cached under (chunk hash, baseline
+	// fingerprint), so a window advance reuses surviving chunk states
+	// and only sorts and ranks the rows that entered, instead of
+	// rescanning the window. Results are bit-identical to the
 	// full-rescan path (the incremental≡rescan property tests
 	// enforce it); a cache miss rebuilds the chunk's state, and any
 	// condition the merged path cannot reproduce falls back to the
