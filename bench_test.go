@@ -425,10 +425,11 @@ func BenchmarkDriftBaseline(b *testing.B) {
 // BenchmarkSlidingReaudit measures what the chunk-state cache buys a
 // sliding-window re-audit at a 1M-row window (100 chunks of 10k rows).
 // Per iteration the window advances by delta chunks and is re-scored
-// against the pinned baseline profile. The "rescan" arm is the legacy
-// path the monitor falls back to — materialize the window frame with
-// the same one-pass Append processWindow uses, then DetectDriftProfiled
-// over the 1M flat rows. The "incremental" arm is ChunkScorer.Score:
+// against the pinned baseline profile. The "rescan" arm times the
+// reference oracle, which no production path runs: materialize the
+// window frame with the one-pass Append the monitor's audits use, then
+// DetectDriftProfiled over the 1M flat rows. The "incremental" arm is
+// ChunkScorer.Score, the monitor's only drift path:
 // surviving chunk states come out of the cache, so only the delta rows
 // are sorted and ranked, and each numeric column costs one pass over
 // the window's slots and the baseline's distinct values. The two
@@ -593,10 +594,12 @@ func BenchmarkChunkScoreStream(b *testing.B) {
 // BenchmarkMonitorWindow measures the monitoring plane's steady-state
 // per-window cost: after a one-time baseline audit, every iteration
 // ingests one 500-row window plus the heartbeat that closes it, paying
-// window assignment, frame materialization, and per-column PSI/KS drift
-// scoring against the pinned baseline. The audit cadence is set past
-// b.N so the engine's pipeline cost (measured by BenchmarkBatchAudit)
-// stays out of the loop.
+// window assignment and per-column PSI/KS drift scoring against the
+// pinned baseline from chunk states. The registry has no chunk-state
+// cache, so every window builds its one chunk's state; no frame is
+// materialized. The audit cadence is set past b.N so the engine's
+// pipeline cost (measured by BenchmarkBatchAudit) stays out of the
+// loop.
 func BenchmarkMonitorWindow(b *testing.B) {
 	const windowRows = 500
 	engine := serve.NewEngine(serve.Config{Workers: 2, QueueSize: 8, JobTimeout: 5 * time.Minute})

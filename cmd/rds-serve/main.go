@@ -13,7 +13,6 @@
 //	          [-timeout 60s] [-cache 128] [-allow-paths]
 //	          [-dataset-budget-bytes 268435456]
 //	          [-chunk-cache-bytes 67108864]
-//	          [-monitor-history 64] [-monitor-reaudit 0]
 //	          [-state-dir DIR]
 //	          [-tenant-rate 0] [-tenant-burst 0] [-tenant-max-queue 0]
 //
@@ -103,9 +102,7 @@ func main() {
 	cache := flag.Int("cache", 128, "report cache entries (negative disables)")
 	allowPaths := flag.Bool("allow-paths", false, "allow audits of server-local CSV paths")
 	datasetBudget := flag.Int64("dataset-budget-bytes", dataset.DefaultBudgetBytes, "byte budget for registry-resident datasets (LRU-evicted, monitor baselines pinned)")
-	chunkCacheBytes := flag.Int64("chunk-cache-bytes", dataset.DefaultStateBudgetBytes, "byte budget for cached per-chunk drift states powering incremental O(delta) sliding-window re-audits (0 disables; a miss falls back to a full rescan)")
-	monHistory := flag.Int("monitor-history", monitor.DefaultHistory, "default per-monitor window-history ring size")
-	monReaudit := flag.Duration("monitor-reaudit", 0, "default scheduled re-audit interval for monitors that omit one (0 disables)")
+	chunkCacheBytes := flag.Int64("chunk-cache-bytes", dataset.DefaultStateBudgetBytes, "byte budget for the per-chunk drift states sliding monitor windows reuse, so a window advance scores in O(delta) (<= 0 selects the default; a miss rebuilds the chunk's state)")
 	stateDir := flag.String("state-dir", "", "directory for durable state (monitors, baseline profiles, resident datasets, tenant quotas); empty keeps all state in memory")
 	tenantRate := flag.Float64("tenant-rate", 0, "default per-tenant sustained submissions/sec (token bucket; 0 disables)")
 	tenantBurst := flag.Int("tenant-burst", 0, "default per-tenant submission burst (0 derives from -tenant-rate)")
@@ -151,10 +148,7 @@ func main() {
 	})
 	datasets := dataset.NewRegistry(*datasetBudget)
 	datasets.UseQuotas(tenants.Quotas)
-	var chunkStates *dataset.StateCache
-	if *chunkCacheBytes > 0 {
-		chunkStates = dataset.NewStateCache(*chunkCacheBytes)
-	}
+	chunkStates := dataset.NewStateCache(*chunkCacheBytes)
 	registry, err := monitor.NewRegistry(monitor.RegistryConfig{
 		Engine:      engine,
 		Datasets:    datasets,
@@ -198,8 +192,6 @@ func main() {
 	handler.AllowPaths = *allowPaths
 	handler.Datasets = datasets
 	monitors := monitor.NewHandler(registry)
-	monitors.DefaultHistory = *monHistory
-	monitors.DefaultReaudit = *monReaudit
 	handler.MonitorMetrics = func() any { return registry.Metrics() }
 	handler.ChunkStates = chunkStates
 	tenantsAPI := &tenantapi.Handler{
@@ -227,13 +219,9 @@ func main() {
 	}()
 
 	cfg := engine.Config()
-	chunkBudget := "off"
-	if chunkStates != nil {
-		chunkBudget = fmt.Sprintf("%d MiB", chunkStates.Budget()>>20)
-	}
 	// Every audit's row-scans run at GOMAXPROCS shards (internal/exec).
-	fmt.Printf("rds-serve listening on %s (%d workers, %d shards/audit, queue %d, cache %d, timeout %s, dataset budget %d MiB, chunk cache %s, monitor history %d)\n",
-		*addr, cfg.Workers, runtime.GOMAXPROCS(0), cfg.QueueSize, cfg.CacheSize, cfg.JobTimeout, datasets.Budget()>>20, chunkBudget, *monHistory)
+	fmt.Printf("rds-serve listening on %s (%d workers, %d shards/audit, queue %d, cache %d, timeout %s, dataset budget %d MiB, chunk cache %d MiB)\n",
+		*addr, cfg.Workers, runtime.GOMAXPROCS(0), cfg.QueueSize, cfg.CacheSize, cfg.JobTimeout, datasets.Budget()>>20, chunkStates.Budget()>>20)
 	if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "rds-serve:", err)
 		os.Exit(1)

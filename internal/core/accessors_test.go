@@ -29,3 +29,16 @@ func TestPipelineAccessors(t *testing.T) {
 		t.Error("Lineage/AuditLog should be non-nil on a fresh pipeline")
 	}
 }
+
+func TestTrainSpecWithDefaultColumns(t *testing.T) {
+	got := TrainSpec{Epochs: 7}.WithDefaultColumns()
+	want := TrainSpec{Target: "approved", Sensitive: "group", Protected: "B", Reference: "A", Epochs: 7}
+	if got.Target != want.Target || got.Sensitive != want.Sensitive || got.Protected != want.Protected ||
+		got.Reference != want.Reference || got.Epochs != want.Epochs {
+		t.Errorf("defaults = %+v, want %+v", got, want)
+	}
+	set := TrainSpec{Target: "y", Sensitive: "race", Protected: "p", Reference: "r"}
+	if got := set.WithDefaultColumns(); got.Target != "y" || got.Sensitive != "race" || got.Protected != "p" || got.Reference != "r" {
+		t.Errorf("set columns overwritten: %+v", got)
+	}
+}

@@ -72,6 +72,27 @@ type TrainSpec struct {
 	TrueGroups string
 }
 
+// WithDefaultColumns returns s with each empty column setting set to
+// the synthetic credit data's (internal/synth): target "approved",
+// sensitive attribute "group", protected group "B" and reference group
+// "A". The audit, monitor and pipeline wire specs all default through
+// it.
+func (s TrainSpec) WithDefaultColumns() TrainSpec {
+	if s.Target == "" {
+		s.Target = "approved"
+	}
+	if s.Sensitive == "" {
+		s.Sensitive = "group"
+	}
+	if s.Protected == "" {
+		s.Protected = "B"
+	}
+	if s.Reference == "" {
+		s.Reference = "A"
+	}
+	return s
+}
+
 // TrainedModel is the result of Pipeline.Train: the model, its held-out
 // evaluation artifacts, and the transparency card.
 type TrainedModel struct {

@@ -5,12 +5,13 @@
 //
 // A Registry holds named monitors. Each monitor couples a FACT policy
 // and training spec with a windowed stream auditor: stream.Arrival
-// batches flow through tumbling or sliding windows, each closed window
-// is materialized back into a frame.Frame, and (on the configured audit
-// cadence) submitted to the shared serve.Engine for a full FACT audit.
-// The first audited window is pinned as the baseline; every later
-// window is compared against it with population-stability-index (PSI)
-// and two-sample Kolmogorov-Smirnov drift statistics per column. Drift
+// batches flow through tumbling or sliding windows, and on the
+// configured audit cadence a closed window is materialized back into a
+// frame.Frame and submitted to the shared serve.Engine for a full FACT
+// audit. The first audited window is pinned as the baseline; every
+// later window is compared against it with population-stability-index
+// (PSI) and two-sample Kolmogorov-Smirnov drift statistics per column,
+// scored by a ChunkScorer from the window's per-chunk states. Drift
 // past the policy thresholds triggers an immediate off-cadence
 // re-audit, and a per-monitor schedule re-audits the latest window even
 // when no new data arrives. Grade regressions (Green→Amber→Red) and

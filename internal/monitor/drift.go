@@ -83,7 +83,9 @@ type DriftReport struct {
 // DetectDrift scores the shift of current against baseline column by
 // column: PSI for every column (baseline-decile bins for numeric, level
 // histograms for categorical) and the two-sample KS statistic for
-// numeric columns. Columns missing from either frame are skipped.
+// numeric columns. Columns missing from either frame are skipped. It
+// is the from-scratch reference oracle for DetectDriftProfiled and
+// ChunkScorer.Score; only tests and benchmarks call it.
 //
 // The per-column scans route through the sharded execution engine
 // (internal/exec): numeric columns are sorted via parallel chunk sorts

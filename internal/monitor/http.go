@@ -78,17 +78,13 @@ type SpecWire struct {
 
 // IngestWire is the JSON body of POST /v1/monitors/{id}/ingest: one
 // batch of rows (inline CSV or synthetic demo data) stamped onto the
-// monitor's stream clock.
+// monitor's stream clock as one arrival.
 type IngestWire struct {
-	// TimeMS is the arrival time of the first batch on the stream
-	// clock.
+	// TimeMS is the batch's arrival time on the stream clock (>= 0).
 	TimeMS int64 `json:"time_ms"`
-	// BatchRows splits the rows into arrivals of this many rows
-	// (default: one arrival with all rows).
-	BatchRows int `json:"batch_rows,omitempty"`
-	// GapMS spaces consecutive split arrivals apart (default 0).
-	GapMS int64 `json:"gap_ms,omitempty"`
-	// CSV is an inline CSV document with a header row.
+	// CSV is an inline CSV document with a header row. A header-only
+	// document is a heartbeat: it advances the stream clock, closing
+	// every window that ends by TimeMS, without adding rows.
 	CSV string `json:"csv,omitempty"`
 	// Synthetic generates a synthetic credit batch instead of CSV.
 	Synthetic *serve.SyntheticSpec `json:"synthetic,omitempty"`
@@ -110,12 +106,6 @@ type IngestWire struct {
 // are application/json.
 type Handler struct {
 	reg *Registry
-	// DefaultHistory applies to registrations that omit "history"
-	// (falls back to the package DefaultHistory when 0).
-	DefaultHistory int
-	// DefaultReaudit applies to registrations that omit
-	// "reaudit_every_ms" (0 leaves scheduled re-audits off).
-	DefaultReaudit time.Duration
 }
 
 // NewHandler wraps the registry in the HTTP API.
@@ -162,12 +152,6 @@ func (h *Handler) register(w http.ResponseWriter, r *http.Request, _ string) {
 		return
 	}
 	spec.Tenant = ten
-	if spec.History == 0 {
-		spec.History = h.DefaultHistory
-	}
-	if spec.ReauditEvery == 0 {
-		spec.ReauditEvery = h.DefaultReaudit
-	}
 	m, err := h.reg.Register(spec)
 	if errors.Is(err, tenant.ErrQuota) {
 		httpx.Error(w, http.StatusTooManyRequests, err)
@@ -238,20 +222,10 @@ func (h *Handler) ingest(w http.ResponseWriter, r *http.Request, id string) {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	batch := wire.BatchRows
-	if batch <= 0 {
-		batch = rows.NumRows()
-	}
-	// FrameArrivals rejects a negative time_ms up front (the stream
-	// clock starts at zero), so adversarial timestamps answer 400 here
-	// instead of panicking window-index arithmetic; the Ingest check is
-	// the same contract for API callers constructing arrivals directly.
-	arrivals, err := stream.FrameArrivals(rows, batch, wire.TimeMS, wire.GapMS)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := m.Ingest(arrivals...); err != nil {
+	// Ingest rejects a negative time_ms before any window state changes
+	// (the stream clock starts at zero), so adversarial timestamps
+	// answer 400 instead of reaching window-index arithmetic.
+	if err := m.Ingest(stream.Arrival{TimeMS: wire.TimeMS, Rows: rows}); err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
@@ -284,14 +258,14 @@ func (wire *SpecWire) spec() (Spec, error) {
 		BaselineRef: wire.BaselineRef,
 		Policy:      pol,
 		Train: core.TrainSpec{
-			Target:       httpx.StringOr(wire.Target, "approved"),
-			Sensitive:    httpx.StringOr(wire.Sensitive, "group"),
-			Protected:    httpx.StringOr(wire.Protected, "B"),
-			Reference:    httpx.StringOr(wire.Reference, "A"),
+			Target:       wire.Target,
+			Sensitive:    wire.Sensitive,
+			Protected:    wire.Protected,
+			Reference:    wire.Reference,
 			TestFraction: wire.TestFraction,
 			Mitigation:   mitigation,
 			Epochs:       wire.Epochs,
-		},
+		}.WithDefaultColumns(),
 		Seed: wire.Seed,
 		Window: WindowConfig{
 			WidthMS: wire.WindowMS,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -256,6 +257,53 @@ func TestHTTPMonitorValidation(t *testing.T) {
 	}
 	if got := m.Status(); got.RowsIngested != 0 || got.Windows != 0 {
 		t.Errorf("rejected negative-time ingest mutated state: %+v", got)
+	}
+
+	// An ingest is one arrival: batch_rows and gap_ms are not fields,
+	// and a client that sends either gets a 400 naming it.
+	for _, field := range []string{"batch_rows", "gap_ms"} {
+		body := fmt.Sprintf(`{"time_ms":0,"csv":"a\n1\n",%q:10}`, field)
+		doJSON(t, http.MethodPost, srv.URL+"/v1/monitors/"+m.ID()+"/ingest", body, http.StatusBadRequest, &rejected)
+		if !strings.Contains(rejected.Error, strconv.Quote(field)) {
+			t.Errorf("%s rejection %q does not name the field", field, rejected.Error)
+		}
+	}
+}
+
+// TestHTTPIngestHeartbeat: a header-only CSV ingest is a heartbeat, as
+// an empty arrival is in process: it answers 200, adds no rows, and
+// closes the windows that end by its time_ms.
+func TestHTTPIngestHeartbeat(t *testing.T) {
+	srv, reg := newTestService(t)
+	m, err := reg.Register(creditSpec("heartbeat"))
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	var buf strings.Builder
+	if err := creditFrame(t, 300, 0, 0.35, 1).WriteCSV(&buf); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	header, _, _ := strings.Cut(buf.String(), "\n")
+	ingest := func(timeMS int64, csv string) Summary {
+		t.Helper()
+		body, err := json.Marshal(IngestWire{TimeMS: timeMS, CSV: csv})
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		var sum Summary
+		doJSON(t, http.MethodPost, srv.URL+"/v1/monitors/"+m.ID()+"/ingest", string(body), http.StatusOK, &sum)
+		return sum
+	}
+
+	if sum := ingest(0, buf.String()); sum.Windows != 0 || sum.RowsIngested != 300 {
+		t.Fatalf("after the first batch: %+v, want window 0 open with 300 rows", sum)
+	}
+	sum := ingest(100, header+"\n")
+	if sum.Windows != 1 || sum.RowsIngested != 300 || !sum.BaselinePinned {
+		t.Fatalf("after the heartbeat: %+v, want window 0 closed and pinned, no rows added", sum)
+	}
+	if hist := m.History(); len(hist) != 1 || !hist[0].Baseline || hist[0].Rows != 300 {
+		t.Errorf("history = %+v, want the baseline window of 300 rows", hist)
 	}
 }
 

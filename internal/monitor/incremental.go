@@ -183,6 +183,11 @@ func NewChunkScorer(p *BaselineProfile, cache *dataset.StateCache) (*ChunkScorer
 	if p == nil {
 		return nil, fmt.Errorf("monitor: chunk scorer needs a baseline profile")
 	}
+	return newChunkScorer(p, cache), nil
+}
+
+// newChunkScorer is NewChunkScorer for a non-nil profile.
+func newChunkScorer(p *BaselineProfile, cache *dataset.StateCache) *ChunkScorer {
 	s := &ChunkScorer{profile: p, cache: cache, ranks: make([]*rankTable, len(p.cols))}
 	parts := make([]string, 0, 3*len(p.cols)+1)
 	parts = append(parts, "rds-chunk-state-v2")
@@ -203,7 +208,7 @@ func NewChunkScorer(p *BaselineProfile, cache *dataset.StateCache) (*ChunkScorer
 		parts = append(parts, pc.name, kind, fingerprint)
 	}
 	s.key = provenance.HashStrings(parts...)
-	return s, nil
+	return s
 }
 
 // fingerprint hashes the distinct baseline values, the only part of
@@ -264,10 +269,9 @@ func (s *ChunkScorer) buildState(rows *frame.Frame) (*chunkState, error) {
 		cc.present = true
 		cc.dtype = c.DType()
 		if pc.numeric {
-			// Type drift is recorded, not scored — Score surfaces it so
-			// the caller falls back to the rescan path, which reports
-			// the schema change exactly as a materialized window would.
-			// A column without finite baseline values is never scored.
+			// Type drift is recorded, not scored: Score reports it with
+			// DetectDriftProfiled's error. A column without finite
+			// baseline values is never scored.
 			if (cc.dtype != frame.Float64 && cc.dtype != frame.Int64) || s.ranks[i] == nil {
 				continue
 			}
@@ -344,19 +348,18 @@ func (w *windowStates) Merge(other exec.State) {
 
 // Score computes the window's drift report from its chunks,
 // bit-identical to DetectDriftProfiled over the chunks' concatenation.
-// Any condition the merged path cannot reproduce exactly — chunks
-// disagreeing on schema, a profiled column changing dtype — returns an
-// error; callers treat every Score error as "fall back to the full
-// rescan", which re-derives the legacy outcome (including the legacy
-// error) from the materialized window.
+// It refuses the windows that concatenation refuses: chunks
+// disagreeing on schema (frame.Append's check, so materializing the
+// window fails too) and a profiled numeric column whose dtype changed,
+// with DetectDriftProfiled's error string.
 func (s *ChunkScorer) Score(chunks []Chunk) (*DriftReport, error) {
 	if len(chunks) == 0 {
 		return nil, fmt.Errorf("monitor: drift detection needs non-empty baseline and current frames")
 	}
 	// Chunks must agree on the full window schema, not just the
-	// profiled columns: materialization would reject a mid-window
-	// schema change, and the incremental path must never grade a
-	// window the rescan path would refuse.
+	// profiled columns: materialization rejects a mid-window schema
+	// change, and Score must never grade a window the rescan would
+	// refuse.
 	first := chunks[0].Rows
 	for _, ch := range chunks[1:] {
 		if !schemaEqual(first, ch.Rows) {

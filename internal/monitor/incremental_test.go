@@ -35,8 +35,8 @@ func mapColumn(t testing.TB, f *frame.Frame, col string, fn func(float64) float6
 }
 
 // stringifyColumn returns f with column col re-typed as strings in
-// place — the type-drift edge the incremental path must surface exactly
-// like the rescan path.
+// place — the type-drift edge Score must refuse exactly like the
+// rescan.
 func stringifyColumn(t testing.TB, f *frame.Frame, col string) *frame.Frame {
 	t.Helper()
 	vals := f.MustCol(col).Floats()
@@ -208,10 +208,10 @@ func randomArrivals(t testing.TB, seed int64, n int) []stream.Arrival {
 	return arrivals
 }
 
-// runArrivals feeds one deterministic arrival stream through a fresh
-// registry+monitor (with or without a chunk-state cache) and returns
-// the full history, the final summary and the registry's gauges.
-func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []stream.Arrival) ([]WindowEntry, Summary, MetricsSnapshot) {
+// runMonitor feeds one deterministic arrival stream through a fresh
+// registry+monitor (with or without a chunk-state cache), flushes it,
+// and returns the monitor.
+func runMonitor(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []stream.Arrival) *Monitor {
 	t.Helper()
 	r, err := NewRegistry(RegistryConfig{Engine: newTestEngine(t), ChunkStates: cache})
 	if err != nil {
@@ -226,16 +226,70 @@ func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []
 		t.Fatalf("Ingest: %v", err)
 	}
 	m.Flush()
-	return m.History(), m.Status(), r.Metrics()
+	return m
 }
 
-// TestIncrementalEqualsRescanRandomized is the chunk-state cache's
-// property test: for randomized frames (NaN/Inf cells, schema and size
-// edges), random window shapes, and any shard count, a monitor running
-// the incremental chunk-state path produces a history bit-identical to
-// the same stream graded by the full-rescan path — FACT reports, drift
-// scores, skip decisions, and error strings included. The shard count
-// is GOMAXPROCS, which is process-wide, so the cases run sequentially.
+// runArrivals is runMonitor returning the full history, the final
+// summary and the registry's gauges.
+func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []stream.Arrival) ([]WindowEntry, Summary, MetricsSnapshot) {
+	t.Helper()
+	m := runMonitor(t, spec, cache, arrivals)
+	return m.History(), m.Status(), m.reg.Metrics()
+}
+
+// mustMatchRescan is the incremental≡rescan oracle at the monitor
+// level: every stream-driven entry of m's history that carries a drift
+// report or a drift error must equal DetectDriftProfiled against m's
+// pinned profile over the window's rows, rebuilt from the arrivals in
+// [StartMS, EndMS) — the report bit for bit, the error string for
+// string. The arrivals must be time-ordered, so no row is late. It
+// returns how many entries it checked.
+func mustMatchRescan(t *testing.T, label string, m *Monitor, arrivals []stream.Arrival) int {
+	t.Helper()
+	checked := 0
+	for _, e := range m.History() {
+		if e.Baseline || e.Skipped || e.Reaudits > 0 {
+			continue
+		}
+		var parts []*frame.Frame
+		for _, a := range arrivals {
+			if a.TimeMS >= e.StartMS && a.TimeMS < e.EndMS && a.Rows != nil && a.Rows.NumRows() > 0 {
+				parts = append(parts, a.Rows)
+			}
+		}
+		if len(parts) == 0 {
+			t.Fatalf("%s: window %d was scored but no arrival falls in [%d, %d)", label, e.Window, e.StartMS, e.EndMS)
+		}
+		rows, err := parts[0].Append(parts[1:]...)
+		if err != nil {
+			t.Fatalf("%s: window %d was scored but its rows do not concatenate: %v", label, e.Window, err)
+		}
+		if rows.NumRows() != e.Rows {
+			t.Fatalf("%s: window %d rebuilt with %d rows, entry has %d", label, e.Window, rows.NumRows(), e.Rows)
+		}
+		want, werr := DetectDriftProfiled(m.profile, rows)
+		switch {
+		case werr != nil:
+			if e.Drift != nil || e.Error != werr.Error() {
+				t.Errorf("%s: window %d: drift %+v, error %q; the rescan refuses it with %q", label, e.Window, e.Drift, e.Error, werr)
+			}
+		case !bitsDeepEqual(reflect.ValueOf(e.Drift), reflect.ValueOf(want)):
+			t.Errorf("%s: window %d drift diverged from the rescan:\n  got:  %+v\n  want: %+v", label, e.Window, e.Drift, want)
+		}
+		checked++
+	}
+	return checked
+}
+
+// TestIncrementalEqualsRescanRandomized is the chunk-state property
+// test: for randomized frames (NaN/Inf cells, schema and size edges),
+// random window shapes, and any shard count, every drift report and
+// drift error a monitor records equals DetectDriftProfiled over the
+// materialized window, and a monitor reusing chunk states from a cache
+// produces a history bit-identical to one rebuilding every state —
+// FACT reports, drift scores, skip decisions, and error strings
+// included. The shard count is GOMAXPROCS, which is process-wide, so
+// the cases run sequentially.
 func TestIncrementalEqualsRescanRandomized(t *testing.T) {
 	shards := []int{1, 3, 8}
 	slides := []int64{100, 40, 25}
@@ -253,9 +307,13 @@ func TestIncrementalEqualsRescanRandomized(t *testing.T) {
 				spec.History = 1024
 
 				cache := dataset.NewStateCache(1 << 20)
-				gotHist, gotSum, _ := runArrivals(t, spec, cache, arrivals)
+				m := runMonitor(t, spec, cache, arrivals)
+				gotHist, gotSum := m.History(), m.Status()
 				wantHist, wantSum, _ := runArrivals(t, spec, nil, arrivals)
 
+				if n := mustMatchRescan(t, name, m, arrivals); n == 0 {
+					t.Errorf("no entry was checked against the rescan")
+				}
 				mustEqualHistories(t, name, gotHist, wantHist)
 				gotSum.ProfileBuildMillis, wantSum.ProfileBuildMillis = 0, 0
 				if !bitsDeepEqual(reflect.ValueOf(gotSum), reflect.ValueOf(wantSum)) {
@@ -343,8 +401,7 @@ func TestChunkScorerMatchesProfiledDetect(t *testing.T) {
 }
 
 // TestChunkScorerTypeDriftParity pins the type-drift error string to
-// the rescan path's, so the fallback is indistinguishable from always
-// having rescanned.
+// the rescan's, so a monitor records the same error either way.
 func TestChunkScorerTypeDriftParity(t *testing.T) {
 	baseline := creditFrame(t, 1000, 0, 0.35, 1)
 	prof, err := NewBaselineProfile(baseline, DriftConfig{}.withDefaults())
@@ -369,11 +426,13 @@ func TestChunkScorerTypeDriftParity(t *testing.T) {
 	}
 }
 
-// TestRescanFallbackCounted: every window whose incremental score
-// fails — chunks of two schemas, or a profiled column that changed
-// dtype — bumps drift_rescan_fallbacks once and grades exactly as the
-// rescan-only run does, while a clean sliding stream never falls back.
-func TestRescanFallbackCounted(t *testing.T) {
+// TestScoreRefusalsRecorded: Score refuses exactly the windows a
+// materialized rescan refuses, and the monitor records them as it
+// always has, with or without a chunk-state cache. A window mixing two
+// schemas is skipped with the materialization error; a window whose
+// profiled income column arrives as strings records the dtype error;
+// a clean sliding stream hits the cache.
+func TestScoreRefusalsRecorded(t *testing.T) {
 	pool := creditFrame(t, 2000, 0, 0.35, 3)
 	dropped, err := pool.Drop("employment_years")
 	if err != nil {
@@ -384,7 +443,7 @@ func TestRescanFallbackCounted(t *testing.T) {
 	// Tumbling 100 ms windows: a clean baseline, a window mixing two
 	// schemas, a window whose income column arrives as strings, and a
 	// clean window.
-	spec := creditSpec("fallback")
+	spec := creditSpec("refusals")
 	spec.AuditEvery = 100
 	faulty := []stream.Arrival{
 		{TimeMS: 0, Rows: pool.Slice(0, 300)},
@@ -393,17 +452,31 @@ func TestRescanFallbackCounted(t *testing.T) {
 		{TimeMS: 200, Rows: typed.Slice(700, 1000)},
 		{TimeMS: 300, Rows: pool.Slice(1000, 1300)},
 	}
-	got, _, snap := runArrivals(t, spec, dataset.NewStateCache(1<<20), faulty)
+	m := runMonitor(t, spec, dataset.NewStateCache(1<<20), faulty)
+	got := m.History()
 	want, _, _ := runArrivals(t, spec, nil, faulty)
 	mustEqualHistories(t, "faulty stream", got, want)
-	if snap.DriftFallbacks != 2 {
-		t.Errorf("drift_rescan_fallbacks = %d, want 2 (schema mix + dtype flip)", snap.DriftFallbacks)
+	if n := mustMatchRescan(t, "faulty stream", m, faulty); n != 2 {
+		t.Errorf("checked %d entries against the rescan, want 2 (dtype flip + clean)", n)
 	}
-	if len(got) != 4 || got[1].Error == "" || got[2].Error == "" || got[3].Drift == nil {
-		t.Fatalf("stream did not exercise both failures and a clean window: %+v", got)
+	if len(got) != 4 {
+		t.Fatalf("history has %d entries, want 4: %+v", len(got), got)
+	}
+	const (
+		schemaErr = "monitor: materializing window 1: frame: Append schema mismatch: 7 vs 6 columns"
+		dtypeErr  = `monitor: drift: column "income" changed type float64 -> string since the baseline`
+	)
+	if e := got[1]; !e.Skipped || e.Drift != nil || e.Error != schemaErr {
+		t.Errorf("schema-mixing window = %+v, want skipped with %q", e, schemaErr)
+	}
+	if e := got[2]; e.Skipped || e.Drift != nil || e.Error != dtypeErr {
+		t.Errorf("dtype-flipped window = %+v, want error %q", e, dtypeErr)
+	}
+	if e := got[3]; e.Drift == nil || e.Error != "" {
+		t.Errorf("clean window = %+v, want a drift report", e)
 	}
 
-	// A clean sliding stream scores every window incrementally.
+	// A clean sliding stream reuses the surviving chunks' states.
 	spec = creditSpec("clean")
 	spec.Window = WindowConfig{WidthMS: 100, SlideMS: 25}
 	spec.AuditEvery = 100
@@ -413,11 +486,8 @@ func TestRescanFallbackCounted(t *testing.T) {
 	}
 	cache := dataset.NewStateCache(1 << 20)
 	hist, _, snap := runArrivals(t, spec, cache, clean)
-	if snap.DriftFallbacks != 0 {
-		t.Errorf("clean sliding stream fell back %d times", snap.DriftFallbacks)
-	}
 	if snap.DriftWindows == 0 || cache.Metrics().Hits == 0 {
-		t.Fatalf("clean stream never scored incrementally: %+v, history %d entries", snap, len(hist))
+		t.Fatalf("clean stream never reused a chunk state: %+v, history %d entries", snap, len(hist))
 	}
 }
 
@@ -440,8 +510,8 @@ func splitChunks(f *frame.Frame, n int) []Chunk {
 // chunk-state cache far too small for the working set, hammered by
 // concurrent ingest, re-audits, and metric reads (the -race suite runs
 // this interleaved), must keep every monitor's stream-driven history
-// bit-identical to a no-cache reference — a miss falls back to a full
-// rescan, never a wrong or failed audit — and every re-audit must
+// bit-identical to a no-cache reference — a miss rebuilds the chunk's
+// state, never a wrong or failed audit — and every re-audit must
 // equal a reference audit of the window it re-graded.
 func TestChunkCacheEvictionChurn(t *testing.T) {
 	const monitors = 2

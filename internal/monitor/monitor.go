@@ -106,10 +106,8 @@ type WindowEntry struct {
 	Reaudits int           `json:"reaudits,omitempty"`
 	Grade    *policy.Grade `json:"grade,omitempty"`
 	// DriftMillis is the wall-clock cost of scoring this window's drift
-	// against the pinned baseline profile — the incremental chunk-state
-	// merge when the registry's chunk-state cache is enabled, the full
-	// rescan otherwise (0 for the baseline window itself and for
-	// skipped windows).
+	// against the pinned baseline profile from its chunk states (0 for
+	// the baseline window itself and for skipped windows).
 	DriftMillis float64 `json:"drift_millis,omitempty"`
 	// Regressed marks an audited entry whose grade is worse than the
 	// previously audited grade.
@@ -157,16 +155,15 @@ type RegistryConfig struct {
 	// Datasets, when set, lets monitor registrations pin a resident
 	// dataset as their drift baseline by content ref (Spec.BaselineRef).
 	Datasets *dataset.Registry
-	// ChunkStates, when set, enables incremental sliding-window drift
-	// scoring: per-chunk drift states (baseline slots and level
-	// counts, see ChunkScorer) are cached under (chunk hash, baseline
-	// fingerprint), so a window advance reuses surviving chunk states
-	// and only sorts and ranks the rows that entered, instead of
-	// rescanning the window. Results are bit-identical to the
-	// full-rescan path (the incremental≡rescan property tests
-	// enforce it); a cache miss rebuilds the chunk's state, and any
-	// condition the merged path cannot reproduce falls back to the
-	// rescan, counted in MetricsSnapshot.DriftFallbacks.
+	// ChunkStates, when set, lets windows reuse chunk states. Every
+	// window is drift-scored by a ChunkScorer from per-chunk states
+	// (baseline slots and level counts); the cache keeps them under
+	// (chunk hash, baseline fingerprint), so a window advance reuses
+	// the surviving chunks' states and only sorts and ranks the rows
+	// that entered. Nil rebuilds every chunk's state every window. The
+	// reports are the same either way, bit-identical to
+	// DetectDriftProfiled over the materialized window (the
+	// incremental≡rescan property tests enforce it).
 	ChunkStates *dataset.StateCache
 	// Sinks receive every monitor's alerts (e.g. one LogSink).
 	Sinks []Sink
@@ -212,7 +209,6 @@ type registryMetrics struct {
 	profileBuildMillis  float64
 	driftWindows        uint64
 	driftMillis         float64
-	driftFallbacks      uint64
 	persistFailures     uint64
 }
 
@@ -255,12 +251,6 @@ type MetricsSnapshot struct {
 	// latency.
 	DriftWindows uint64  `json:"drift_windows_scored"`
 	DriftMillis  float64 `json:"drift_millis_total"`
-	// DriftFallbacks counts windows whose incremental (chunk-state)
-	// drift score failed — chunks disagreeing on schema, a profiled
-	// column changing dtype — and were scored by the full rescan
-	// instead. The grading is the same either way; the counter shows
-	// how often the slower path ran.
-	DriftFallbacks uint64 `json:"drift_rescan_fallbacks"`
 	// PersistFailures counts best-effort store writes/deletes that
 	// failed (stream-pinned profile saves, post-delete record removal);
 	// persist failures on the registration path fail the registration
@@ -523,7 +513,6 @@ func (r *Registry) Metrics() MetricsSnapshot {
 		ProfileBuildMillis:  m.profileBuildMillis,
 		DriftWindows:        m.driftWindows,
 		DriftMillis:         m.driftMillis,
-		DriftFallbacks:      m.driftFallbacks,
 		PersistFailures:     m.persistFailures,
 		Tenants:             perTenant,
 	}
@@ -561,7 +550,7 @@ type Monitor struct {
 	procMu     sync.Mutex
 	win        *windower
 	profile    *BaselineProfile // precomputed pinned-baseline drift state
-	scorer     *ChunkScorer     // incremental drift scorer (built once per profile)
+	scorer     *ChunkScorer     // scores every window against profile
 	lastFrame  *frame.Frame     // latest window, materialized lazily from lastChunks
 	lastChunks []Chunk          // latest auditable window's chunk identities
 	lastHash   string           // chunk-derived content id of the latest window
@@ -612,22 +601,40 @@ func (m *Monitor) pinBaseline(f *frame.Frame, ref string) error {
 		m.appendHistory(entry)
 		return fmt.Errorf("monitor: baseline_ref %q audit failed: %s", ref, entry.Error)
 	}
-	prof, err := NewBaselineProfile(f, m.spec.Drift)
-	if err != nil {
+	if err := m.pinProfile(f, entry.Grade); err != nil {
 		entry.Error = err.Error()
 		m.appendHistory(entry)
 		return fmt.Errorf("monitor: baseline_ref %q profile: %w", ref, err)
 	}
-	m.profile = prof
-	m.reg.metrics.bump(&m.reg.metrics.profileBuilds, 1)
-	m.reg.metrics.bumpMillis(&m.reg.metrics.profileBuildMillis, prof.BuildTime())
-	info := prof.Info()
-	m.mu.Lock()
-	m.baseGrade = entry.Grade
-	m.profileInfo = &info
-	m.mu.Unlock()
 	m.appendHistory(entry)
 	return nil
+}
+
+// pinProfile precomputes f's drift profile, counts the build in the
+// plane's gauges, and installs the profile as the pinned baseline,
+// audited at grade. Callers hold procMu.
+func (m *Monitor) pinProfile(f *frame.Frame, grade *policy.Grade) error {
+	prof, err := NewBaselineProfile(f, m.spec.Drift)
+	if err != nil {
+		return err
+	}
+	m.reg.metrics.bump(&m.reg.metrics.profileBuilds, 1)
+	m.reg.metrics.bumpMillis(&m.reg.metrics.profileBuildMillis, prof.BuildTime())
+	m.installProfile(prof, grade)
+	return nil
+}
+
+// installProfile makes prof, audited at grade, the pinned drift
+// baseline and builds the scorer every later window is scored with.
+// Callers hold procMu, or own m before it is published (Restore).
+func (m *Monitor) installProfile(prof *BaselineProfile, grade *policy.Grade) {
+	m.profile = prof
+	m.scorer = newChunkScorer(prof, m.reg.cfg.ChunkStates)
+	info := prof.Info()
+	m.mu.Lock()
+	m.baseGrade = grade
+	m.profileInfo = &info
+	m.mu.Unlock()
 }
 
 // releasePin releases the baseline dataset pin exactly once.
@@ -779,9 +786,7 @@ func (m *Monitor) processWindow(w *closedWindow) {
 	entry := WindowEntry{Window: w.index, StartMS: w.startMS, EndMS: w.endMS, Rows: w.rows}
 
 	if w.rows < m.spec.Window.MinRows {
-		entry.Skipped = true
-		m.reg.metrics.bump(&m.reg.metrics.windowsSkipped, 1)
-		m.appendHistory(entry)
+		m.skipWindow(entry, nil)
 		return
 	}
 	chunks := w.chunks()
@@ -791,36 +796,20 @@ func (m *Monitor) processWindow(w *closedWindow) {
 		// window is scored against.
 		f, err := materializeChunks(chunks, w.index)
 		if err != nil || f == nil {
-			if err != nil {
-				entry.Error = err.Error()
-			}
-			entry.Skipped = true
-			m.reg.metrics.bump(&m.reg.metrics.windowsSkipped, 1)
-			m.appendHistory(entry)
+			m.skipWindow(entry, err)
 			return
 		}
 		m.setLastWindow(w.index, chunks, f)
 		entry.Baseline = true
 		m.audit(f, &entry, "")
 		if entry.Error == "" {
-			prof, perr := NewBaselineProfile(f, m.spec.Drift)
-			if perr != nil {
+			if perr := m.pinProfile(f, entry.Grade); perr != nil {
 				entry.Error = perr.Error()
-			} else {
-				m.profile = prof
-				m.reg.metrics.bump(&m.reg.metrics.profileBuilds, 1)
-				m.reg.metrics.bumpMillis(&m.reg.metrics.profileBuildMillis, prof.BuildTime())
-				info := prof.Info()
-				m.mu.Lock()
-				m.baseGrade = entry.Grade
-				m.profileInfo = &info
-				m.mu.Unlock()
+			} else if perr := m.reg.persistProfileLocked(m); perr != nil {
 				// Best-effort: the stream-pinned baseline keeps scoring
 				// in memory either way; a failed save only costs the
 				// profile a re-pin from the stream after a restart.
-				if perr := m.reg.persistProfileLocked(m); perr != nil {
-					m.reg.metrics.bump(&m.reg.metrics.persistFailures, 1)
-				}
+				m.reg.metrics.bump(&m.reg.metrics.persistFailures, 1)
 			}
 		}
 		m.sinceAudit = 0
@@ -828,42 +817,21 @@ func (m *Monitor) processWindow(w *closedWindow) {
 		return
 	}
 
-	// Drift path. With a chunk-state cache configured, score the window
-	// incrementally from its chunk states — O(delta) per slide — and
-	// defer materialization until an audit actually needs the flat
-	// frame. Any incremental error (mid-window schema change, type
-	// drift) falls back to the full rescan, which re-derives the legacy
-	// outcome — including the legacy error — from the materialized
-	// window, so a miss can cost time but never a wrong or failed
-	// grading; drift_rescan_fallbacks counts the windows that took it.
-	var (
-		f     *frame.Frame
-		drift *DriftReport
-		derr  error
-	)
+	// Drift path: score the window from its chunk states, O(delta) per
+	// slide when the registry caches them, and defer materialization
+	// until an audit needs the flat frame. Score refuses exactly the
+	// windows materializing would: chunks of two schemas, which skip
+	// the window with the materialization error, and a profiled column
+	// that changed dtype, whose error the window records.
 	driftStart := time.Now()
-	if m.reg.cfg.ChunkStates != nil {
-		if sc := m.chunkScorer(); sc != nil {
-			if rep, err := sc.Score(chunks); err == nil {
-				drift = rep
-			} else {
-				m.reg.metrics.bump(&m.reg.metrics.driftFallbacks, 1)
-			}
-		}
-	}
-	if drift == nil {
+	drift, derr := m.scorer.Score(chunks)
+	var f *frame.Frame
+	if derr != nil {
 		var err error
-		f, err = materializeChunks(chunks, w.index)
-		if err != nil || f == nil {
-			if err != nil {
-				entry.Error = err.Error()
-			}
-			entry.Skipped = true
-			m.reg.metrics.bump(&m.reg.metrics.windowsSkipped, 1)
-			m.appendHistory(entry)
+		if f, err = materializeChunks(chunks, w.index); err != nil {
+			m.skipWindow(entry, err)
 			return
 		}
-		drift, derr = DetectDriftProfiled(m.profile, f)
 	}
 	driftDur := time.Since(driftStart)
 	m.setLastWindow(w.index, chunks, f)
@@ -890,8 +858,8 @@ func (m *Monitor) processWindow(w *closedWindow) {
 		})
 	}
 	if breached || m.sinceAudit >= m.spec.AuditEvery {
-		// The FACT audit trains on the flat window, so the incremental
-		// path materializes here — only when an audit actually fires.
+		// The FACT audit trains on the flat window, so it is
+		// materialized here, only when an audit actually fires.
 		// The chunk-derived hash keys the engine's report cache without
 		// an O(rows · cols) re-hash of the window.
 		af, aerr := m.windowFrame()
@@ -907,9 +875,9 @@ func (m *Monitor) processWindow(w *closedWindow) {
 }
 
 // setLastWindow records the latest auditable window as the re-audit
-// target. f may be nil when the incremental drift path deferred
-// materialization; windowFrame rebuilds the flat frame from the
-// retained chunks on first need. Callers hold procMu.
+// target. f is nil when the window scored without materializing;
+// windowFrame rebuilds the flat frame from the retained chunks on
+// first need. Callers hold procMu.
 func (m *Monitor) setLastWindow(index int64, chunks []Chunk, f *frame.Frame) {
 	m.lastFrame = f
 	m.lastChunks = chunks
@@ -937,16 +905,15 @@ func (m *Monitor) windowFrame() (*frame.Frame, error) {
 	return f, nil
 }
 
-// chunkScorer returns the monitor's incremental drift scorer, built
-// once per pinned profile against the registry's chunk-state cache.
-// Callers hold procMu.
-func (m *Monitor) chunkScorer() *ChunkScorer {
-	if m.scorer == nil && m.profile != nil {
-		if sc, err := NewChunkScorer(m.profile, m.reg.cfg.ChunkStates); err == nil {
-			m.scorer = sc
-		}
+// skipWindow records a window that is not graded: below MinRows, or
+// (err set) not materializable. Callers hold procMu.
+func (m *Monitor) skipWindow(entry WindowEntry, err error) {
+	if err != nil {
+		entry.Error = err.Error()
 	}
-	return m.scorer
+	entry.Skipped = true
+	m.reg.metrics.bump(&m.reg.metrics.windowsSkipped, 1)
+	m.appendHistory(entry)
 }
 
 // audit runs one FACT audit of f through the shared engine, filling the

@@ -23,12 +23,13 @@ import (
 //
 // The profile record persists only the irreducible baseline state —
 // the sorted finite sample per numeric column and the level counts per
-// categorical column. Everything else DetectDriftProfiled consumes
-// (PSI edges, baseline histogram, summary moments) is recomputed from
-// that sample at decode time by the same pure functions the original
-// build used, so a restored profile scores every window bit-identically
-// to the profile it was saved from: finite float64s round-trip JSON
-// exactly, and psiEdges/histSorted are deterministic in their inputs.
+// categorical column. Everything else drift scoring consumes (PSI
+// edges, baseline histogram, summary moments) is recomputed from that
+// sample at decode time by the function the original build used
+// (profileColumn.setSample), so a restored profile scores every window
+// bit-identically to the profile it was saved from: finite float64s
+// round-trip JSON exactly, and setSample is deterministic in its
+// inputs.
 //
 // What does not survive a restart: in-flight windower state (rows of
 // partially filled windows), the bounded window history, per-monitor
@@ -198,15 +199,8 @@ func decodeProfile(payload []byte) (*BaselineProfile, *policy.Grade, error) {
 					return nil, nil, fmt.Errorf("%w: profile column %q sample is not sorted finite", store.ErrCorrupt, cd.Name)
 				}
 			}
-			if len(cd.Sorted) > 0 {
-				pc.sorted = cd.Sorted
-				pc.edges = psiEdges(pc.sorted, cfg.Bins)
-				pc.hist = histSorted(pc.sorted, pc.edges)
-				ms, err := exec.RunOne(len(pc.sorted), exec.Options{}, exec.NewMoments(pc.sorted))
-				if err != nil {
-					return nil, nil, fmt.Errorf("monitor: rebuilding profile column %q: %w", cd.Name, err)
-				}
-				pc.moments = ms.(*exec.Moments)
+			if err := pc.setSample(cd.Sorted, cfg.Bins); err != nil {
+				return nil, nil, fmt.Errorf("monitor: rebuilding profile column %q: %w", cd.Name, err)
 			}
 		default:
 			counts := map[string]int64{}
@@ -322,10 +316,7 @@ func (r *Registry) Restore() (int, error) {
 			if derr != nil {
 				return restored, fmt.Errorf("monitor: restoring %s profile: %w", it.ID, derr)
 			}
-			m.profile = prof
-			info := prof.Info()
-			m.baseGrade = grade
-			m.profileInfo = &info
+			m.installProfile(prof, grade)
 		}
 
 		if spec.BaselineRef != "" {

@@ -16,9 +16,9 @@ import (
 // changes once pinned. The profile computes that state exactly once,
 // at pin time: per numeric column the sorted finite sample, the PSI
 // bin edges and baseline bin counts, and the summary moments; per
-// categorical column the level counts. DetectDriftProfiled then scores
-// each window against the profile, paying only for the current
-// window's scan — drift cost drops from O(baseline · windows) to
+// categorical column the level counts. A ChunkScorer built from the
+// profile then scores each window, paying only for the current
+// window's chunks — drift cost drops from O(baseline · windows) to
 // O(baseline + windows).
 //
 // A profile is immutable after construction and safe for concurrent
@@ -82,22 +82,11 @@ func NewBaselineProfile(baseline *frame.Frame, cfg DriftConfig) (*BaselineProfil
 			pc.numeric = true
 			vals := b.Floats()
 			st, err := exec.RunOne(len(vals), exec.Options{}, exec.NewSorted(vals, true))
+			if err == nil {
+				err = pc.setSample(st.(*exec.Sorted).Values(), cfg.Bins)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("monitor: baseline profile %q: %w", name, err)
-			}
-			pc.sorted = st.(*exec.Sorted).Values()
-			if len(pc.sorted) > 0 {
-				pc.edges = psiEdges(pc.sorted, cfg.Bins)
-				pc.hist = histSorted(pc.sorted, pc.edges)
-				// Summary moments over the same finite sample the
-				// drift scores use, so the payload's mean/min/max
-				// describe exactly the profiled values (a raw-column
-				// scan would let one NaN poison the mean).
-				ms, err := exec.RunOne(len(pc.sorted), exec.Options{}, exec.NewMoments(pc.sorted))
-				if err != nil {
-					return nil, fmt.Errorf("monitor: baseline profile %q: %w", name, err)
-				}
-				pc.moments = ms.(*exec.Moments)
 			}
 		default:
 			st, err := exec.RunOne(b.Len(), exec.Options{}, exec.NewLevelsSeries(b))
@@ -115,6 +104,27 @@ func NewBaselineProfile(baseline *frame.Frame, cfg DriftConfig) (*BaselineProfil
 	return p, nil
 }
 
+// setSample installs a numeric column's sorted finite sample and
+// derives the state drift scoring reads from it: the PSI edges, the
+// baseline bin counts, and the summary moments. The moments cover the
+// same finite sample the drift scores use, so the payload's
+// mean/min/max describe exactly the profiled values (a raw-column scan
+// would let one NaN poison the mean). An empty sample derives nothing.
+func (pc *profileColumn) setSample(sorted []float64, bins int) error {
+	pc.sorted = sorted
+	if len(sorted) == 0 {
+		return nil
+	}
+	pc.edges = psiEdges(sorted, bins)
+	pc.hist = histSorted(sorted, pc.edges)
+	ms, err := exec.RunOne(len(sorted), exec.Options{}, exec.NewMoments(sorted))
+	if err != nil {
+		return err
+	}
+	pc.moments = ms.(*exec.Moments)
+	return nil
+}
+
 // BuildTime reports how long the one-time profile build took.
 func (p *BaselineProfile) BuildTime() time.Duration { return p.build }
 
@@ -126,13 +136,15 @@ func (p *BaselineProfile) Rows() int { return p.rows }
 func (p *BaselineProfile) Config() DriftConfig { return p.cfg }
 
 // DetectDriftProfiled scores the shift of current against a
-// precomputed baseline profile. It is the amortized counterpart of
-// DetectDrift: for the same baseline, configuration, and current
-// window the two produce bit-identical DriftReports (a property the
-// package's invariance tests enforce), but the profiled path never
-// touches the baseline data again — per window it sorts only the
-// current column, bins it against the precomputed edges, and compares
-// level counts against the precomputed histogram.
+// precomputed baseline profile. It is the reference oracle for
+// ChunkScorer.Score, the monitor's only drift path: only tests and
+// benchmarks call it. It is the amortized counterpart of DetectDrift:
+// for the same baseline, configuration, and current window the two
+// produce bit-identical DriftReports (a property the package's
+// invariance tests enforce), but the profiled path never touches the
+// baseline data again — per window it sorts only the current column,
+// bins it against the precomputed edges, and compares level counts
+// against the precomputed histogram.
 func DetectDriftProfiled(p *BaselineProfile, current *frame.Frame) (*DriftReport, error) {
 	if p == nil {
 		return nil, fmt.Errorf("monitor: drift detection needs a baseline profile")

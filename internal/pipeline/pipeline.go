@@ -114,18 +114,8 @@ func (s Spec) withDefaults() (Spec, error) {
 	if s.Name == "" {
 		s.Name = "pipeline"
 	}
-	if s.Target == "" {
-		s.Target = "approved"
-	}
-	if s.Sensitive == "" {
-		s.Sensitive = "group"
-	}
-	if s.Protected == "" {
-		s.Protected = "B"
-	}
-	if s.Reference == "" {
-		s.Reference = "A"
-	}
+	cols := core.TrainSpec{Target: s.Target, Sensitive: s.Sensitive, Protected: s.Protected, Reference: s.Reference}.WithDefaultColumns()
+	s.Target, s.Sensitive, s.Protected, s.Reference = cols.Target, cols.Sensitive, cols.Protected, cols.Reference
 	if s.Mitigation == "" {
 		s.Mitigation = "reweigh"
 	}

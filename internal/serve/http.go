@@ -422,14 +422,14 @@ func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, er
 		pol = *wire.Policy
 	}
 	spec := core.TrainSpec{
-		Target:       httpx.StringOr(wire.Target, "approved"),
-		Sensitive:    httpx.StringOr(wire.Sensitive, "group"),
-		Protected:    httpx.StringOr(wire.Protected, "B"),
-		Reference:    httpx.StringOr(wire.Reference, "A"),
+		Target:       wire.Target,
+		Sensitive:    wire.Sensitive,
+		Protected:    wire.Protected,
+		Reference:    wire.Reference,
 		TestFraction: wire.TestFraction,
 		Mitigation:   mitigation,
 		Epochs:       wire.Epochs,
-	}
+	}.WithDefaultColumns()
 	return &Request{
 		Tenant:   ten,
 		Dataset:  httpx.StringOr(name, "dataset"),

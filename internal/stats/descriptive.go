@@ -37,34 +37,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum, NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum, NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-quantile (q in [0,1]) using linear interpolation
 // between order statistics (type 7, the R/NumPy default). NaN for empty
 // input or q outside [0,1].
@@ -86,9 +58,6 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Covariance returns the unbiased sample covariance of two equal-length
 // slices, NaN for n < 2 or mismatched lengths.

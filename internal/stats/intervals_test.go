@@ -160,7 +160,8 @@ func TestBootstrapCIMedian(t *testing.T) {
 	for i := range xs {
 		xs[i] = src.Normal(10, 3)
 	}
-	iv, err := BootstrapCI(xs, Median, 500, 0.95, src)
+	median := func(xs []float64) float64 { return Quantile(xs, 0.5) }
+	iv, err := BootstrapCI(xs, median, 500, 0.95, src)
 	if err != nil {
 		t.Fatal(err)
 	}
