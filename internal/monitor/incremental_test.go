@@ -427,8 +427,8 @@ func TestChunkScorerTypeDriftParity(t *testing.T) {
 }
 
 // TestScoreRefusalsRecorded: Score refuses exactly the windows a
-// materialized rescan refuses, and the monitor records them as it
-// always has, with or without a chunk-state cache. A window mixing two
+// materialized rescan refuses, and the monitor records them the same
+// with or without a chunk-state cache. A window mixing two
 // schemas is skipped with the materialization error; a window whose
 // profiled income column arrives as strings records the dtype error;
 // a clean sliding stream hits the cache.
