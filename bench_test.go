@@ -27,8 +27,6 @@ import (
 	"github.com/responsible-data-science/rds/internal/provenance"
 	"github.com/responsible-data-science/rds/internal/rng"
 	"github.com/responsible-data-science/rds/internal/serve"
-	"github.com/responsible-data-science/rds/internal/store"
-	"github.com/responsible-data-science/rds/internal/store/fsjson"
 	"github.com/responsible-data-science/rds/internal/stream"
 	"github.com/responsible-data-science/rds/internal/synth"
 )
@@ -1008,82 +1006,6 @@ func BenchmarkProcessConformance(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFSJSONSnapshot measures a full durable-state checkpoint at
-// operational scale — 1k monitor specs and 100 baseline-profile records
-// atomically snapshotted through the fsjson adapter, then reloaded the
-// way a reboot would — so the cost of the crash-safe temp+fsync+rename
-// generation flip stays visible in BENCH history.
-func BenchmarkFSJSONSnapshot(b *testing.B) {
-	state := map[store.Kind][]store.Item{
-		store.KindMonitor: make([]store.Item, 0, 1000),
-		store.KindProfile: make([]store.Item, 0, 100),
-	}
-	for i := 0; i < 1000; i++ {
-		raw, err := json.Marshal(map[string]any{
-			"name":        fmt.Sprintf("stream-%04d", i),
-			"baseline":    fmt.Sprintf("sha256:%064d", i),
-			"window_ms":   1000,
-			"audit_every": 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, err := store.CanonicalJSON(raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		state[store.KindMonitor] = append(state[store.KindMonitor],
-			store.Item{ID: fmt.Sprintf("mon-%d", i+1), Payload: payload})
-	}
-	sample := make([]float64, 512)
-	for i := range sample {
-		sample[i] = float64(i) / 512
-	}
-	for i := 0; i < 100; i++ {
-		raw, err := json.Marshal(map[string]any{
-			"rows":   int64(4096),
-			"sorted": sample,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, err := store.CanonicalJSON(raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		state[store.KindProfile] = append(state[store.KindProfile],
-			store.Item{ID: fmt.Sprintf("mon-%d", i+1), Payload: payload})
-	}
-	dir := b.TempDir()
-	st, err := fsjson.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := len(state[store.KindMonitor]) + len(state[store.KindProfile])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Snapshot(state); err != nil {
-			b.Fatal(err)
-		}
-		reopened, err := fsjson.Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mons, err := reopened.List(store.KindMonitor)
-		if err != nil {
-			b.Fatal(err)
-		}
-		profs, err := reopened.List(store.KindProfile)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(mons) != 1000 || len(profs) != 100 {
-			b.Fatalf("reload saw %d monitors, %d profiles", len(mons), len(profs))
-		}
-	}
-	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 func BenchmarkCSVRoundTrip(b *testing.B) {

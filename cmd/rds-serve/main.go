@@ -17,10 +17,11 @@
 //	          [-tenant-rate 0] [-tenant-burst 0] [-tenant-max-queue 0]
 //
 // With -state-dir, registered monitors, pinned baseline profiles,
-// registry-resident datasets, and tenant quota overrides persist to
-// crash-safe JSON under DIR and are restored on the next boot (see
-// OPERATIONS.md "Durability"). Without it, all state is in-memory and
-// dies with the process.
+// registry-resident datasets, pipeline runs, and tenant quota overrides
+// persist to crash-safe JSON under DIR and are restored on the next
+// boot (see OPERATIONS.md "Durability"). Without it no store is
+// attached: nothing is encoded for persistence, and all state dies
+// with the process.
 //
 // Every request may carry a tenant id (X-RDS-Tenant header or a
 // "tenant" body/query field; absent means the "default" tenant).
@@ -89,7 +90,6 @@ import (
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/store"
 	"github.com/responsible-data-science/rds/internal/store/fsjson"
-	"github.com/responsible-data-science/rds/internal/store/memory"
 	"github.com/responsible-data-science/rds/internal/tenant"
 	"github.com/responsible-data-science/rds/internal/tenantapi"
 )
@@ -109,11 +109,12 @@ func main() {
 	tenantMaxQueue := flag.Int("tenant-max-queue", 0, "default per-tenant queued-job bound (0 = aggregate -queue bound only)")
 	flag.Parse()
 
-	// The state store: crash-safe JSON under -state-dir, or a process-
-	// lifetime in-memory store when the flag is empty (today's
-	// behavior). A corrupt state directory refuses to start — the error
-	// names the offending file; repair or move it rather than letting
-	// the service run on partial state.
+	// The state store: crash-safe JSON under -state-dir. Without the
+	// flag st stays an untyped nil, so every plane takes its no-store
+	// path and nothing is encoded for persistence. A corrupt state
+	// directory refuses to start — the error names the offending file;
+	// repair or move it rather than letting the service run on partial
+	// state.
 	var st store.Store
 	if *stateDir != "" {
 		fs, err := fsjson.Open(*stateDir)
@@ -122,23 +123,15 @@ func main() {
 			os.Exit(1)
 		}
 		st = fs
-	} else {
-		st = memory.New()
 	}
 
 	// The tenant quota registry is the source of truth every plane
-	// consults; it restores persisted overrides first so the dataset
-	// and monitor restores below run under the right quotas.
+	// consults.
 	tenants := tenant.NewRegistry(tenant.Quotas{
 		RatePerSec: *tenantRate,
 		Burst:      *tenantBurst,
 		MaxQueue:   *tenantMaxQueue,
 	})
-	if err := tenants.AttachStore(st); err != nil {
-		fmt.Fprintln(os.Stderr, "rds-serve:", err)
-		os.Exit(1)
-	}
-
 	engine := serve.NewEngine(serve.Config{
 		Workers:      *workers,
 		QueueSize:    *queue,
@@ -162,30 +155,15 @@ func main() {
 		os.Exit(1)
 	}
 	defer registry.Close()
-
-	// Restore order matters: tenants restored above (quotas first),
-	// then datasets (so monitors can re-pin their baselines), then
-	// monitors — all before the listener opens.
-	if err := datasets.AttachStore(st); err != nil {
-		fmt.Fprintln(os.Stderr, "rds-serve:", err)
-		os.Exit(1)
-	}
-	restored, err := registry.Restore()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rds-serve:", err)
-		os.Exit(1)
-	}
-	// Pipelines restore last: an interrupted run resumes by replaying
-	// its completed stages against the referenced dataset, so the
-	// dataset registry must already be resident.
 	pipelines := pipeline.NewRegistry(engine, datasets, tenants.Quotas)
-	if err := pipelines.AttachStore(st); err != nil {
-		fmt.Fprintln(os.Stderr, "rds-serve:", err)
-		os.Exit(1)
-	}
-	if *stateDir != "" {
+	if st != nil {
+		restored, err := restore(st, tenants, datasets, registry, pipelines)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rds-serve:", err)
+			os.Exit(1)
+		}
 		fmt.Printf("rds-serve restored %d monitors and %d datasets from %s\n",
-			restored, len(datasets.List()), *stateDir)
+			restored, datasets.Metrics().Resident, *stateDir)
 	}
 
 	handler := serve.NewHandler(engine)
@@ -227,4 +205,25 @@ func main() {
 		os.Exit(1)
 	}
 	engine.Close()
+}
+
+// restore attaches st to every plane and loads its records, all before
+// the listener opens. Order matters: tenant quotas first, so the
+// dataset and monitor restores run under the right quotas; then
+// datasets, so monitors can re-pin their baselines; then monitors;
+// pipelines last, because an interrupted run resumes by replaying its
+// completed stages against its resident dataset. It returns the number
+// of monitors restored.
+func restore(st store.Store, tenants *tenant.Registry, datasets *dataset.Registry, monitors *monitor.Registry, pipelines *pipeline.Registry) (int, error) {
+	if err := tenants.AttachStore(st); err != nil {
+		return 0, err
+	}
+	if err := datasets.AttachStore(st); err != nil {
+		return 0, err
+	}
+	restored, err := monitors.Restore()
+	if err != nil {
+		return 0, err
+	}
+	return restored, pipelines.AttachStore(st)
 }

@@ -363,9 +363,6 @@ func (r *Registry) DeleteAs(ten, ref string) (bool, error) {
 	return true, nil
 }
 
-// List returns the default tenant's resident datasets; see ListAs.
-func (r *Registry) List() []Meta { return r.ListAs(tenant.Default) }
-
 // ListAs returns ten's resident datasets, most recently used first.
 // The listing is scoped: no tenant can enumerate another's refs.
 func (r *Registry) ListAs(ten string) []Meta {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/responsible-data-science/rds/internal/frame"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // testFrame builds a small frame whose content (and therefore ref)
@@ -159,7 +160,7 @@ func TestListMostRecentFirst(t *testing.T) {
 	m1, _ := r.Put("a", testFrame(t, 1, 10))
 	m2, _ := r.Put("b", testFrame(t, 2, 10))
 	r.Resolve(m1.Ref)
-	list := r.List()
+	list := r.ListAs(tenant.Default)
 	if len(list) != 2 || list[0].Ref != m1.Ref || list[1].Ref != m2.Ref {
 		t.Fatalf("list order = %+v", list)
 	}

@@ -140,7 +140,10 @@ func mustEqualHistories(t *testing.T, label string, got, want []WindowEntry) {
 // exercising the windower's edge cases: empty batches, heartbeats,
 // single-row chunks, NaN/Inf cells, all-NaN columns, dropped columns,
 // type drift, and genuine distribution drift that forces off-cadence
-// audits.
+// audits. One 200 ms run of type-drifted arrivals of 1–4 rows fills at
+// least one whole 100 ms window at every slide up to 100, so the dtype
+// refusal, not a schema-mix skip, decides that window; so few rows
+// often fail the window's audit as well.
 func randomArrivals(t testing.TB, seed int64, n int) []stream.Arrival {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -170,6 +173,7 @@ func randomArrivals(t testing.TB, seed int64, n int) []stream.Arrival {
 		lo := rng.Intn(f.NumRows() - rows + 1)
 		return f.Slice(lo, lo+rows)
 	}
+	typedRun := 3 + rng.Intn(n/2)
 	arrivals := make([]stream.Arrival, 0, n)
 	// The first window ([0,100) for every spec under test) gets clean
 	// parts only, so the baseline always pins and later windows are
@@ -180,6 +184,12 @@ func randomArrivals(t testing.TB, seed int64, n int) []stream.Arrival {
 	tms := int64(100)
 	for len(arrivals) < n {
 		tms += int64(rng.Intn(30))
+		if len(arrivals) == typedRun {
+			for end := tms + 200; tms < end && len(arrivals) < n; tms += 10 + int64(rng.Intn(20)) {
+				arrivals = append(arrivals, stream.Arrival{TimeMS: tms, Rows: slice(typed, 4)})
+			}
+			continue
+		}
 		var rows *frame.Frame
 		switch rng.Intn(14) {
 		case 0:
@@ -243,10 +253,11 @@ func runArrivals(t *testing.T, spec Spec, cache *dataset.StateCache, arrivals []
 // pinned profile over the window's rows, rebuilt from the arrivals in
 // [StartMS, EndMS) — the report bit for bit, the error string for
 // string. The arrivals must be time-ordered, so no row is late. It
-// returns how many entries it checked.
-func mustMatchRescan(t *testing.T, label string, m *Monitor, arrivals []stream.Arrival) int {
+// returns how many entries it checked, and how many of those the
+// rescan refused (for a scored window, only a profiled column that
+// changed dtype is refused).
+func mustMatchRescan(t *testing.T, label string, m *Monitor, arrivals []stream.Arrival) (checked, refused int) {
 	t.Helper()
-	checked := 0
 	for _, e := range m.History() {
 		if e.Baseline || e.Skipped || e.Reaudits > 0 {
 			continue
@@ -273,12 +284,13 @@ func mustMatchRescan(t *testing.T, label string, m *Monitor, arrivals []stream.A
 			if e.Drift != nil || e.Error != werr.Error() {
 				t.Errorf("%s: window %d: drift %+v, error %q; the rescan refuses it with %q", label, e.Window, e.Drift, e.Error, werr)
 			}
+			refused++
 		case !bitsDeepEqual(reflect.ValueOf(e.Drift), reflect.ValueOf(want)):
 			t.Errorf("%s: window %d drift diverged from the rescan:\n  got:  %+v\n  want: %+v", label, e.Window, e.Drift, want)
 		}
 		checked++
 	}
-	return checked
+	return checked, refused
 }
 
 // TestIncrementalEqualsRescanRandomized is the chunk-state property
@@ -311,8 +323,8 @@ func TestIncrementalEqualsRescanRandomized(t *testing.T) {
 				gotHist, gotSum := m.History(), m.Status()
 				wantHist, wantSum, _ := runArrivals(t, spec, nil, arrivals)
 
-				if n := mustMatchRescan(t, name, m, arrivals); n == 0 {
-					t.Errorf("no entry was checked against the rescan")
+				if checked, refused := mustMatchRescan(t, name, m, arrivals); checked == 0 || refused == 0 {
+					t.Errorf("checked %d entries against the rescan, %d of them refused; want at least one of each", checked, refused)
 				}
 				mustEqualHistories(t, name, gotHist, wantHist)
 				gotSum.ProfileBuildMillis, wantSum.ProfileBuildMillis = 0, 0
@@ -456,8 +468,8 @@ func TestScoreRefusalsRecorded(t *testing.T) {
 	got := m.History()
 	want, _, _ := runArrivals(t, spec, nil, faulty)
 	mustEqualHistories(t, "faulty stream", got, want)
-	if n := mustMatchRescan(t, "faulty stream", m, faulty); n != 2 {
-		t.Errorf("checked %d entries against the rescan, want 2 (dtype flip + clean)", n)
+	if checked, refused := mustMatchRescan(t, "faulty stream", m, faulty); checked != 2 || refused != 1 {
+		t.Errorf("checked %d entries against the rescan, %d refused; want 2 (dtype flip + clean), 1 refused", checked, refused)
 	}
 	if len(got) != 4 {
 		t.Fatalf("history has %d entries, want 4: %+v", len(got), got)
@@ -474,6 +486,34 @@ func TestScoreRefusalsRecorded(t *testing.T) {
 	}
 	if e := got[3]; e.Drift == nil || e.Error != "" {
 		t.Errorf("clean window = %+v, want a drift report", e)
+	}
+
+	// A dtype-flipped window audited on cadence whose audit fails too
+	// (it holds no protected-group rows) keeps the dtype error; the
+	// audit failure still alerts and counts.
+	onlyA, err := typed.FilterEq("group", "A")
+	if err != nil {
+		t.Fatalf("FilterEq: %v", err)
+	}
+	sink := &captureSink{}
+	spec = creditSpec("refusal-audited")
+	spec.AuditEvery = 1
+	spec.Sinks = []Sink{sink}
+	failedHist, _, failedSnap := runArrivals(t, spec, nil, []stream.Arrival{
+		{TimeMS: 0, Rows: pool.Slice(0, 300)},
+		{TimeMS: 100, Rows: onlyA.Slice(0, 200)},
+	})
+	if len(failedHist) != 2 {
+		t.Fatalf("history has %d entries, want 2: %+v", len(failedHist), failedHist)
+	}
+	if e := failedHist[1]; e.Audited || e.Drift != nil || e.Error != dtypeErr {
+		t.Errorf("dtype-flipped window with a failed audit = %+v, want error %q", e, dtypeErr)
+	}
+	if kinds := sink.kinds(); len(kinds) != 1 || kinds[0] != AlertAuditFailure {
+		t.Errorf("alert kinds = %v, want [audit_failure]", kinds)
+	}
+	if failedSnap.AuditFailures != 1 {
+		t.Errorf("AuditFailures = %d, want 1", failedSnap.AuditFailures)
 	}
 
 	// A clean sliding stream reuses the surviving chunks' states.

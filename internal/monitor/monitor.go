@@ -983,7 +983,11 @@ func (m *Monitor) audit(f *frame.Frame, entry *WindowEntry, dataHash string) {
 			return
 		}
 	}
-	entry.Error = err.Error()
+	// A drift error already on the entry stays: it says why the window
+	// could not be scored. The audit failure still alerts and counts.
+	if entry.Error == "" {
+		entry.Error = err.Error()
+	}
 	m.reg.metrics.bump(&m.reg.metrics.auditFailures, 1)
 	m.alert(Alert{
 		Kind:    AlertAuditFailure,

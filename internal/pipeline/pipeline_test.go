@@ -474,8 +474,8 @@ func TestMaxPipelinesQuota(t *testing.T) {
 	if _, err := runs.Submit(spec); !errors.Is(err, tenant.ErrQuota) {
 		t.Fatalf("second live run: %v, want tenant.ErrQuota", err)
 	}
-	if got := runs.LiveCount(tenant.Default); got != 1 {
-		t.Fatalf("live count = %d, want 1", got)
+	if _, live := runs.CountsAs(tenant.Default); live != 1 {
+		t.Fatalf("live count = %d, want 1", live)
 	}
 
 	close(block)

@@ -286,13 +286,6 @@ func (r *Registry) List(ten string) []*Record {
 	return out
 }
 
-// LiveCount reports ten's unfinished runs (the MaxPipelines gauge).
-func (r *Registry) LiveCount(ten string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.live[ten]
-}
-
 // CountsAs reports ten's total and live run counts for the
 // responsibility report.
 func (r *Registry) CountsAs(ten string) (total, live int) {
@@ -308,9 +301,6 @@ func (r *Registry) CountsAs(ten string) (total, live int) {
 	}
 	return total, live
 }
-
-// ListAs returns ten's runs newest-first (the tenant-scoped List).
-func (r *Registry) ListAs(ten string) []*Record { return r.List(ten) }
 
 // AttachStore adopts st as the registry's durability port and restores
 // every persisted run: finished records become queryable again, and

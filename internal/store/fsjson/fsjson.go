@@ -6,11 +6,14 @@
 //
 // # Layout
 //
-// The state directory holds a CURRENT pointer file and one generation
-// directory at a time:
+// The state directory holds a CURRENT pointer file and the generation
+// directory it names:
 //
 //	<root>/CURRENT                       -> "gen-000001\n"
 //	<root>/gen-000001/<kind>/<id>.json   one envelope file per record
+//
+// A fresh boot creates gen-000001; Open follows CURRENT, so a state
+// directory written by an earlier release opens without migration.
 //
 // Every record file is an envelope {kind, id, sha256, payload}: the
 // payload is the canonical JSON document, the sha256 is its checksum.
@@ -20,15 +23,12 @@
 //
 // # Crash safety
 //
-// Individual Saves write a temp file in the record's directory, fsync
-// it, rename it over the target, and fsync the directory — a reader
-// (or a rebooted process) sees the old record or the new one, never a
-// half-written file. Snapshot goes further: the full next state is
-// written into a fresh generation directory, fsynced, renamed into
-// place, and only then does CURRENT flip (itself via temp+fsync+
-// rename). A crash anywhere mid-snapshot leaves CURRENT pointing at
-// the previous generation with all its files intact; Open garbage-
-// collects the unreferenced debris on the next boot.
+// Every Save writes a temp file in the record's directory, fsyncs it,
+// renames it over the target, and fsyncs the directory — a reader (or
+// a rebooted process) sees the old record or the new one, never a
+// half-written file. A crash between write and rename leaves only the
+// temp file, which List skips and the next Open removes. CURRENT is
+// written the same way.
 //
 // # Boot semantics
 //
@@ -44,6 +44,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -56,8 +57,9 @@ import (
 // currentFile is the generation pointer file name.
 const currentFile = "CURRENT"
 
-// tmpPrefix marks in-flight temp files and partial generation
-// directories; Open removes any leftovers (crash debris).
+// tmpPrefix marks in-flight temp files; Open removes any leftovers
+// (crash debris), at the root and in the current generation's kind
+// directories.
 const tmpPrefix = ".tmp-"
 
 // envelope is the on-disk form of one record.
@@ -116,9 +118,8 @@ func Open(root string) (*Store, error) {
 		return nil, fmt.Errorf("fsjson: %s does not look like a state dir (unexpected entry %q); refusing to touch it",
 			root, strangers[0])
 	}
-	// Crash debris — temp files and partial generations never flipped
-	// into CURRENT — is safe to drop: by construction nothing
-	// references it.
+	// Crash debris — temp files never renamed into place — is safe to
+	// drop: by construction nothing references it.
 	for _, name := range debris {
 		if err := os.RemoveAll(filepath.Join(root, name)); err != nil {
 			return nil, fmt.Errorf("fsjson: clearing crash debris %s: %w", name, err)
@@ -155,14 +156,16 @@ func Open(root string) (*Store, error) {
 		return nil, fmt.Errorf("fsjson: %s names generation %q which does not exist; refusing to start", curPath, gen)
 	}
 	s.gen = gen
-	// Generations other than CURRENT are leftovers of an interrupted
-	// snapshot (either the old state after a completed flip, or a new
-	// one that never flipped); the pointer decides, the rest is debris.
-	for _, g := range gens {
-		if g != gen {
-			if err := os.RemoveAll(filepath.Join(root, g)); err != nil {
-				return nil, fmt.Errorf("fsjson: clearing stale generation %s: %w", g, err)
-			}
+	// A save interrupted between write and rename leaves its temp file
+	// next to the record; for a dataset that is a whole copy of the
+	// frame.
+	orphans, err := fs.Glob(os.DirFS(root), gen+"/*/"+tmpPrefix+"*")
+	if err != nil {
+		return nil, fmt.Errorf("fsjson: listing crash debris: %w", err)
+	}
+	for _, name := range orphans {
+		if err := os.Remove(filepath.Join(root, name)); err != nil {
+			return nil, fmt.Errorf("fsjson: clearing crash debris %s: %w", name, err)
 		}
 	}
 	return s, nil
@@ -265,62 +268,6 @@ func (s *Store) List(kind store.Kind) ([]store.Item, error) {
 	return items, nil
 }
 
-// Snapshot atomically replaces the store's contents by writing a fresh
-// generation and flipping CURRENT. A crash at any point leaves the
-// previous generation intact and referenced.
-func (s *Store) Snapshot(state map[store.Kind][]store.Item) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := genName(genNumber(s.gen) + 1)
-	tmpGen := tmpPrefix + next
-	tmpPath := filepath.Join(s.root, tmpGen)
-	if err := os.RemoveAll(tmpPath); err != nil {
-		return fmt.Errorf("fsjson: clearing %s: %w", tmpPath, err)
-	}
-	if err := os.MkdirAll(tmpPath, 0o755); err != nil {
-		return fmt.Errorf("fsjson: creating %s: %w", tmpPath, err)
-	}
-	for kind, items := range state {
-		dir := filepath.Join(tmpPath, string(kind))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("fsjson: creating %s: %w", dir, err)
-		}
-		for _, it := range items {
-			if err := store.CheckKey(kind, it.ID); err != nil {
-				return err
-			}
-			data, err := encodeEnvelope(kind, it.ID, it.Payload)
-			if err != nil {
-				return err
-			}
-			if err := writeFileAtomic(dir, recordFile(it.ID), data); err != nil {
-				return err
-			}
-		}
-	}
-	// The new generation is complete on disk; make it visible with two
-	// atomic renames — directory into place, then the CURRENT flip.
-	if err := os.Rename(tmpPath, filepath.Join(s.root, next)); err != nil {
-		return fmt.Errorf("fsjson: publishing generation %s: %w", next, err)
-	}
-	if err := syncDir(s.root); err != nil {
-		return err
-	}
-	if err := s.writeCurrent(next); err != nil {
-		return err
-	}
-	old := s.gen
-	s.gen = next
-	if err := os.RemoveAll(filepath.Join(s.root, old)); err != nil {
-		return fmt.Errorf("fsjson: removing old generation %s: %w", old, err)
-	}
-	return nil
-}
-
-// Close is a no-op: every write is already durable when Save or
-// Snapshot returns.
-func (s *Store) Close() error { return nil }
-
 // Root returns the state directory path.
 func (s *Store) Root() string { return s.root }
 
@@ -341,14 +288,6 @@ func isGenName(name string) bool {
 	var n int
 	_, err := fmt.Sscanf(name, "gen-%06d", &n)
 	return err == nil && name == genName(n)
-}
-
-// genNumber extracts the generation number (0 when malformed; callers
-// only pass validated names).
-func genNumber(name string) int {
-	var n int
-	fmt.Sscanf(name, "gen-%06d", &n)
-	return n
 }
 
 // encodeEnvelope canonicalizes the payload and wraps it with its

@@ -1,10 +1,10 @@
-// Package memory implements the store port in process memory. It is
-// the adapter behind a server started without -state-dir — today's
-// historical behavior, nothing survives the process — and the adapter
-// fast tests use. Despite living on the heap it keeps the port's
-// untrusted-storage posture: payloads are checksummed on Save and
-// verified on every read, so the contract suite's corruption-rejection
-// property holds here exactly as it does for the filesystem adapter.
+// Package memory implements the store port in process memory: the
+// in-process store tests use, and the contract suite's second adapter.
+// Nothing survives the process. Despite living on the heap it keeps
+// the port's untrusted-storage posture: payloads are checksummed on
+// Save and verified on every read, so the contract suite's
+// corruption-rejection property holds here exactly as it does for the
+// filesystem adapter.
 package memory
 
 import (
@@ -101,39 +101,6 @@ func (s *Store) List(kind store.Kind) ([]store.Item, error) {
 	}
 	sortItems(items)
 	return items, nil
-}
-
-// Snapshot atomically replaces the whole store contents: the new state
-// is built aside and swapped in under the lock, so concurrent readers
-// see either the old state or the new, never a mix.
-func (s *Store) Snapshot(state map[store.Kind][]store.Item) error {
-	next := map[store.Kind]map[string]record{}
-	for kind, items := range state {
-		m := map[string]record{}
-		for _, it := range items {
-			if err := store.CheckKey(kind, it.ID); err != nil {
-				return err
-			}
-			canon, err := store.CanonicalJSON(it.Payload)
-			if err != nil {
-				return err
-			}
-			m[it.ID] = record{payload: canon, sum: sha256.Sum256(canon)}
-		}
-		next[kind] = m
-	}
-	s.mu.Lock()
-	s.kinds = next
-	s.mu.Unlock()
-	return nil
-}
-
-// Close releases the store's contents.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	s.kinds = map[store.Kind]map[string]record{}
-	s.mu.Unlock()
-	return nil
 }
 
 // Corrupt flips bytes of the stored payload without updating the

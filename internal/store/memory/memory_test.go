@@ -32,17 +32,3 @@ func TestCorruptMissing(t *testing.T) {
 		t.Fatal("Corrupt reported success for an absent record")
 	}
 }
-
-// TestCloseEmpties verifies Close drops the contents.
-func TestCloseEmpties(t *testing.T) {
-	s := New()
-	if err := s.Save(store.KindMonitor, "m1", []byte(`{"a":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Find(store.KindMonitor, "m1"); ok || err != nil {
-		t.Fatalf("record survived Close: ok=%v err=%v", ok, err)
-	}
-}

@@ -1,27 +1,26 @@
 // Package store defines the durable-state port behind which every
 // load-bearing piece of service state lives: monitor specs, pinned
-// baseline profiles, and dataset-registry entries. The serving planes
-// talk to the small Store interface only; adapters supply the actual
-// medium — store/memory reproduces the historical in-process behavior
-// (and keeps fast tests fast), store/fsjson persists to a state
-// directory with crash-safe writes so a standing monitor survives a
-// process restart.
+// baseline profiles, dataset-registry entries, pipeline run records and
+// tenant quota overrides. The serving planes talk to the small Store
+// interface only. rds-serve attaches one only under -state-dir:
+// store/fsjson persists to that directory with crash-safe writes, so a
+// standing monitor survives a process restart. Without the flag no
+// store is attached and nothing is encoded for persistence.
+// store/memory is the in-process store tests use.
 //
 // The port is deliberately narrow, in the style of a CRUD repository
-// port: records are opaque JSON payloads addressed by (Kind, ID), plus
-// one atomic full-state Snapshot used for batch persistence and
-// generation flips. Payloads are canonicalized (compact JSON) on Save
-// and checksummed at rest: storage is untrusted by design, so a
-// truncated or tampered record is refused on read with ErrCorrupt
-// rather than silently loaded — the same posture as
-// provenance.ReadAuditJSON's hash-chain check.
+// port: records are opaque JSON payloads addressed by (Kind, ID), and
+// the planes Save, Find, Delete and List them. Payloads are
+// canonicalized (compact JSON) on Save and checksummed at rest: storage
+// is untrusted by design, so a truncated or tampered record is refused
+// on read with ErrCorrupt rather than silently loaded — the same
+// posture as provenance.ReadAuditJSON's hash-chain check.
 //
 // internal/store/contract exports the behavioral contract as a
 // table-driven test suite; every adapter must pass it (CRUD round
 // trips, List ordering, Delete idempotence, concurrent Save/Find,
-// corruption rejection, snapshot-then-reload bit-identity). New
-// adapters start by running the contract, not by re-reading this
-// comment.
+// corruption rejection, save-then-reload bit-identity). New adapters
+// start by running the contract, not by re-reading this comment.
 package store
 
 import (
@@ -68,8 +67,7 @@ var ErrInvalidID = errors.New("store: invalid record id")
 // keys (see ValidKind).
 var ErrInvalidKind = errors.New("store: invalid record kind")
 
-// Item is one record in a listing or snapshot: its id and canonical
-// JSON payload.
+// Item is one record in a listing: its id and canonical JSON payload.
 type Item struct {
 	// ID is the record key within its Kind.
 	ID string `json:"id"`
@@ -95,15 +93,6 @@ type Store interface {
 	// List returns every record of the kind ordered by ID ascending. An
 	// unknown (but valid) kind lists empty.
 	List(kind Kind) ([]Item, error)
-	// Snapshot atomically replaces the entire store contents with the
-	// given state: after it returns, exactly the given records exist,
-	// in every kind — including kinds absent from the map, which are
-	// emptied. Adapters must make the replacement all-or-nothing: a
-	// crash mid-snapshot leaves the previous state fully intact.
-	Snapshot(state map[Kind][]Item) error
-	// Close releases the adapter's resources. The store must not be
-	// used afterwards.
-	Close() error
 }
 
 // ValidKind reports whether a collection name is safe as a storage key

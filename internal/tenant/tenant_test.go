@@ -125,7 +125,6 @@ func TestRegistryOverrides(t *testing.T) {
 
 func TestRegistryPersistence(t *testing.T) {
 	st := memory.New()
-	defer st.Close()
 
 	r := NewRegistry(Quotas{})
 	if err := r.AttachStore(st); err != nil {
@@ -156,7 +155,6 @@ func TestRegistryPersistence(t *testing.T) {
 
 func TestRegistryRestoreRefusesCorrupt(t *testing.T) {
 	st := memory.New()
-	defer st.Close()
 	if err := st.Save(store.KindTenant, "acme", []byte(`{"weight":"not-a-number"}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,6 @@ func TestRegistryRestoreRefusesCorrupt(t *testing.T) {
 	}
 
 	st2 := memory.New()
-	defer st2.Close()
 	if err := st2.Save(store.KindTenant, "Not-Valid-Tenant", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +189,6 @@ func TestRegistryStoreFailures(t *testing.T) {
 	// only the mutation paths break.
 	r := NewRegistry(Quotas{})
 	st := memory.New()
-	defer st.Close()
 	if err := r.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +206,6 @@ func TestRegistryStoreFailures(t *testing.T) {
 	// A restored record with negative fields is corrupt state, not a
 	// silently-clamped quota.
 	st2 := memory.New()
-	defer st2.Close()
 	if err := st2.Save(store.KindTenant, "acme", []byte(`{"weight":-1}`)); err != nil {
 		t.Fatal(err)
 	}

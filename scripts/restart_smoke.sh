@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Process-level durability smoke: boot rds-serve with -state-dir,
-# upload a dataset, register a baseline_ref monitor, and submit a
-# seven-stage remediation pipeline over HTTP, kill -9 the process,
-# boot a fresh one over the same directory, and assert the dataset and
-# the pinned monitor came back and the pipeline record finishes done
-# with every stage — whether the SIGKILL landed mid-run (the boot path
-# resumes it at its last persisted stage) or after it completed (the
-# boot path finalizes it). This is the shell-level twin of
+# upload a dataset (plus one as tenant acme), register a baseline_ref
+# monitor, and submit a seven-stage remediation pipeline over HTTP,
+# kill -9 the process, boot a fresh one over the same directory, and
+# assert the startup line counts every tenant's datasets, the dataset
+# and the pinned monitor came back, and the pipeline record finishes
+# done with every stage — whether the SIGKILL landed mid-run (the boot
+# path resumes it at its last persisted stage) or after it completed
+# (the boot path finalizes it). This is the shell-level twin of
 # internal/e2e TestRestartEndToEnd and TestPipelineRestartEndToEnd —
 # it exercises the real binary and a real SIGKILL instead of an
 # in-process stop.
@@ -19,6 +20,7 @@ ADDR="127.0.0.1:${PORT}"
 BASE="http://${ADDR}"
 STATE_DIR="$(mktemp -d)"
 BIN="$(mktemp -d)/rds-serve"
+LOG="$(dirname "${BIN}")/second-life.log"
 SERVER_PID=""
 
 cleanup() {
@@ -64,6 +66,10 @@ ref=$(curl -fsS "${BASE}/v1/datasets" -H 'Content-Type: text/csv' \
   --data-binary "${csv}" | json_field ref)
 [ -n "${ref}" ] || { echo "restart_smoke: dataset upload returned no ref" >&2; exit 1; }
 
+acme_ref=$(curl -fsS "${BASE}/v1/datasets" -H 'Content-Type: text/csv' \
+  -H 'X-RDS-Tenant: acme' --data-binary "${csv}" | json_field ref)
+[ -n "${acme_ref}" ] || { echo "restart_smoke: acme dataset upload returned no ref" >&2; exit 1; }
+
 mon=$(curl -fsS "${BASE}/v1/monitors" -H 'Content-Type: application/json' \
   -d "{\"name\":\"smoke\",\"baseline_ref\":\"${ref}\",\"window_ms\":1000,\"epochs\":2}" \
   | json_field id)
@@ -94,9 +100,14 @@ wait "${SERVER_PID}" 2>/dev/null || true
 SERVER_PID=""
 
 # ---- Second life ---------------------------------------------------
-"${BIN}" -addr "${ADDR}" -state-dir "${STATE_DIR}" &
+"${BIN}" -addr "${ADDR}" -state-dir "${STATE_DIR}" >"${LOG}" &
 SERVER_PID=$!
 wait_ready
+cat "${LOG}"
+
+# Three datasets survive: two of the default tenant and one of acme.
+grep -q "restored 1 monitors and 3 datasets from ${STATE_DIR}" "${LOG}" || {
+  echo "restart_smoke: startup line does not report 1 monitor and 3 datasets" >&2; exit 1; }
 
 status=$(curl -fsS "${BASE}/v1/monitors/${mon}")
 echo "${status}" | tr -d ' ' | grep -q '"baseline_pinned":true' || {
