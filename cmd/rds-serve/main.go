@@ -110,19 +110,15 @@ func main() {
 	flag.Parse()
 
 	// The state store: crash-safe JSON under -state-dir. Without the
-	// flag st stays an untyped nil, so every plane takes its no-store
-	// path and nothing is encoded for persistence. A corrupt state
+	// flag st is nil, so every plane takes its no-store path and
+	// nothing is encoded for persistence. A corrupt state
 	// directory refuses to start — the error names the offending file;
 	// repair or move it rather than letting the service run on partial
 	// state.
-	var st store.Store
-	if *stateDir != "" {
-		fs, err := fsjson.Open(*stateDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rds-serve:", err)
-			os.Exit(1)
-		}
-		st = fs
+	st, err := openState(*stateDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rds-serve:", err)
+		os.Exit(1)
 	}
 
 	// The tenant quota registry is the source of truth every plane
@@ -157,13 +153,13 @@ func main() {
 	defer registry.Close()
 	pipelines := pipeline.NewRegistry(engine, datasets, tenants.Quotas)
 	if st != nil {
-		restored, err := restore(st, tenants, datasets, registry, pipelines)
+		restored, resident, err := restore(st, tenants, datasets, registry, pipelines)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rds-serve:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("rds-serve restored %d monitors and %d datasets from %s\n",
-			restored, datasets.Metrics().Resident, *stateDir)
+			restored, resident, *stateDir)
 	}
 
 	handler := serve.NewHandler(engine)
@@ -207,23 +203,42 @@ func main() {
 	engine.Close()
 }
 
+// openState opens the durable store under dir. Without a dir it
+// returns an untyped nil store.Store, never a nil *fsjson.Store: a
+// typed nil inside the interface passes every plane's nil check and
+// panics on the first save.
+func openState(dir string) (store.Store, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	fs, err := fsjson.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	return fs, nil
+}
+
 // restore attaches st to every plane and loads its records, all before
 // the listener opens. Order matters: tenant quotas first, so the
 // dataset and monitor restores run under the right quotas; then
 // datasets, so monitors can re-pin their baselines; then monitors;
 // pipelines last, because an interrupted run resumes by replaying its
 // completed stages against its resident dataset. It returns the number
-// of monitors restored.
-func restore(st store.Store, tenants *tenant.Registry, datasets *dataset.Registry, monitors *monitor.Registry, pipelines *pipeline.Registry) (int, error) {
+// of monitors restored and the number of datasets resident across
+// every tenant.
+func restore(st store.Store, tenants *tenant.Registry, datasets *dataset.Registry, monitors *monitor.Registry, pipelines *pipeline.Registry) (restored, resident int, err error) {
 	if err := tenants.AttachStore(st); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := datasets.AttachStore(st); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	restored, err := monitors.Restore()
+	restored, err = monitors.Restore()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return restored, pipelines.AttachStore(st)
+	if err := pipelines.AttachStore(st); err != nil {
+		return 0, 0, err
+	}
+	return restored, datasets.Metrics().Resident, nil
 }

@@ -3,9 +3,10 @@
 // constructor (see store/memory and store/fsjson); an adapter that
 // passes is substitutable anywhere the service takes a store.Store.
 // The suite is the proof behind the durability claim — CRUD round
-// trips, List ordering, Delete idempotence, concurrent Save/Find under
-// the race detector, corruption rejection, and save-then-reload
-// bit-identity are asserted, not assumed.
+// trips, List ordering, Delete idempotence, separate kinds, concurrent
+// Save/Find under the race detector, corruption rejection, saves and
+// deletes that survive a reopen, and save-then-reload bit-identity are
+// asserted, not assumed.
 package contract
 
 import (
@@ -66,11 +67,13 @@ func Run(t *testing.T, a Adapter) {
 	t.Run("SaveOverwrites", func(t *testing.T) { testOverwrite(t, a) })
 	t.Run("ListOrdering", func(t *testing.T) { testListOrdering(t, a) })
 	t.Run("DeleteIdempotent", func(t *testing.T) { testDeleteIdempotent(t, a) })
+	t.Run("KindsAreSeparate", func(t *testing.T) { testKindsSeparate(t, a) })
 	t.Run("RejectsBadKeys", func(t *testing.T) { testBadKeys(t, a) })
 	t.Run("RejectsInvalidJSON", func(t *testing.T) { testInvalidJSON(t, a) })
 	t.Run("ConcurrentSaveFind", func(t *testing.T) { testConcurrent(t, a) })
 	t.Run("CorruptionRejected", func(t *testing.T) { testCorruption(t, a) })
 	t.Run("SaveSurvivesReopen", func(t *testing.T) { testReopen(t, a) })
+	t.Run("DeleteSurvivesReopen", func(t *testing.T) { testDeleteReopen(t, a) })
 	t.Run("SaveReloadBitIdentity", func(t *testing.T) { testReloadBitIdentity(t, a) })
 }
 
@@ -169,6 +172,38 @@ func testDeleteIdempotent(t *testing.T, a Adapter) {
 	}
 	if err := s.Delete(kind, "never-existed"); err != nil {
 		t.Fatalf("Delete(absent): %v", err)
+	}
+}
+
+// testKindsSeparate saves one id under two kinds, as the service keys a
+// monitor's spec and its baseline profile: each kind reads back its own
+// payload, and deleting from one leaves the other.
+func testKindsSeparate(t *testing.T, a Adapter) {
+	s := a.Make(t)
+	other := store.Kind("contract-gadgets")
+	if err := s.Save(kind, "m1", payload(1)); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if err := s.Save(other, "m1", payload(2)); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	for k, want := range map[store.Kind][]byte{kind: payload(1), other: payload(2)} {
+		got, ok, err := s.Find(k, "m1")
+		if err != nil || !ok || !bytes.Equal(got, canon(t, want)) {
+			t.Fatalf("Find(%s, m1) = (%q, %v, %v), want %q", k, got, ok, err, canon(t, want))
+		}
+	}
+	if err := s.Delete(other, "m1"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if got, ok, err := s.Find(kind, "m1"); err != nil || !ok || !bytes.Equal(got, canon(t, payload(1))) {
+		t.Fatalf("Delete of another kind's record removed this one: (%q, %v, %v)", got, ok, err)
+	}
+	if items, err := s.List(other); err != nil || len(items) != 0 {
+		t.Fatalf("List(%s) after Delete = (%v, %v), want empty", other, items, err)
+	}
+	if items, err := s.List(kind); err != nil || len(items) != 1 {
+		t.Fatalf("List(%s) has %d items (err %v), want 1", kind, len(items), err)
 	}
 }
 
@@ -274,6 +309,28 @@ func testReopen(t *testing.T, a Adapter) {
 	got, ok, err := s.Find(kind, "w1")
 	if err != nil || !ok || !bytes.Equal(got, canon(t, payload(1))) {
 		t.Fatalf("Find after reopen = (%q, %v, %v)", got, ok, err)
+	}
+}
+
+// testDeleteReopen checks that a deleted record stays deleted across a
+// restart: a deleted monitor must not come back on the next boot.
+func testDeleteReopen(t *testing.T, a Adapter) {
+	s := a.Make(t)
+	for _, id := range []string{"w1", "w2"} {
+		if err := s.Save(kind, id, payload(1)); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+	}
+	if err := s.Delete(kind, "w1"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	s = a.Reopen(t, s)
+	if got, ok, err := s.Find(kind, "w1"); err != nil || ok {
+		t.Fatalf("Find(deleted) after reopen = (%q, %v, %v), want absent", got, ok, err)
+	}
+	items, err := s.List(kind)
+	if err != nil || len(items) != 1 || items[0].ID != "w2" {
+		t.Fatalf("List after reopen = (%v, %v), want only w2", items, err)
 	}
 }
 

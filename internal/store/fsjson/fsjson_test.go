@@ -2,6 +2,8 @@ package fsjson
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -224,5 +226,130 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("Open left the orphaned temp file behind: %v", err)
+	}
+}
+
+// TestOnDiskLayout pins the format state directories are written in —
+// CURRENT naming gen-000001, one envelope per record at
+// <gen>/<kind>/<id>.json carrying its payload's SHA-256 — so a state
+// directory written by an earlier release opens without migration. A
+// record written by hand in that layout reads back through the port,
+// and saving it again rewrites the same bytes.
+func TestOnDiskLayout(t *testing.T) {
+	fresh := t.TempDir()
+	open(t, fresh)
+	if cur, err := os.ReadFile(filepath.Join(fresh, currentFile)); err != nil || string(cur) != "gen-000001\n" {
+		t.Fatalf("fresh boot wrote CURRENT = (%q, %v), want \"gen-000001\\n\"", cur, err)
+	}
+
+	dir := t.TempDir()
+	const payload = `{"name":"live","window_ms":60000}`
+	sum := sha256.Sum256([]byte(payload))
+	rec := fmt.Sprintf(`{"kind":"monitors","id":"mon-000001","sha256":"%s","payload":%s}`+"\n", hex.EncodeToString(sum[:]), payload)
+	recPath := filepath.Join(dir, "gen-000001", "monitors", "mon-000001.json")
+	if err := os.MkdirAll(filepath.Dir(recPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, currentFile), []byte("gen-000001\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recPath, []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir)
+	got, ok, err := s.Find(store.KindMonitor, "mon-000001")
+	if err != nil || !ok || string(got) != payload {
+		t.Fatalf("Find over a hand-written record = (%q, %v, %v), want %q", got, ok, err, payload)
+	}
+	if err := s.Save(store.KindMonitor, "mon-000001", []byte(payload)); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if raw, err := os.ReadFile(recPath); err != nil || string(raw) != rec {
+		t.Fatalf("Save wrote %q (err %v), want %q", raw, err, rec)
+	}
+}
+
+// TestOpenFollowsCurrent proves CURRENT is the only generation Open
+// reads: a generation directory it does not name — one an earlier
+// release could leave behind — stays invisible to Find and List, and
+// Save writes into the named generation.
+func TestOpenFollowsCurrent(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	if err := s.Save(store.KindMonitor, "m1", []byte(`{"rev":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, genName(2), string(store.KindMonitor))
+	if err := os.MkdirAll(stray, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for id, doc := range map[string]string{"m1": `{"rev":2}`, "m2": `{"rev":2}`} {
+		data, err := encodeEnvelope(store.KindMonitor, id, []byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(stray, recordFile(id)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := open(t, dir)
+	if got, ok, err := s2.Find(store.KindMonitor, "m1"); err != nil || !ok || !bytes.Contains(got, []byte(`"rev":1`)) {
+		t.Fatalf("Find read past CURRENT: (%q, %v, %v)", got, ok, err)
+	}
+	if items, err := s2.List(store.KindMonitor); err != nil || len(items) != 1 || items[0].ID != "m1" {
+		t.Fatalf("List read past CURRENT: (%v, %v)", items, err)
+	}
+	if err := s2.Save(store.KindMonitor, "m3", []byte(`{"rev":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, genName(1), string(store.KindMonitor), recordFile("m3"))); err != nil {
+		t.Fatalf("Save did not write into the generation CURRENT names: %v", err)
+	}
+}
+
+// TestRootDebrisCleared covers crash debris at the state dir's root,
+// where CURRENT is written: Open removes a temp file there instead of
+// refusing the directory as foreign, and keeps following CURRENT.
+func TestRootDebrisCleared(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	if err := s.Save(store.KindMonitor, "m1", []byte(`{"rev":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	debris := filepath.Join(dir, tmpPrefix+currentFile+"-12345")
+	if err := os.WriteFile(debris, []byte(genName(2)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := open(t, dir)
+	if got, ok, err := s2.Find(store.KindMonitor, "m1"); err != nil || !ok || !bytes.Contains(got, []byte(`"rev":1`)) {
+		t.Fatalf("record unreadable after clearing root debris: (%q, %v, %v)", got, ok, err)
+	}
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("Open left the root temp file behind: %v", err)
+	}
+}
+
+// TestMissingCurrentRefused pins the refusal for a generation without
+// a CURRENT file — what a crash during first initialization leaves:
+// Open refuses, naming CURRENT, and leaves the generation's records in
+// place for the operator.
+func TestMissingCurrentRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	if err := s.Save(store.KindMonitor, "m1", []byte(`{"rev":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, currentFile)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	if err == nil {
+		t.Fatal("Open accepted a generation without a CURRENT file")
+	}
+	if !strings.Contains(err.Error(), currentFile) {
+		t.Fatalf("error %q does not name the missing file", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, genName(1), string(store.KindMonitor), recordFile("m1"))); err != nil {
+		t.Fatalf("refused Open touched the generation's records: %v", err)
 	}
 }
