@@ -271,6 +271,38 @@ func BenchmarkAuditPhases(b *testing.B) {
 	}
 }
 
+// BenchmarkFrameIngest times the two steps that turn an inline CSV body
+// into a content-addressed frame, on the 20k-row credit CSV an
+// audit-inline-20k request carries (1.29 MB, 7 columns): "parse" is
+// frame.ReadCSVString and "hash" is Frame.Hash, the dataset ref and the
+// report cache key. Run with -benchmem.
+func BenchmarkFrameIngest(b *testing.B) {
+	data, err := synth.Credit(synth.CreditConfig{N: 20000, Bias: 1.0, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	csv, err := data.CSVString()
+	if err != nil {
+		b.Fatal(err)
+	}
+	parsed, err := frame.ReadCSVString(csv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("parse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := frame.ReadCSVString(csv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hash", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = parsed.Hash()
+		}
+	})
+}
+
 // BenchmarkRegistryResolve measures what the content-addressed dataset
 // registry buys the repeat-audit hot path at 1M rows. Both arms run in
 // the steady state (the report cache already holds the audit), which

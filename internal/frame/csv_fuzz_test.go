@@ -5,40 +5,42 @@ import (
 	"testing"
 )
 
+// readCSVSeeds seeds the CSV fuzzers.
+var readCSVSeeds = []string{
+	"",
+	"id,v\n1,2\n",
+	"\uFEFFid,v\n1,2\n",                  // Excel BOM
+	"n, s ,b\n 42 , x ,  \n7,y, true \n", // padded cells, null cell
+	"v\nNaN\nNaN\n",                      // all-NaN numeric column
+	"s\nNaN\nInf\n+Inf\n-Inf\n",          // non-finite literals stay text
+	"v\n1.5\nNaN\n-Inf\n",                // mixed finite/non-finite floats
+	"a,b\n\"x,y\",\"line\nbreak\"\n",     // quoted separators and newlines
+	"a,a\n1,2\n",                         // duplicate header
+	",b\n1,2\n",                          // empty header cell
+	"a,b\n1\n",                           // ragged row
+	"a\r\n1\r\n2\r\n",                    // CRLF
+	"x\n9223372036854775807\n",           // int64 max
+	"x\n1e309\n",                         // float overflow
+	"x\ntrue\nfalse\n\n",                 // bools with trailing blank line
+	"héader,ü\n√,∞\n",                    // non-ASCII
+	// Dictionary-encoding stress: levels differing only by case or
+	// by surrounding whitespace must stay distinct levels.
+	"g\nx\nX\n\" x\"\n\"x \"\nx\nX\n",
+	// Empty-string level next to a null cell: in a multi-column row
+	// "" is a value for string columns, absence for typed ones.
+	"g,h\na,1\n\"\",2\nb,\n,4\n",
+	// Mostly-unique column: the ingest cardinality policy must keep
+	// ID-like columns plain rather than building a useless dict.
+	"id,g\nu-001,x\nu-002,x\nu-003,y\nu-004,y\nu-005,x\n",
+}
+
 // FuzzReadCSV throws arbitrary bytes at the CSV reader. The parser may
 // reject input with an error, but it must never panic, and any frame it
 // does produce must be internally consistent: rectangular, hashable,
 // deterministic across re-parses, and writable as CSV that parses
 // again.
 func FuzzReadCSV(f *testing.F) {
-	seeds := []string{
-		"",
-		"id,v\n1,2\n",
-		"\uFEFFid,v\n1,2\n",                  // Excel BOM
-		"n, s ,b\n 42 , x ,  \n7,y, true \n", // padded cells, null cell
-		"v\nNaN\nNaN\n",                      // all-NaN numeric column
-		"s\nNaN\nInf\n+Inf\n-Inf\n",          // non-finite literals stay text
-		"v\n1.5\nNaN\n-Inf\n",                // mixed finite/non-finite floats
-		"a,b\n\"x,y\",\"line\nbreak\"\n",     // quoted separators and newlines
-		"a,a\n1,2\n",                         // duplicate header
-		",b\n1,2\n",                          // empty header cell
-		"a,b\n1\n",                           // ragged row
-		"a\r\n1\r\n2\r\n",                    // CRLF
-		"x\n9223372036854775807\n",           // int64 max
-		"x\n1e309\n",                         // float overflow
-		"x\ntrue\nfalse\n\n",                 // bools with trailing blank line
-		"héader,ü\n√,∞\n",                    // non-ASCII
-		// Dictionary-encoding stress: levels differing only by case or
-		// by surrounding whitespace must stay distinct levels.
-		"g\nx\nX\n\" x\"\n\"x \"\nx\nX\n",
-		// Empty-string level next to a null cell: in a multi-column row
-		// "" is a value for string columns, absence for typed ones.
-		"g,h\na,1\n\"\",2\nb,\n,4\n",
-		// Mostly-unique column: the ingest cardinality policy must keep
-		// ID-like columns plain rather than building a useless dict.
-		"id,g\nu-001,x\nu-002,x\nu-003,y\nu-004,y\nu-005,x\n",
-	}
-	for _, s := range seeds {
+	for _, s := range readCSVSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -11,32 +11,30 @@ import (
 // the values its inference pass parses: one pass picks the type, a
 // second parses every cell again to build the column. It is the oracle
 // for FuzzReadCSVMatchesTwoPass.
-func inferChunksTwoPass(name string, raw *rawColumn) *Series {
+func inferChunksTwoPass(name string, raw []string) *Series {
 	isInt, isFloat, isBool := true, true, true
 	hasFinite, hasNonFinite := false, false
-	for _, chunk := range raw.chunks {
-		for _, v := range chunk {
-			if v == "" {
-				continue
+	for _, v := range raw {
+		if v == "" {
+			continue
+		}
+		if isInt {
+			if _, err := strconv.ParseInt(v, 10, 64); err != nil {
+				isInt = false
 			}
-			if isInt {
-				if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-					isInt = false
-				}
+		}
+		if isFloat {
+			if f, err := strconv.ParseFloat(v, 64); err != nil {
+				isFloat = false
+			} else if math.IsNaN(f) || math.IsInf(f, 0) {
+				hasNonFinite = true
+			} else {
+				hasFinite = true
 			}
-			if isFloat {
-				if f, err := strconv.ParseFloat(v, 64); err != nil {
-					isFloat = false
-				} else if math.IsNaN(f) || math.IsInf(f, 0) {
-					hasNonFinite = true
-				} else {
-					hasFinite = true
-				}
-			}
-			if isBool {
-				if _, err := strconv.ParseBool(v); err != nil {
-					isBool = false
-				}
+		}
+		if isBool {
+			if _, err := strconv.ParseBool(v); err != nil {
+				isBool = false
 			}
 		}
 	}
@@ -45,26 +43,22 @@ func inferChunksTwoPass(name string, raw *rawColumn) *Series {
 	var finish func()
 	switch {
 	case isInt:
-		s = &Series{name: name, dtype: Int64, ints: make([]int64, raw.n)}
+		s = &Series{name: name, dtype: Int64, ints: make([]int64, len(raw))}
 		set = func(i int, v string) { s.ints[i], _ = strconv.ParseInt(v, 10, 64) }
 	case isFloat && (hasFinite || !hasNonFinite):
-		s = &Series{name: name, dtype: Float64, floats: make([]float64, raw.n)}
+		s = &Series{name: name, dtype: Float64, floats: make([]float64, len(raw))}
 		set = func(i int, v string) { s.floats[i], _ = strconv.ParseFloat(v, 64) }
 	case isBool:
-		s = &Series{name: name, dtype: Bool, bools: make([]bool, raw.n)}
+		s = &Series{name: name, dtype: Bool, bools: make([]bool, len(raw))}
 		set = func(i int, v string) { s.bools[i], _ = strconv.ParseBool(v) }
 	default:
-		s, set, finish = dictColumn(name, raw.n)
+		s, set, finish = dictColumn(name, len(raw))
 	}
-	i := 0
-	for _, chunk := range raw.chunks {
-		for _, v := range chunk {
-			if v == "" {
-				s.SetNull(i)
-			} else {
-				set(i, v)
-			}
-			i++
+	for i, v := range raw {
+		if v == "" {
+			s.SetNull(i)
+		} else {
+			set(i, v)
 		}
 	}
 	if finish != nil {

@@ -1,10 +1,11 @@
 package frame
 
-// The streaming ReadCSV exists so that loading a large CSV costs the
-// column values plus fixed scratch, not the [][]string record matrix
-// csv.ReadAll materializes. This file keeps the pre-streaming loader as
-// a test-only reference and checks the streaming path allocates
-// strictly less — the "max-RSS" guard the CI bench smoke runs.
+// ReadCSV reads its input once and parses it in place, so loading a
+// large CSV costs the input, one string header per cell and the column
+// values, not the [][]string record matrix csv.ReadAll materializes.
+// This file keeps a csv.ReadAll loader as a test-only reference and
+// checks that ReadCSV allocates well below it — the "max-RSS" guard the
+// CI bench smoke runs.
 
 import (
 	"encoding/csv"
@@ -15,9 +16,9 @@ import (
 	"testing"
 )
 
-// readCSVBuffered is the pre-streaming ReadCSV (csv.ReadAll over the
-// whole file) with the same trimming rules, kept only as the memory
-// baseline the streaming loader is compared against.
+// readCSVBuffered is ReadCSV done with csv.ReadAll over the whole file,
+// under the same trimming rules, kept only as the memory baseline
+// ReadCSV is compared against.
 func readCSVBuffered(r io.Reader) (*Frame, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()

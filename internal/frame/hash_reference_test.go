@@ -112,3 +112,18 @@ func FuzzHashMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// TestHashBlockBoundaries checks the block writer at buffer sizes from
+// the smallest it accepts up, so every item of the golden frames
+// straddles a block boundary somewhere: the digest must not depend on
+// where the blocks break.
+func TestHashBlockBoundaries(t *testing.T) {
+	for name, f := range goldenHashFrames() {
+		want := hashReference(f)
+		for _, size := range []int{9, 10, 11, 16, 17, 63, 64, 65, 100, 4099} {
+			if got := f.hashWith(make([]byte, 0, size)); got != want {
+				t.Errorf("%s with %d-byte blocks: %s, want %s", name, size, got, want)
+			}
+		}
+	}
+}
