@@ -90,15 +90,20 @@ func (h *Handler) upload(w http.ResponseWriter, r *http.Request, _ string) {
 }
 
 // decodeUpload parses the upload body into a frame plus the wire-level
-// tenant hint: JSON envelopes as-is, raw text/csv and
-// application/x-ndjson streams directly off the (size-capped) body
-// without an intermediate string (?name= and ?tenant= from the query).
+// tenant hint: JSON envelopes as-is, a raw text/csv body read once into
+// a string sized from its Content-Length and parsed in place, and
+// application/x-ndjson streamed directly off the (size-capped) body
+// (?name= and ?tenant= from the query).
 func (h *Handler) decodeUpload(w http.ResponseWriter, r *http.Request) (name, wireTenant string, f *frame.Frame, err error) {
 	ct := r.Header.Get("Content-Type")
 	switch {
 	case strings.HasPrefix(ct, "text/csv"):
 		r.Body = http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes)
-		f, err := frame.ReadCSV(r.Body)
+		body, err := httpx.ReadString(r.Body, r.ContentLength)
+		if err != nil {
+			return "", "", nil, fmt.Errorf("reading CSV body: %w", err)
+		}
+		f, err := frame.ReadCSVString(body)
 		return r.URL.Query().Get("name"), r.URL.Query().Get("tenant"), f, err
 	case strings.HasPrefix(ct, "application/x-ndjson"):
 		r.Body = http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes)

@@ -3,6 +3,7 @@ package dataset
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -55,6 +56,47 @@ func TestHTTPUploadJSONAndRawCSV(t *testing.T) {
 	if again.Ref != meta.Ref {
 		t.Fatalf("raw upload ref %q != json upload ref %q", again.Ref, meta.Ref)
 	}
+}
+
+// TestHTTPUploadRawCSVBodyLengths checks that a raw CSV upload parses
+// whatever length the request states, none (chunked) or too small, and
+// that a body past MaxBodyBytes is still refused with 400.
+func TestHTTPUploadRawCSVBodyLengths(t *testing.T) {
+	_, srv := newTestServer(t, 1<<20)
+	const csv = "id,v\n1,2.5\n2,3.5\n"
+	resp, err := http.Post(srv.URL+"/v1/datasets?name=chunked", "text/csv", io.MultiReader(strings.NewReader(csv)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta := decodeMeta(t, resp, http.StatusCreated); meta.Rows != 2 {
+		t.Fatalf("chunked body: meta = %+v", meta)
+	}
+
+	post := func(body io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/datasets?name=raw", body)
+		req.Header.Set("Content-Type", "text/csv")
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		srv.Config.Handler.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(strings.NewReader(csv), 4); rec.Code != http.StatusCreated {
+		t.Fatalf("understated Content-Length: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := post(newlines{}, httpx.MaxBodyBytes)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("body past MaxBodyBytes: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// newlines is an endless request body.
+type newlines struct{}
+
+func (newlines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '\n'
+	}
+	return len(p), nil
 }
 
 func TestHTTPUploadNDJSON(t *testing.T) {

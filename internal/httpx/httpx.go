@@ -11,7 +11,9 @@ package httpx
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 
 	"github.com/responsible-data-science/rds/internal/tenant"
 )
@@ -78,6 +80,22 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 		return fmt.Errorf("decoding JSON body: %w", err)
 	}
 	return nil
+}
+
+// ReadString reads src, a size-capped request body or upload, to the
+// end into a string. size is the length the request stated (a
+// Content-Length or a multipart file size): within (0, MaxBodyBytes]
+// the string is allocated once at that size, so a raw CSV body costs
+// one copy instead of a doubling buffer's two. A missing length (a
+// chunked body) or a wrong one only costs regrowth; the cap on src, not
+// size, bounds what is read.
+func ReadString(src io.Reader, size int64) (string, error) {
+	var b strings.Builder
+	if size > 0 && size <= MaxBodyBytes {
+		b.Grow(int(size))
+	}
+	_, err := io.Copy(&b, src)
+	return b.String(), err
 }
 
 // StringOr returns v, or fallback when v is empty — the wire-level

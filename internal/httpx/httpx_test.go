@@ -3,9 +3,11 @@ package httpx
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -102,5 +104,33 @@ func TestWriteJSONUnencodableValueAnswers500(t *testing.T) {
 	}
 	if !strings.Contains(env["error"], "encoding response") {
 		t.Fatalf("error envelope = %q, want an encoding-response message", env["error"])
+	}
+}
+
+// TestReadString checks that ReadString returns the whole body whatever
+// size it is told, and that a stated size spares it the regrowth.
+func TestReadString(t *testing.T) {
+	body := strings.Repeat("income,group\n41.5,A\n", 1<<15)
+	// Hide strings.Reader's WriteTo so the body arrives in pieces, as a
+	// request body does.
+	src := func() io.Reader { return struct{ io.Reader }{strings.NewReader(body)} }
+	for _, size := range []int64{-1, 0, 10, int64(len(body)), int64(len(body)) + 100, MaxBodyBytes + 1} {
+		got, err := ReadString(src(), size)
+		if err != nil || got != body {
+			t.Fatalf("size %d: read %d bytes, err %v; want %d", size, len(got), err, len(body))
+		}
+	}
+	allocated := func(size int64) uint64 {
+		r := src()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, _ := ReadString(r, size)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The string at the stated size, plus io.Copy's 32 KB buffer.
+	if sized, unsized := allocated(int64(len(body))), allocated(-1); sized > uint64(len(body))+64<<10 || unsized <= sized {
+		t.Fatalf("ReadString allocated %d bytes with the size stated, %d without, for a %d-byte body", sized, unsized, len(body))
 	}
 }

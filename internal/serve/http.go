@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -308,25 +307,25 @@ func decodeWire(r *http.Request) (*AuditRequestWire, error) {
 		}
 		return &wire, nil
 	case strings.HasPrefix(ct, "text/csv"):
-		var b strings.Builder
-		if _, err := io.Copy(&b, r.Body); err != nil {
+		body, err := httpx.ReadString(r.Body, r.ContentLength)
+		if err != nil {
 			return nil, fmt.Errorf("reading CSV body: %w", err)
 		}
-		return wireFromQuery(r, b.String())
+		return wireFromQuery(r, body)
 	case strings.HasPrefix(ct, "multipart/form-data"):
 		if err := r.ParseMultipartForm(httpx.MaxBodyBytes); err != nil {
 			return nil, fmt.Errorf("parsing multipart form: %w", err)
 		}
-		f, _, err := r.FormFile("data")
+		f, fh, err := r.FormFile("data")
 		if err != nil {
 			return nil, fmt.Errorf("multipart upload needs a \"data\" file field: %w", err)
 		}
 		defer f.Close()
-		var b strings.Builder
-		if _, err := io.Copy(&b, f); err != nil {
+		body, err := httpx.ReadString(f, fh.Size)
+		if err != nil {
 			return nil, fmt.Errorf("reading multipart upload: %w", err)
 		}
-		return wireFromQuery(r, b.String())
+		return wireFromQuery(r, body)
 	}
 	return nil, fmt.Errorf("unsupported Content-Type %q (want application/json, text/csv, or multipart/form-data)", ct)
 }

@@ -198,6 +198,58 @@ func TestHTTPRawCSVBody(t *testing.T) {
 	}
 }
 
+// newlines is an endless request body.
+type newlines struct{}
+
+func (newlines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '\n'
+	}
+	return len(p), nil
+}
+
+// TestHTTPRawCSVBodyLengths checks that a raw CSV body parses whatever
+// length the request states, none (chunked) or too small, and that a
+// body past MaxBodyBytes is still refused with 400.
+func TestHTTPRawCSVBodyLengths(t *testing.T) {
+	srv, _ := newTestServer(t)
+	data, err := synth.Credit(synth.CreditConfig{N: 300, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := data.CSVString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := "/v1/audit?" + url.Values{"dataset": {"raw-csv"}, "target": {"approved"}, "sensitive": {"group"}}.Encode()
+
+	// A body of unknown length goes out chunked.
+	resp, err := http.Post(srv.URL+target, "text/csv", io.MultiReader(strings.NewReader(csv)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunked body: status %d: %s", resp.StatusCode, body)
+	}
+	resp.Body.Close()
+
+	post := func(body io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, target, body)
+		req.Header.Set("Content-Type", "text/csv")
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		srv.Config.Handler.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(strings.NewReader(csv), 10); rec.Code != http.StatusOK {
+		t.Fatalf("understated Content-Length: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := post(newlines{}, httpx.MaxBodyBytes)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("body past MaxBodyBytes: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
 func TestHTTPErrorPaths(t *testing.T) {
 	srv, _ := newTestServer(t)
 
