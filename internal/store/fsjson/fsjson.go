@@ -291,23 +291,28 @@ func isGenName(name string) bool {
 }
 
 // encodeEnvelope canonicalizes the payload and wraps it with its
-// checksum.
+// checksum. The envelope is written around the canonical bytes, with
+// kind, id and sha256 encoded as json.Marshal encodes them: the bytes
+// equal json.Marshal(envelope{...}) without compacting the payload a
+// second time.
 func encodeEnvelope(kind store.Kind, id string, payload []byte) ([]byte, error) {
 	canon, err := store.CanonicalJSON(payload)
 	if err != nil {
 		return nil, err
 	}
 	sum := sha256.Sum256(canon)
-	data, err := json.Marshal(envelope{
-		Kind:    string(kind),
-		ID:      id,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: canon,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fsjson: encoding record %s/%s: %w", kind, id, err)
+	var head []byte
+	for _, f := range [...]struct{ key, value string }{
+		{`{"kind":`, string(kind)},
+		{`,"id":`, id},
+		{`,"sha256":`, hex.EncodeToString(sum[:])},
+	} {
+		value, _ := json.Marshal(f.value) // a string always encodes
+		head = append(append(head, f.key...), value...)
 	}
-	return append(data, '\n'), nil
+	data := make([]byte, 0, len(head)+len(`,"payload":`)+len(canon)+len("}\n"))
+	data = append(append(data, head...), `,"payload":`...)
+	return append(append(data, canon...), "}\n"...), nil
 }
 
 // decodeEnvelope validates one record file: JSON shape, identity

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/responsible-data-science/rds/internal/store"
 	"github.com/responsible-data-science/rds/internal/store/contract"
+	"github.com/responsible-data-science/rds/internal/synth"
 )
 
 // open opens a store at dir, failing the test on error.
@@ -351,5 +353,82 @@ func TestMissingCurrentRefused(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, genName(1), string(store.KindMonitor), recordFile("m1"))); err != nil {
 		t.Fatalf("refused Open touched the generation's records: %v", err)
+	}
+}
+
+// TestEnvelopeMatchesMarshal checks that the envelope written around
+// the canonical payload is byte for byte what json.Marshal writes for
+// it, on the contract suite's awkward documents (1e-300, an integer
+// beyond 2^53, HTML characters) and on loosely formatted ones; and that
+// empty and invalid payloads are still refused.
+func TestEnvelopeMatchesMarshal(t *testing.T) {
+	docs := []string{
+		`{"name":"live","window_ms":60000}`,
+		" {\n  \"a\" : [1, 2.50, -0, 1E+2],\n  \"b\": null } ",
+		`"<a href='x'>&amp;</a> \u2028 \u00e9 é"`,
+		`[]`,
+	}
+	for i := 0; i < 3; i++ {
+		doc, err := json.Marshal(map[string]any{
+			"n":      i,
+			"values": []float64{0.1 * float64(i), 1.0 / 3.0, 1e-300, 9007199254740993},
+			"text":   fmt.Sprintf("<widget & %d>", i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, string(doc))
+	}
+	for _, doc := range docs {
+		for _, id := range []string{"w00", "mon-000001", "a.b_c-9"} {
+			got, err := encodeEnvelope(store.KindMonitor, id, []byte(doc))
+			if err != nil {
+				t.Fatalf("encodeEnvelope(%q): %v", doc, err)
+			}
+			canon, err := store.CanonicalJSON([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(canon)
+			want, err := json.Marshal(envelope{Kind: string(store.KindMonitor), ID: id, SHA256: hex.EncodeToString(sum[:]), Payload: canon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want = append(want, '\n'); !bytes.Equal(got, want) {
+				t.Fatalf("envelope of %q:\n got %s\nwant %s", doc, got, want)
+			}
+		}
+	}
+	for _, bad := range []string{"", " ", "{", `{"a":1}{`, "nul"} {
+		if _, err := encodeEnvelope(store.KindMonitor, "w00", []byte(bad)); err == nil {
+			t.Errorf("encodeEnvelope accepted payload %q", bad)
+		}
+	}
+	if _, err := encodeEnvelope(store.KindMonitor, "w00", nil); err == nil {
+		t.Error("encodeEnvelope accepted a nil payload")
+	}
+}
+
+// BenchmarkEncodeEnvelope times the envelope of the record a dataset
+// upload persists for the 20k-row credit baseline (~0.9 MB of JSON).
+func BenchmarkEncodeEnvelope(b *testing.B) {
+	data, err := synth.Credit(synth.CreditConfig{N: 20000, Bias: 1.0, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := data.WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	payload, err := json.Marshal(map[string]any{"name": "credit", "frame": json.RawMessage(buf.Bytes())})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := encodeEnvelope(store.KindDataset, "credit", payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -154,8 +154,14 @@ func CheckKey(kind Kind, id string) error {
 // bit-identity assertions are stable across save/load cycles no matter
 // how the caller formatted the document.
 func CanonicalJSON(payload []byte) ([]byte, error) {
-	if !json.Valid(payload) {
-		return nil, fmt.Errorf("store: payload is not valid JSON")
+	// Marshal validates a RawMessage as it compacts it, in one pass; only
+	// an empty payload would pass, as "null".
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("store: payload is not valid JSON: empty")
 	}
-	return json.Marshal(json.RawMessage(payload))
+	canon, err := json.Marshal(json.RawMessage(payload))
+	if err != nil {
+		return nil, fmt.Errorf("store: payload is not valid JSON: %w", err)
+	}
+	return canon, nil
 }
