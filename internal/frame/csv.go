@@ -109,7 +109,7 @@ func ReadCSVString(s string) (*Frame, error) {
 				sc.recLine, len(sc.fields), len(names))
 		}
 		for j, v := range sc.fields {
-			raws[j] = append(raws[j], strings.TrimSpace(v))
+			raws[j] = append(raws[j], trimCell(v))
 		}
 	}
 
@@ -118,6 +118,15 @@ func ReadCSVString(s string) (*Frame, error) {
 		cols[j] = inferSeries(name, raws[j])
 	}
 	return New(cols...)
+}
+
+// trimCell is strings.TrimSpace with the common case, a cell that
+// starts and ends in printable ASCII, inlined.
+func trimCell(v string) string {
+	if v != "" && v[0]-'!' < '~'-'!'+1 && v[len(v)-1]-'!' < '~'-'!'+1 {
+		return v
+	}
+	return strings.TrimSpace(v)
 }
 
 // csvScanner splits an in-memory CSV into records.
@@ -260,8 +269,13 @@ func inferSeries(name string, raw []string) *Series {
 	hasFinite, hasNonFinite := false, false
 	var ints []int64
 	var floats []float64
+	var nulls []bool
 	for i, v := range raw {
 		if v == "" {
+			if nulls == nil {
+				nulls = make([]bool, n)
+			}
+			nulls[i] = true
 			continue
 		}
 		if isInt {
@@ -320,11 +334,12 @@ func inferSeries(name string, raw []string) *Series {
 	default:
 		s, set, finish = dictColumn(name, n)
 	}
-	for i, v := range raw {
-		if v == "" {
-			s.SetNull(i)
-		} else if set != nil {
-			set(i, v)
+	s.nulls = nulls
+	if set != nil {
+		for i, v := range raw {
+			if v != "" {
+				set(i, v)
+			}
 		}
 	}
 	if finish != nil {
