@@ -301,18 +301,14 @@ func encodeEnvelope(kind store.Kind, id string, payload []byte) ([]byte, error) 
 		return nil, err
 	}
 	sum := sha256.Sum256(canon)
-	var head []byte
-	for _, f := range [...]struct{ key, value string }{
-		{`{"kind":`, string(kind)},
-		{`,"id":`, id},
-		{`,"sha256":`, hex.EncodeToString(sum[:])},
-	} {
-		value, _ := json.Marshal(f.value) // a string always encodes
-		head = append(append(head, f.key...), value...)
-	}
-	data := make([]byte, 0, len(head)+len(`,"payload":`)+len(canon)+len("}\n"))
-	data = append(append(data, head...), `,"payload":`...)
-	return append(append(data, canon...), "}\n"...), nil
+	kindJSON, _ := json.Marshal(string(kind)) // a string always encodes
+	idJSON, _ := json.Marshal(id)
+	data := make([]byte, 0, len(canon)+len(kindJSON)+len(idJSON)+len(sum)*2+64)
+	data = append(append(data, `{"kind":`...), kindJSON...)
+	data = append(append(data, `,"id":`...), idJSON...)
+	data = append(append(data, `,"sha256":"`...), hex.EncodeToString(sum[:])...)
+	data = append(append(data, `","payload":`...), canon...)
+	return append(data, "}\n"...), nil
 }
 
 // decodeEnvelope validates one record file: JSON shape, identity
