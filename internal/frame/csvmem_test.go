@@ -97,8 +97,8 @@ func TestStreamingLoadAllocsBelowBuffered(t *testing.T) {
 	}
 }
 
-// BenchmarkCSVLoad compares the streaming loader against the buffered
-// reference at 100k rows; -benchmem makes the allocation gap visible
+// BenchmarkCSVLoad compares ReadCSV against the csv.ReadAll reference
+// at 100k rows; -benchmem makes the allocation gap visible
 // in the CI bench smoke.
 func BenchmarkCSVLoad(b *testing.B) {
 	text := loadFixtureCSV(100_000)
