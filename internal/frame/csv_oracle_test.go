@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"unsafe"
@@ -185,6 +187,36 @@ func TestReadCSVRetainsNothingOfInput(t *testing.T) {
 			if inInput(v) {
 				t.Errorf("column %q: cell %q points into the input", c.Name(), v)
 			}
+		}
+	}
+}
+
+// TestReadCSVFromEveryReader checks that ReadCSV gives the frame
+// ReadCSVString gives, whether its reader reports a size (a file, a
+// strings.Reader) or not.
+func TestReadCSVFromEveryReader(t *testing.T) {
+	const text = "id,v,g\n1,2.5,a\n2,,b\n"
+	want, err := ReadCSVString(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "data.csv")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, r := range map[string]io.Reader{
+		"file":           file,
+		"strings.Reader": strings.NewReader(text),
+		"unsized":        io.MultiReader(strings.NewReader(text)),
+	} {
+		got, err := ReadCSV(r)
+		if err != nil || !got.Equal(want) || got.Hash() != want.Hash() {
+			t.Errorf("%s: ReadCSV = %v, %v; want the ReadCSVString frame", name, got, err)
 		}
 	}
 }

@@ -154,8 +154,8 @@ func CheckKey(kind Kind, id string) error {
 // bit-identity assertions are stable across save/load cycles no matter
 // how the caller formatted the document.
 func CanonicalJSON(payload []byte) ([]byte, error) {
-	// Marshal validates a RawMessage as it compacts it, in one pass; only
-	// an empty payload would pass, as "null".
+	// Marshal validates a RawMessage as it compacts it, in one pass; a
+	// nil one alone would pass, as "null".
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("store: payload is not valid JSON: empty")
 	}
