@@ -29,6 +29,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/stream"
 	"github.com/responsible-data-science/rds/internal/synth"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // benchExperiment runs one registered experiment per iteration at Quick
@@ -324,7 +325,7 @@ func BenchmarkRegistryResolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := dataset.NewRegistry(1 << 30)
-	meta, err := reg.Put("credit-1m", data)
+	meta, err := reg.PutAs(tenant.Default, "credit-1m", data)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func BenchmarkRegistryResolve(b *testing.B) {
 	})
 	b.Run("dataset-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			resident, _, ok := reg.Resolve(meta.Ref)
+			resident, _, ok := reg.ResolveAs(tenant.Default, meta.Ref)
 			if !ok {
 				b.Fatal("resident dataset missing")
 			}

@@ -21,19 +21,22 @@ import (
 	"github.com/responsible-data-science/rds/internal/core"
 	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/policy"
+	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/synth"
 )
 
 func main() {
 	dataPath := flag.String("data", "", "CSV file with a header row")
 	demo := flag.Bool("demo", false, "use a synthetic biased credit dataset instead of -data")
-	target := flag.String("target", "approved", "binary target column (1 = favourable)")
-	sensitive := flag.String("sensitive", "group", "sensitive attribute column")
-	protected := flag.String("protected", "B", "protected group value")
-	reference := flag.String("reference", "A", "reference group value")
+	spec := core.TrainSpec{}.WithDefaultColumns()
+	flag.StringVar(&spec.Target, "target", spec.Target, "binary target column (1 = favourable)")
+	flag.StringVar(&spec.Sensitive, "sensitive", spec.Sensitive, "sensitive attribute column")
+	flag.StringVar(&spec.Protected, "protected", spec.Protected, "protected group value")
+	flag.StringVar(&spec.Reference, "reference", spec.Reference, "reference group value")
 	mitigate := flag.String("mitigate", "none", "mitigation: none | reweigh | threshold")
-	minDI := flag.Float64("min-di", 0.8, "disparate-impact floor (four-fifths rule)")
-	maxEOD := flag.Float64("max-eod", 0.1, "equal-opportunity difference ceiling")
+	pol := serve.DefaultPolicy()
+	flag.Float64Var(&pol.MinDisparateImpact, "min-di", pol.MinDisparateImpact, "disparate-impact floor (four-fifths rule)")
+	flag.Float64Var(&pol.MaxEqOppDifference, "max-eod", pol.MaxEqOppDifference, "equal-opportunity difference ceiling")
 	seed := flag.Uint64("seed", 1, "pipeline seed")
 	showLineage := flag.Bool("lineage", true, "print lineage and model card")
 	flag.Parse()
@@ -59,25 +62,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	mitigation, err := core.ParseMitigation(*mitigate)
+	spec.Mitigation, err = core.ParseMitigation(*mitigate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rds-audit:", err)
 		os.Exit(2)
 	}
 
 	pipe, err := core.New(core.Config{
-		Name: "rds-audit",
-		Policy: policy.FACTPolicy{
-			MinDisparateImpact:   *minDI,
-			MaxEqOppDifference:   *maxEOD,
-			RequireIntervals:     true,
-			Correction:           "holm",
-			RequireLineage:       true,
-			RequireModelCard:     true,
-			MinSurrogateFidelity: 0.75,
-		},
-		Seed:  *seed,
-		Actor: "rds-audit",
+		Name:   "rds-audit",
+		Policy: pol,
+		Seed:   *seed,
+		Actor:  "rds-audit",
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rds-audit:", err)
@@ -87,13 +82,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rds-audit:", err)
 		os.Exit(1)
 	}
-	model, err := pipe.Train(core.TrainSpec{
-		Target:     *target,
-		Sensitive:  *sensitive,
-		Protected:  *protected,
-		Reference:  *reference,
-		Mitigation: mitigation,
-	})
+	model, err := pipe.Train(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rds-audit:", err)
 		os.Exit(1)

@@ -143,7 +143,6 @@ func main() {
 		Datasets:    datasets,
 		ChunkStates: chunkStates,
 		Sinks:       []monitor.Sink{&monitor.LogSink{}},
-		Store:       st,
 		Quotas:      tenants.Quotas,
 	})
 	if err != nil {
@@ -233,12 +232,11 @@ func restore(st store.Store, tenants *tenant.Registry, datasets *dataset.Registr
 	if err := datasets.AttachStore(st); err != nil {
 		return 0, 0, err
 	}
-	restored, err = monitors.Restore()
-	if err != nil {
+	if err := monitors.AttachStore(st); err != nil {
 		return 0, 0, err
 	}
 	if err := pipelines.AttachStore(st); err != nil {
 		return 0, 0, err
 	}
-	return restored, datasets.Metrics().Resident, nil
+	return monitors.Metrics().MonitorsActive, datasets.Metrics().Resident, nil
 }

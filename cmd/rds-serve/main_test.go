@@ -75,7 +75,6 @@ func TestRestoreCountsEveryTenant(t *testing.T) {
 	registry, err := monitor.NewRegistry(monitor.RegistryConfig{
 		Engine:   engine,
 		Datasets: datasets,
-		Store:    st,
 		Quotas:   tenants.Quotas,
 	})
 	if err != nil {

@@ -4,7 +4,7 @@
 // resolve the resident frame by ref in O(1) instead of re-uploading and
 // re-parsing the bytes. The registry is byte-budgeted — resident
 // datasets are measured with SizeOf and the least recently used
-// unpinned ones are evicted when a Put would exceed the budget — and
+// unpinned ones are evicted when a PutAs would exceed the budget — and
 // pin-aware: the monitoring plane pins its baseline datasets so a
 // standing monitor's 1M-row baseline can never be evicted underneath
 // it.
@@ -29,7 +29,7 @@ import (
 // DefaultBudgetBytes is the default registry byte budget: 256 MiB.
 const DefaultBudgetBytes = 256 << 20
 
-// ErrOverBudget is returned by Put when the dataset cannot be made
+// ErrOverBudget is returned by PutAs when the dataset cannot be made
 // resident: it is larger than the whole budget, or pinned datasets
 // occupy too much of it. The HTTP layer maps it to 507.
 var ErrOverBudget = errors.New("dataset: registry byte budget exceeded")
@@ -144,11 +144,6 @@ func (r *Registry) chargeLocked(ten string, entries int, size int64) {
 	}
 }
 
-// Put makes f resident for the default tenant; see PutAs.
-func (r *Registry) Put(name string, f *frame.Frame) (Meta, error) {
-	return r.PutAs(tenant.Default, name, f)
-}
-
 // PutAs makes f resident for ten under its content hash and returns
 // its Meta; the returned Ref is the dataset_ref clients audit by.
 // Uploading bytes the tenant already has resident is idempotent: the
@@ -246,11 +241,6 @@ func (r *Registry) evictOldestUnpinned() bool {
 	return false
 }
 
-// Resolve resolves ref in the default tenant's namespace; see ResolveAs.
-func (r *Registry) Resolve(ref string) (*frame.Frame, Meta, bool) {
-	return r.ResolveAs(tenant.Default, ref)
-}
-
 // ResolveAs returns ten's resident dataset for ref, marking it most
 // recently used. The bool reports a hit; misses — including another
 // tenant's ref, indistinguishable from absent — count toward the
@@ -268,11 +258,6 @@ func (r *Registry) ResolveAs(ten, ref string) (*frame.Frame, Meta, bool) {
 	e.meta.Hits++
 	r.hits++
 	return e.data, e.meta, true
-}
-
-// Pin pins ref in the default tenant's namespace; see PinAs.
-func (r *Registry) Pin(ref string) (*frame.Frame, bool) {
-	return r.PinAs(tenant.Default, ref)
 }
 
 // PinAs resolves ten's ref and takes one pin on it, shielding it from
@@ -295,9 +280,6 @@ func (r *Registry) PinAs(ten, ref string) (*frame.Frame, bool) {
 	return e.data, true
 }
 
-// Unpin releases a default-tenant pin; see UnpinAs.
-func (r *Registry) Unpin(ref string) { r.UnpinAs(tenant.Default, ref) }
-
 // UnpinAs releases one pin taken by PinAs. Unknown refs are a no-op
 // (the registry never evicts pinned entries, so an unknown ref means
 // the caller already released it).
@@ -311,11 +293,6 @@ func (r *Registry) UnpinAs(ten, ref string) {
 	}
 }
 
-// Get returns the default tenant's Meta for ref; see GetAs.
-func (r *Registry) Get(ref string) (Meta, bool) {
-	return r.GetAs(tenant.Default, ref)
-}
-
 // GetAs returns ten's Meta for ref without touching recency or
 // counters.
 func (r *Registry) GetAs(ten, ref string) (Meta, bool) {
@@ -326,11 +303,6 @@ func (r *Registry) GetAs(ten, ref string) (Meta, bool) {
 		return Meta{}, false
 	}
 	return el.Value.(*entry).meta, true
-}
-
-// Delete evicts the default tenant's ref; see DeleteAs.
-func (r *Registry) Delete(ref string) (bool, error) {
-	return r.DeleteAs(tenant.Default, ref)
 }
 
 // DeleteAs evicts ten's dataset for ref, reporting whether it existed
@@ -388,7 +360,7 @@ type Snapshot struct {
 	Misses      uint64 `json:"dataset_misses"`
 	Evictions   uint64 `json:"dataset_evictions"`
 	// PersistErrors counts best-effort store mirror operations that
-	// failed (eviction-path deletes); Put/Delete persist failures are
+	// failed (eviction-path deletes); PutAs/DeleteAs persist failures are
 	// returned to the caller instead of counted here.
 	PersistErrors uint64 `json:"dataset_persist_errors"`
 	// Tenants is each tenant's slice of the registry accounting, keyed

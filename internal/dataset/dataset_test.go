@@ -25,7 +25,7 @@ func testFrame(t testing.TB, seed, rows int) *frame.Frame {
 func TestPutResolveRoundTrip(t *testing.T) {
 	r := NewRegistry(1 << 20)
 	f := testFrame(t, 1, 100)
-	meta, err := r.Put("credit", f)
+	meta, err := r.PutAs(tenant.Default, "credit", f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +35,14 @@ func TestPutResolveRoundTrip(t *testing.T) {
 	if meta.Rows != 100 || meta.Cols != 2 || meta.Name != "credit" {
 		t.Fatalf("meta = %+v", meta)
 	}
-	got, m, ok := r.Resolve(meta.Ref)
+	got, m, ok := r.ResolveAs(tenant.Default, meta.Ref)
 	if !ok || got != f {
 		t.Fatal("resolve did not return the resident frame")
 	}
 	if m.Hits != 1 {
 		t.Fatalf("hits = %d", m.Hits)
 	}
-	if _, _, ok := r.Resolve("no-such-ref"); ok {
+	if _, _, ok := r.ResolveAs(tenant.Default, "no-such-ref"); ok {
 		t.Fatal("unknown ref resolved")
 	}
 	snap := r.Metrics()
@@ -54,13 +54,13 @@ func TestPutResolveRoundTrip(t *testing.T) {
 func TestPutIdempotent(t *testing.T) {
 	r := NewRegistry(1 << 20)
 	f := testFrame(t, 1, 50)
-	a, err := r.Put("first", f)
+	a, err := r.PutAs(tenant.Default, "first", f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Identical content under a different handle: same ref, one
 	// resident copy, the first name kept.
-	b, err := r.Put("second", testFrame(t, 1, 50))
+	b, err := r.PutAs(tenant.Default, "second", testFrame(t, 1, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +76,24 @@ func TestBudgetEvictsLRU(t *testing.T) {
 	f1, f2, f3 := testFrame(t, 1, 200), testFrame(t, 2, 200), testFrame(t, 3, 200)
 	size := SizeOf(f1)
 	r := NewRegistry(2*size + size/2) // room for two
-	m1, err1 := r.Put("a", f1)
-	m2, err2 := r.Put("b", f2)
+	m1, err1 := r.PutAs(tenant.Default, "a", f1)
+	m2, err2 := r.PutAs(tenant.Default, "b", f2)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
 	// Touch a so b is the least recently used.
-	if _, _, ok := r.Resolve(m1.Ref); !ok {
+	if _, _, ok := r.ResolveAs(tenant.Default, m1.Ref); !ok {
 		t.Fatal("a missing")
 	}
-	m3, err := r.Put("c", f3)
+	m3, err := r.PutAs(tenant.Default, "c", f3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := r.Resolve(m2.Ref); ok {
+	if _, _, ok := r.ResolveAs(tenant.Default, m2.Ref); ok {
 		t.Fatal("LRU entry b survived over-budget Put")
 	}
 	for _, ref := range []string{m1.Ref, m3.Ref} {
-		if _, _, ok := r.Resolve(ref); !ok {
+		if _, _, ok := r.ResolveAs(tenant.Default, ref); !ok {
 			t.Fatalf("entry %s evicted wrongly", ref)
 		}
 	}
@@ -106,7 +106,7 @@ func TestBudgetEvictsLRU(t *testing.T) {
 func TestPutLargerThanBudget(t *testing.T) {
 	f := testFrame(t, 1, 1000)
 	r := NewRegistry(SizeOf(f) / 2)
-	if _, err := r.Put("big", f); err == nil {
+	if _, err := r.PutAs(tenant.Default, "big", f); err == nil {
 		t.Fatal("over-budget dataset accepted")
 	}
 }
@@ -115,27 +115,27 @@ func TestPinnedSurvivesEviction(t *testing.T) {
 	f1, f2, f3 := testFrame(t, 1, 200), testFrame(t, 2, 200), testFrame(t, 3, 200)
 	size := SizeOf(f1)
 	r := NewRegistry(2*size + size/2)
-	m1, _ := r.Put("baseline", f1)
-	if _, ok := r.Pin(m1.Ref); !ok {
+	m1, _ := r.PutAs(tenant.Default, "baseline", f1)
+	if _, ok := r.PinAs(tenant.Default, m1.Ref); !ok {
 		t.Fatal("pin failed")
 	}
-	if _, err := r.Put("b", f2); err != nil {
+	if _, err := r.PutAs(tenant.Default, "b", f2); err != nil {
 		t.Fatal(err)
 	}
 	// Pinned baseline is the LRU candidate but must be skipped.
-	if _, err := r.Put("c", f3); err != nil {
+	if _, err := r.PutAs(tenant.Default, "c", f3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := r.Resolve(m1.Ref); !ok {
+	if _, _, ok := r.ResolveAs(tenant.Default, m1.Ref); !ok {
 		t.Fatal("pinned baseline evicted")
 	}
 	// Both unpinned entries pinned+current can't fit a third; the
 	// pinned one must not be sacrificed either.
-	if _, err := r.Delete(m1.Ref); err == nil {
+	if _, err := r.DeleteAs(tenant.Default, m1.Ref); err == nil {
 		t.Fatal("pinned dataset deleted")
 	}
-	r.Unpin(m1.Ref)
-	if ok, err := r.Delete(m1.Ref); err != nil || !ok {
+	r.UnpinAs(tenant.Default, m1.Ref)
+	if ok, err := r.DeleteAs(tenant.Default, m1.Ref); err != nil || !ok {
 		t.Fatalf("delete after unpin: %v %v", ok, err)
 	}
 }
@@ -143,23 +143,23 @@ func TestPinnedSurvivesEviction(t *testing.T) {
 func TestAllPinnedOverBudget(t *testing.T) {
 	f1, f2 := testFrame(t, 1, 200), testFrame(t, 2, 200)
 	r := NewRegistry(SizeOf(f1) + SizeOf(f1)/2)
-	m1, err := r.Put("a", f1)
+	m1, err := r.PutAs(tenant.Default, "a", f1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Pin(m1.Ref); !ok {
+	if _, ok := r.PinAs(tenant.Default, m1.Ref); !ok {
 		t.Fatal("pin failed")
 	}
-	if _, err := r.Put("b", f2); err == nil {
+	if _, err := r.PutAs(tenant.Default, "b", f2); err == nil {
 		t.Fatal("Put succeeded with the whole budget pinned")
 	}
 }
 
 func TestListMostRecentFirst(t *testing.T) {
 	r := NewRegistry(1 << 20)
-	m1, _ := r.Put("a", testFrame(t, 1, 10))
-	m2, _ := r.Put("b", testFrame(t, 2, 10))
-	r.Resolve(m1.Ref)
+	m1, _ := r.PutAs(tenant.Default, "a", testFrame(t, 1, 10))
+	m2, _ := r.PutAs(tenant.Default, "b", testFrame(t, 2, 10))
+	r.ResolveAs(tenant.Default, m1.Ref)
 	list := r.ListAs(tenant.Default)
 	if len(list) != 2 || list[0].Ref != m1.Ref || list[1].Ref != m2.Ref {
 		t.Fatalf("list order = %+v", list)
@@ -173,11 +173,11 @@ func TestConcurrentResolveVsEvict(t *testing.T) {
 	const workers = 8
 	base := testFrame(t, 0, 300)
 	r := NewRegistry(4 * SizeOf(base))
-	pinned, err := r.Put("pinned", base)
+	pinned, err := r.PutAs(tenant.Default, "pinned", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Pin(pinned.Ref); !ok {
+	if _, ok := r.PinAs(tenant.Default, pinned.Ref); !ok {
 		t.Fatal("pin failed")
 	}
 
@@ -189,18 +189,18 @@ func TestConcurrentResolveVsEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				f := testFrame(t, 1+w*100+i, 300)
-				meta, err := r.Put(fmt.Sprintf("w%d-%d", w, i), f)
+				meta, err := r.PutAs(tenant.Default, fmt.Sprintf("w%d-%d", w, i), f)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				// Resolve own and the pinned ref while other workers
 				// force evictions.
-				if got, _, ok := r.Resolve(meta.Ref); ok && got.NumRows() != 300 {
+				if got, _, ok := r.ResolveAs(tenant.Default, meta.Ref); ok && got.NumRows() != 300 {
 					t.Error("resolved frame corrupted")
 					return
 				}
-				got, _, ok := r.Resolve(pinned.Ref)
+				got, _, ok := r.ResolveAs(tenant.Default, pinned.Ref)
 				if !ok {
 					t.Error("pinned dataset evicted during churn")
 					return
@@ -210,8 +210,8 @@ func TestConcurrentResolveVsEvict(t *testing.T) {
 					return
 				}
 				if i%7 == 0 {
-					if _, ok := r.Pin(meta.Ref); ok {
-						r.Unpin(meta.Ref)
+					if _, ok := r.PinAs(tenant.Default, meta.Ref); ok {
+						r.UnpinAs(tenant.Default, meta.Ref)
 					}
 				}
 			}
@@ -222,7 +222,7 @@ func TestConcurrentResolveVsEvict(t *testing.T) {
 	if snap.Bytes > r.Budget() {
 		t.Fatalf("resident bytes %d exceed budget %d", snap.Bytes, r.Budget())
 	}
-	if _, _, ok := r.Resolve(pinned.Ref); !ok {
+	if _, _, ok := r.ResolveAs(tenant.Default, pinned.Ref); !ok {
 		t.Fatal("pinned dataset missing after churn")
 	}
 }

@@ -116,7 +116,7 @@ func TestHTTPUploadNDJSON(t *testing.T) {
 
 func TestHTTPGetListDelete(t *testing.T) {
 	reg, srv := newTestServer(t, 1<<20)
-	meta, err := reg.Put("a", testFrame(t, 1, 20))
+	meta, err := reg.PutAs(tenant.Default, "a", testFrame(t, 1, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestHTTPGetListDelete(t *testing.T) {
 
 func TestHTTPDeletePinnedConflicts(t *testing.T) {
 	reg, srv := newTestServer(t, 1<<20)
-	meta, err := reg.Put("a", testFrame(t, 1, 20))
+	meta, err := reg.PutAs(tenant.Default, "a", testFrame(t, 1, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reg.Pin(meta.Ref); !ok {
+	if _, ok := reg.PinAs(tenant.Default, meta.Ref); !ok {
 		t.Fatal("pin failed")
 	}
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/datasets/"+meta.Ref, nil)

@@ -12,8 +12,8 @@ import (
 )
 
 // Persistence. With a store attached, the registry mirrors its
-// resident set durably: Put writes the dataset (exact frame codec,
-// keyed by its content hash) before reporting success, Delete removes
+// resident set durably: PutAs writes the dataset (exact frame codec,
+// keyed by its content hash) before reporting success, DeleteAs removes
 // the durable copy before the resident one, and evictions drop both.
 // The invariant is simple — the store holds exactly the resident set —
 // so a restart restores exactly what was resident, and the content

@@ -10,6 +10,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/store"
 	"github.com/responsible-data-science/rds/internal/store/memory"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // persistFrame builds a small distinct frame keyed by seed.
@@ -37,7 +38,7 @@ func TestAttachStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := persistFrame(t, 100)
-	meta, err := r1.Put("train.csv", f)
+	meta, err := r1.PutAs(tenant.Default, "train.csv", f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestAttachStoreRoundTrip(t *testing.T) {
 	if err := r2.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	got, m2, ok := r2.Resolve(meta.Ref)
+	got, m2, ok := r2.ResolveAs(tenant.Default, meta.Ref)
 	if !ok {
 		t.Fatalf("dataset %s did not survive restart", meta.Ref)
 	}
@@ -66,18 +67,18 @@ func TestDeleteRemovesDurableCopy(t *testing.T) {
 	if err := r1.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := r1.Put("d", persistFrame(t, 7))
+	meta, err := r1.PutAs(tenant.Default, "d", persistFrame(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := r1.Delete(meta.Ref); !ok || err != nil {
+	if ok, err := r1.DeleteAs(tenant.Default, meta.Ref); !ok || err != nil {
 		t.Fatalf("Delete: (%v, %v)", ok, err)
 	}
 	r2 := NewRegistry(0)
 	if err := r2.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := r2.Resolve(meta.Ref); ok {
+	if _, _, ok := r2.ResolveAs(tenant.Default, meta.Ref); ok {
 		t.Fatal("deleted dataset resurfaced after restart")
 	}
 }
@@ -93,17 +94,17 @@ func TestEvictionRemovesDurableCopy(t *testing.T) {
 	if err := r.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	m1, err := r.Put("a", persistFrame(t, 1))
+	m1, err := r.PutAs(tenant.Default, "a", persistFrame(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put("b", persistFrame(t, 1000)); err != nil {
+	if _, err := r.PutAs(tenant.Default, "b", persistFrame(t, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Put("c", persistFrame(t, 2000)); err != nil {
+	if _, err := r.PutAs(tenant.Default, "c", persistFrame(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := r.Resolve(m1.Ref); ok {
+	if _, _, ok := r.ResolveAs(tenant.Default, m1.Ref); ok {
 		t.Fatal("oldest entry not evicted")
 	}
 	if _, ok, err := st.Find(store.KindDataset, m1.Ref); ok || err != nil {
@@ -144,7 +145,7 @@ func TestAttachStoreRefusesCorruptRecord(t *testing.T) {
 	if err := r1.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := r1.Put("d", persistFrame(t, 9))
+	meta, err := r1.PutAs(tenant.Default, "d", persistFrame(t, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestAttachStoreShrunkBudget(t *testing.T) {
 	if err := r1.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := r1.Put("big", persistFrame(t, 3))
+	meta, err := r1.PutAs(tenant.Default, "big", persistFrame(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestAttachStoreShrunkBudget(t *testing.T) {
 	if err := r2.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := r2.Resolve(meta.Ref); ok {
+	if _, _, ok := r2.ResolveAs(tenant.Default, meta.Ref); ok {
 		t.Fatal("over-budget dataset restored")
 	}
 	if items, err := st.List(store.KindDataset); err != nil || len(items) != 0 {

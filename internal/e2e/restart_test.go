@@ -62,14 +62,13 @@ func boot(t *testing.T, stateDir string) *service {
 	registry, err := monitor.NewRegistry(monitor.RegistryConfig{
 		Engine:   engine,
 		Datasets: datasets,
-		Store:    st,
 		Quotas:   tenants.Quotas,
 	})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	if _, err := registry.Restore(); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := registry.AttachStore(st); err != nil {
+		t.Fatalf("monitor AttachStore: %v", err)
 	}
 	pipelines := pipeline.NewRegistry(engine, datasets, tenants.Quotas)
 	if err := pipelines.AttachStore(st); err != nil {

@@ -14,6 +14,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/stream"
 	"github.com/responsible-data-science/rds/internal/synth"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // newBaselineFixture builds an engine + dataset registry + monitor
@@ -32,7 +33,7 @@ func newBaselineFixture(t *testing.T, budget int64) (*Registry, *dataset.Registr
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := datasets.Put("baseline", base)
+	meta, err := datasets.PutAs(tenant.Default, "baseline", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestRegisterWithBaselineRef(t *testing.T) {
 	if len(hist) != 1 || !hist[0].Baseline || hist[0].Window != -1 || !hist[0].Audited {
 		t.Fatalf("baseline history entry = %+v", hist)
 	}
-	if got, _ := datasets.Get(meta.Ref); got.Pins != 1 {
+	if got, _ := datasets.GetAs(tenant.Default, meta.Ref); got.Pins != 1 {
 		t.Fatalf("dataset pins = %d, want 1", got.Pins)
 	}
 
@@ -89,7 +90,7 @@ func TestRegisterWithBaselineRef(t *testing.T) {
 	if !reg.Delete(m.ID()) {
 		t.Fatal("delete failed")
 	}
-	if got, _ := datasets.Get(meta.Ref); got.Pins != 0 {
+	if got, _ := datasets.GetAs(tenant.Default, meta.Ref); got.Pins != 0 {
 		t.Fatalf("dataset pins = %d after monitor delete, want 0", got.Pins)
 	}
 }
@@ -107,11 +108,11 @@ func TestBaselineSurvivesRegistryChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := datasets.Put("churn", f); err != nil {
+		if _, err := datasets.PutAs(tenant.Default, "churn", f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := datasets.Resolve(meta.Ref); !ok {
+	if _, _, ok := datasets.ResolveAs(tenant.Default, meta.Ref); !ok {
 		t.Fatal("pinned baseline evicted by registry churn")
 	}
 	reg.Delete(m.ID())
@@ -121,11 +122,11 @@ func TestBaselineSurvivesRegistryChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := datasets.Put("churn2", f); err != nil {
+		if _, err := datasets.PutAs(tenant.Default, "churn2", f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := datasets.Resolve(meta.Ref); ok {
+	if _, _, ok := datasets.ResolveAs(tenant.Default, meta.Ref); ok {
 		t.Fatal("unpinned baseline survived eviction pressure that should have dropped it")
 	}
 }
@@ -228,11 +229,11 @@ func TestCloseReleasesBaselinePins(t *testing.T) {
 	if _, err := reg.Register(baselineSpec("b", meta.Ref)); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := datasets.Get(meta.Ref); got.Pins != 2 {
+	if got, _ := datasets.GetAs(tenant.Default, meta.Ref); got.Pins != 2 {
 		t.Fatalf("pins = %d, want 2", got.Pins)
 	}
 	reg.Close()
-	if got, _ := datasets.Get(meta.Ref); got.Pins != 0 {
+	if got, _ := datasets.GetAs(tenant.Default, meta.Ref); got.Pins != 0 {
 		t.Fatalf("pins = %d after Close, want 0", got.Pins)
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"net/http"
 	"time"
 
-	"github.com/responsible-data-science/rds/internal/core"
 	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/httpx"
-	"github.com/responsible-data-science/rds/internal/policy"
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/stream"
 	"github.com/responsible-data-science/rds/internal/tenant"
@@ -23,26 +21,9 @@ type SpecWire struct {
 	// Tenant is the owning tenant's id; the X-RDS-Tenant header takes
 	// precedence, both empty means the default tenant.
 	Tenant string `json:"tenant,omitempty"`
-	// Policy holds the FACT thresholds; serve.DefaultPolicy when
-	// omitted.
-	Policy *policy.FACTPolicy `json:"policy,omitempty"`
-
-	// Target is the binary label column (default "approved").
-	Target string `json:"target,omitempty"`
-	// Sensitive is the sensitive-attribute column (default "group").
-	Sensitive string `json:"sensitive,omitempty"`
-	// Protected is the protected group value (default "B").
-	Protected string `json:"protected,omitempty"`
-	// Reference is the reference group value (default "A").
-	Reference string `json:"reference,omitempty"`
-	// Mitigation is "none", "reweigh", or "threshold".
-	Mitigation string `json:"mitigation,omitempty"`
-	// TestFraction is the held-out fraction (default 0.3).
-	TestFraction float64 `json:"test_fraction,omitempty"`
-	// Epochs caps the logistic fit's Newton iterations (default 40).
-	// The fit converges in a handful, so only a cap below that changes
-	// the model.
-	Epochs int `json:"epochs,omitempty"`
+	// TrainWire holds the training-and-grading fields each window
+	// audit uses.
+	serve.TrainWire
 	// Seed drives each window audit's stochastic steps (default 1).
 	Seed uint64 `json:"seed,omitempty"`
 
@@ -237,13 +218,9 @@ func (h *Handler) ingest(w http.ResponseWriter, r *http.Request, id string) {
 
 // spec materializes the wire registration into a monitor Spec.
 func (wire *SpecWire) spec() (Spec, error) {
-	mitigation, err := core.ParseMitigation(wire.Mitigation)
+	train, pol, err := wire.Resolve()
 	if err != nil {
 		return Spec{}, err
-	}
-	pol := serve.DefaultPolicy()
-	if wire.Policy != nil {
-		pol = *wire.Policy
 	}
 	drift := DriftConfig{}
 	if wire.Drift != nil {
@@ -257,16 +234,8 @@ func (wire *SpecWire) spec() (Spec, error) {
 		Name:        wire.Name,
 		BaselineRef: wire.BaselineRef,
 		Policy:      pol,
-		Train: core.TrainSpec{
-			Target:       wire.Target,
-			Sensitive:    wire.Sensitive,
-			Protected:    wire.Protected,
-			Reference:    wire.Reference,
-			TestFraction: wire.TestFraction,
-			Mitigation:   mitigation,
-			Epochs:       wire.Epochs,
-		}.WithDefaultColumns(),
-		Seed: wire.Seed,
+		Train:       train,
+		Seed:        wire.Seed,
 		Window: WindowConfig{
 			WidthMS: wire.WindowMS,
 			SlideMS: wire.SlideMS,

@@ -171,10 +171,6 @@ type RegistryConfig struct {
 	// registration time; a tenant at its MaxMonitors limit gets
 	// tenant.ErrQuota instead of a new monitor. Nil means unlimited.
 	Quotas func(string) tenant.Quotas
-	// Store, when set, durably persists monitor specs and pinned
-	// baseline profiles so Restore can rebuild the monitoring plane
-	// after a restart (see persist.go for exactly what survives).
-	Store store.Store
 }
 
 // Registry owns the live monitors: registration, lookup, deletion,
@@ -186,6 +182,9 @@ type Registry struct {
 	monitors map[string]*Monitor
 	seq      uint64
 	closed   bool
+	// st, set by AttachStore, durably persists monitor specs and
+	// pinned baseline profiles (see persist.go for what survives).
+	st store.Store
 
 	metrics registryMetrics
 }
@@ -384,7 +383,7 @@ func (r *Registry) checkRegistrableLocked(ten, name string) error {
 }
 
 // checkRestorableLocked is checkRegistrableLocked minus the quota
-// check (Restore must not refuse monitors a lowered quota now
+// check (AttachStore must not refuse monitors a lowered quota now
 // excludes); it returns the tenant's current monitor count so the
 // registration path can apply the quota on top. Callers hold r.mu.
 func (r *Registry) checkRestorableLocked(ten, name string) (owned int, err error) {
@@ -419,12 +418,15 @@ func (r *Registry) Get(id string) (*Monitor, bool) {
 	return m, ok
 }
 
-// List returns summaries of all live monitors, ordered by id.
-func (r *Registry) List() []Summary {
+// ListAs returns summaries of the tenant's live monitors, ordered by
+// id. Other tenants' monitors are invisible.
+func (r *Registry) ListAs(ten string) []Summary {
 	r.mu.Lock()
-	ms := make([]*Monitor, 0, len(r.monitors))
+	var ms []*Monitor
 	for _, m := range r.monitors {
-		ms = append(ms, m)
+		if m.spec.Tenant == ten {
+			ms = append(ms, m)
+		}
 	}
 	r.mu.Unlock()
 	out := make([]Summary, 0, len(ms))
@@ -432,18 +434,6 @@ func (r *Registry) List() []Summary {
 		out = append(out, m.Status())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// ListAs returns summaries of the tenant's live monitors, ordered by
-// id. Other tenants' monitors are invisible.
-func (r *Registry) ListAs(ten string) []Summary {
-	out := make([]Summary, 0)
-	for _, s := range r.List() {
-		if s.Tenant == ten {
-			out = append(out, s)
-		}
-	}
 	return out
 }
 
@@ -626,7 +616,7 @@ func (m *Monitor) pinProfile(f *frame.Frame, grade *policy.Grade) error {
 
 // installProfile makes prof, audited at grade, the pinned drift
 // baseline and builds the scorer every later window is scored with.
-// Callers hold procMu, or own m before it is published (Restore).
+// Callers hold procMu, or own m before it is published (AttachStore).
 func (m *Monitor) installProfile(prof *BaselineProfile, grade *policy.Grade) {
 	m.profile = prof
 	m.scorer = newChunkScorer(prof, m.reg.cfg.ChunkStates)

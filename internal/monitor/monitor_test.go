@@ -11,6 +11,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/policy"
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/stream"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 func newTestEngine(t testing.TB) *serve.Engine {
@@ -74,7 +75,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, err := r.Register(Spec{}); err == nil {
 		t.Error("nameless spec accepted")
 	}
-	if got := len(r.List()); got != 1 {
+	if got := len(r.ListAs(tenant.Default)); got != 1 {
 		t.Errorf("List() len = %d, want 1", got)
 	}
 	if _, ok := r.Get(m.ID()); !ok {

@@ -14,11 +14,11 @@ import (
 	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
-// Persistence. With RegistryConfig.Store set, the registry keeps two
+// Persistence. Once AttachStore adopts a store, the registry keeps two
 // durable records per monitor, both keyed by monitor id: the spec
 // (store.KindMonitor) and, once a baseline is pinned, the baseline
 // profile (store.KindProfile). A restart then restores every monitor
-// via Restore: specs are decoded, profiles rebuilt, and baseline
+// via AttachStore: specs are decoded, profiles rebuilt, and baseline
 // datasets re-pinned in the dataset registry.
 //
 // The profile record persists only the irreducible baseline state —
@@ -217,9 +217,16 @@ func decodeProfile(payload []byte) (*BaselineProfile, *policy.Grade, error) {
 	return p, doc.Grade, nil
 }
 
+// attached returns the store AttachStore adopted (nil before).
+func (r *Registry) attached() store.Store {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.st
+}
+
 // persistSpec writes m's spec record; a nil store is a no-op.
 func (r *Registry) persistSpec(m *Monitor) error {
-	st := r.cfg.Store
+	st := r.attached()
 	if st == nil {
 		return nil
 	}
@@ -233,7 +240,7 @@ func (r *Registry) persistSpec(m *Monitor) error {
 // persistProfileLocked writes m's profile record; callers hold
 // m.procMu. A nil store or an unpinned profile is a no-op.
 func (r *Registry) persistProfileLocked(m *Monitor) error {
-	st := r.cfg.Store
+	st := r.attached()
 	if st == nil || m.profile == nil {
 		return nil
 	}
@@ -252,7 +259,7 @@ func (r *Registry) persistProfileLocked(m *Monitor) error {
 // live registry and the worst case of a leftover record is a spurious
 // restore on the next boot.
 func (r *Registry) dropPersisted(id string) {
-	st := r.cfg.Store
+	st := r.attached()
 	if st == nil {
 		return
 	}
@@ -264,10 +271,11 @@ func (r *Registry) dropPersisted(id string) {
 	}
 }
 
-// Restore rebuilds every persisted monitor into the registry and
-// returns how many were restored. Call it once at boot, after the
-// dataset registry has restored its resident set (restored monitors
-// re-pin their baseline datasets) and before serving traffic.
+// AttachStore adopts st as the registry's durability port, rebuilds
+// every persisted monitor into the registry, and persists every later
+// change. Call it once at boot, after the dataset registry has
+// restored its resident set (restored monitors re-pin their baseline
+// datasets) and before serving traffic.
 //
 // A corrupt record — an undecodable spec, a profile that fails
 // validation — aborts the restore with an error wrapping
@@ -277,26 +285,24 @@ func (r *Registry) dropPersisted(id string) {
 // AlertBaselineMissing fan-out) with whatever persisted profile it
 // has, because a dataset evicted while the process was down is an
 // operational condition, not corruption.
-func (r *Registry) Restore() (int, error) {
-	st := r.cfg.Store
-	if st == nil {
-		return 0, nil
-	}
+func (r *Registry) AttachStore(st store.Store) error {
 	items, err := st.List(store.KindMonitor)
 	if err != nil {
-		return 0, fmt.Errorf("monitor: restoring registry: %w", err)
+		return fmt.Errorf("monitor: restoring registry: %w", err)
 	}
-	restored := 0
+	r.mu.Lock()
+	r.st = st
+	r.mu.Unlock()
 	var maxSeq uint64
 	for _, it := range items {
 		var doc specDoc
 		if err := json.Unmarshal(it.Payload, &doc); err != nil {
-			return restored, fmt.Errorf("monitor: restoring %s: %w: %v", it.ID, store.ErrCorrupt, err)
+			return fmt.Errorf("monitor: restoring %s: %w: %v", it.ID, store.ErrCorrupt, err)
 		}
 		spec := doc.spec().withDefaults()
 		ten, terr := tenant.Normalize(doc.Tenant)
 		if terr != nil {
-			return restored, fmt.Errorf("monitor: restoring %s: %w: %v", it.ID, store.ErrCorrupt, terr)
+			return fmt.Errorf("monitor: restoring %s: %w: %v", it.ID, store.ErrCorrupt, terr)
 		}
 		spec.Tenant = ten
 		m := &Monitor{
@@ -309,31 +315,31 @@ func (r *Registry) Restore() (int, error) {
 
 		praw, ok, err := st.Find(store.KindProfile, it.ID)
 		if err != nil {
-			return restored, fmt.Errorf("monitor: restoring %s profile: %w", it.ID, err)
+			return fmt.Errorf("monitor: restoring %s profile: %w", it.ID, err)
 		}
 		if ok {
 			prof, grade, derr := decodeProfile(praw)
 			if derr != nil {
-				return restored, fmt.Errorf("monitor: restoring %s profile: %w", it.ID, derr)
+				return fmt.Errorf("monitor: restoring %s profile: %w", it.ID, derr)
 			}
 			m.installProfile(prof, grade)
 		}
 
 		if spec.BaselineRef != "" {
 			if err := r.repinBaseline(m); err != nil {
-				return restored, err
+				return err
 			}
 		}
 
 		r.mu.Lock()
-		// Restore enforces name uniqueness but not the MaxMonitors
+		// A restore enforces name uniqueness but not the MaxMonitors
 		// quota: a quota lowered between boots must not refuse to
 		// restore monitors that were registered legitimately.
 		if _, err := r.checkRestorableLocked(spec.Tenant, spec.Name); err != nil {
 			r.mu.Unlock()
 			m.stopSchedule()
 			m.releasePin()
-			return restored, fmt.Errorf("monitor: restoring %s: %w", it.ID, err)
+			return fmt.Errorf("monitor: restoring %s: %w", it.ID, err)
 		}
 		r.monitors[m.id] = m
 		r.mu.Unlock()
@@ -346,14 +352,13 @@ func (r *Registry) Restore() (int, error) {
 		if spec.ReauditEvery > 0 {
 			go m.reauditLoop(spec.ReauditEvery)
 		}
-		restored++
 	}
 	r.mu.Lock()
 	if maxSeq > r.seq {
 		r.seq = maxSeq
 	}
 	r.mu.Unlock()
-	return restored, nil
+	return nil
 }
 
 // repinBaseline re-pins a restored monitor's baseline dataset. A

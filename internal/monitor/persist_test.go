@@ -15,12 +15,24 @@ import (
 	"github.com/responsible-data-science/rds/internal/store"
 	"github.com/responsible-data-science/rds/internal/store/memory"
 	"github.com/responsible-data-science/rds/internal/stream"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
-// persistRegistry builds a registry backed by st, with a dataset
+// persistRegistry builds a registry attached to st, with a dataset
 // registry attached to the same store so baseline datasets survive the
 // simulated restart too.
 func persistRegistry(t *testing.T, st store.Store, sinks ...Sink) (*Registry, *dataset.Registry) {
+	t.Helper()
+	reg, datasets := newPersistRegistry(t, st, sinks...)
+	if _, err := restore(reg, st); err != nil {
+		t.Fatalf("AttachStore: %v", err)
+	}
+	return reg, datasets
+}
+
+// newPersistRegistry is persistRegistry before the monitor registry
+// attaches st: the next life of a restart, left for restore.
+func newPersistRegistry(t *testing.T, st store.Store, sinks ...Sink) (*Registry, *dataset.Registry) {
 	t.Helper()
 	datasets := dataset.NewRegistry(0)
 	if err := datasets.AttachStore(st); err != nil {
@@ -29,7 +41,6 @@ func persistRegistry(t *testing.T, st store.Store, sinks ...Sink) (*Registry, *d
 	reg, err := NewRegistry(RegistryConfig{
 		Engine:   newTestEngine(t),
 		Datasets: datasets,
-		Store:    st,
 		Sinks:    sinks,
 	})
 	if err != nil {
@@ -37,6 +48,13 @@ func persistRegistry(t *testing.T, st store.Store, sinks ...Sink) (*Registry, *d
 	}
 	t.Cleanup(reg.Close)
 	return reg, datasets
+}
+
+// restore attaches st to r, as a boot does, and reports how many
+// monitors it restored.
+func restore(r *Registry, st store.Store) (int, error) {
+	err := r.AttachStore(st)
+	return r.Metrics().MonitorsActive, err
 }
 
 // TestRestoreBaselineRefBitIdentity is the headline restart property:
@@ -47,7 +65,7 @@ func TestRestoreBaselineRefBitIdentity(t *testing.T) {
 	st := memory.New()
 	r1, d1 := persistRegistry(t, st)
 	base := creditFrame(t, 800, 0, 0.35, 1)
-	meta, err := d1.Put("baseline", base)
+	meta, err := d1.PutAs(tenant.Default, "baseline", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +76,8 @@ func TestRestoreBaselineRefBitIdentity(t *testing.T) {
 		t.Fatalf("Register: %v", err)
 	}
 
-	r2, d2 := persistRegistry(t, st)
-	n, err := r2.Restore()
+	r2, d2 := newPersistRegistry(t, st)
+	n, err := restore(r2, st)
 	if err != nil || n != 1 {
 		t.Fatalf("Restore: (%d, %v), want (1, nil)", n, err)
 	}
@@ -78,7 +96,7 @@ func TestRestoreBaselineRefBitIdentity(t *testing.T) {
 		t.Fatalf("restored spec %+v diverges from %+v", m2.Spec(), m1.Spec())
 	}
 	// The re-pin must hold in the restored dataset registry.
-	if dm, ok := d2.Get(meta.Ref); !ok || dm.Pins != 1 {
+	if dm, ok := d2.GetAs(tenant.Default, meta.Ref); !ok || dm.Pins != 1 {
 		t.Fatalf("baseline dataset pins = %+v, want 1 pin", dm)
 	}
 
@@ -102,7 +120,7 @@ func TestRestoreBaselineRefBitIdentity(t *testing.T) {
 func TestRestoreIgnoresRemovedShardsField(t *testing.T) {
 	st := memory.New()
 	r1, d1 := persistRegistry(t, st)
-	meta, err := d1.Put("baseline", creditFrame(t, 800, 0, 0.35, 1))
+	meta, err := d1.PutAs(tenant.Default, "baseline", creditFrame(t, 800, 0, 0.35, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +148,8 @@ func TestRestoreIgnoresRemovedShardsField(t *testing.T) {
 		}
 	}
 
-	r2, _ := persistRegistry(t, st)
-	if n, err := r2.Restore(); err != nil || n != 1 {
+	r2, _ := newPersistRegistry(t, st)
+	if n, err := restore(r2, st); err != nil || n != 1 {
 		t.Fatalf("Restore: (%d, %v), want (1, nil)", n, err)
 	}
 	m2, ok := r2.Get(m1.ID())
@@ -165,8 +183,8 @@ func TestRestoreStreamPinnedProfile(t *testing.T) {
 		t.Fatal("first window did not pin a baseline")
 	}
 
-	r2, _ := persistRegistry(t, st)
-	if n, err := r2.Restore(); err != nil || n != 1 {
+	r2, _ := newPersistRegistry(t, st)
+	if n, err := restore(r2, st); err != nil || n != 1 {
 		t.Fatalf("Restore: (%d, %v)", n, err)
 	}
 	m2, _ := r2.Get(m1.ID())
@@ -193,7 +211,7 @@ func TestRestoreDegradedMissingBaseline(t *testing.T) {
 	st := memory.New()
 	r1, d1 := persistRegistry(t, st)
 	base := creditFrame(t, 600, 0, 0.35, 1)
-	meta, err := d1.Put("baseline", base)
+	meta, err := d1.PutAs(tenant.Default, "baseline", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +228,13 @@ func TestRestoreDegradedMissingBaseline(t *testing.T) {
 	reg2, err := NewRegistry(RegistryConfig{
 		Engine:   newTestEngine(t),
 		Datasets: dataset.NewRegistry(0),
-		Store:    st,
 		Sinks:    []Sink{sink},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(reg2.Close)
-	if n, err := reg2.Restore(); err != nil || n != 1 {
+	if n, err := restore(reg2, st); err != nil || n != 1 {
 		t.Fatalf("Restore: (%d, %v), want the monitor restored degraded", n, err)
 	}
 	m2, ok := reg2.Get(m1.ID())
@@ -255,7 +272,7 @@ func TestRestoreDegradedMissingBaseline(t *testing.T) {
 func TestRestoreDegradedOverHTTP(t *testing.T) {
 	st := memory.New()
 	r1, d1 := persistRegistry(t, st)
-	meta, err := d1.Put("baseline", creditFrame(t, 600, 0, 0.35, 1))
+	meta, err := d1.PutAs(tenant.Default, "baseline", creditFrame(t, 600, 0, 0.35, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +285,12 @@ func TestRestoreDegradedOverHTTP(t *testing.T) {
 	reg2, err := NewRegistry(RegistryConfig{
 		Engine:   newTestEngine(t),
 		Datasets: dataset.NewRegistry(0),
-		Store:    st,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(reg2.Close)
-	if _, err := reg2.Restore(); err != nil {
+	if _, err := restore(reg2, st); err != nil {
 		t.Fatal(err)
 	}
 	handler := serve.NewHandler(newTestEngine(t))
@@ -301,8 +317,8 @@ func TestRestoreSeqAdvances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := persistRegistry(t, st)
-	if _, err := r2.Restore(); err != nil {
+	r2, _ := newPersistRegistry(t, st)
+	if _, err := restore(r2, st); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := r2.Register(creditSpec("second"))
@@ -326,8 +342,8 @@ func TestDeleteDropsPersisted(t *testing.T) {
 	if !r1.Delete(m1.ID()) {
 		t.Fatal("Delete failed")
 	}
-	r2, _ := persistRegistry(t, st)
-	if n, err := r2.Restore(); err != nil || n != 0 {
+	r2, _ := newPersistRegistry(t, st)
+	if n, err := restore(r2, st); err != nil || n != 0 {
 		t.Fatalf("Restore after delete: (%d, %v), want (0, nil)", n, err)
 	}
 }
@@ -345,8 +361,8 @@ func TestRestoreRefusesCorrupt(t *testing.T) {
 		if !st.Corrupt(store.KindMonitor, m1.ID()) {
 			t.Fatal("no record to corrupt")
 		}
-		r2, _ := persistRegistry(t, st)
-		if _, err := r2.Restore(); !errors.Is(err, store.ErrCorrupt) {
+		r2, _ := newPersistRegistry(t, st)
+		if _, err := restore(r2, st); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("Restore over corrupt spec: %v, want ErrCorrupt", err)
 		}
 	})
@@ -360,8 +376,8 @@ func TestRestoreRefusesCorrupt(t *testing.T) {
 		if err := st.Save(store.KindProfile, m1.ID(), []byte(`{"rows":-3}`)); err != nil {
 			t.Fatal(err)
 		}
-		r2, _ := persistRegistry(t, st)
-		if _, err := r2.Restore(); !errors.Is(err, store.ErrCorrupt) {
+		r2, _ := newPersistRegistry(t, st)
+		if _, err := restore(r2, st); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("Restore over corrupt profile: %v, want ErrCorrupt", err)
 		}
 	})

@@ -12,6 +12,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/frame"
 	"github.com/responsible-data-science/rds/internal/stream"
 	"github.com/responsible-data-science/rds/internal/synth"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // rankTrialShape fixes one trial's value grids, so baseline and window
@@ -154,7 +155,7 @@ func TestChunkStatesIsolatedByBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta, err := datasets.Put(fmt.Sprintf("baseline-%d", i), base)
+		meta, err := datasets.PutAs(tenant.Default, fmt.Sprintf("baseline-%d", i), base)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/store/memory"
 	"github.com/responsible-data-science/rds/internal/synth"
+	"github.com/responsible-data-science/rds/internal/tenant"
 )
 
 // BenchmarkPipelineRun times one full default curriculum (train →
@@ -25,7 +26,7 @@ func BenchmarkPipelineRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	meta, err := datasets.Put("credit", f)
+	meta, err := datasets.PutAs(tenant.Default, "credit", f)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func BenchmarkPipelineRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh seed each iteration keeps every run's training real
 		// (deterministic replay would otherwise be a same-bytes rerun).
-		rec, err := runs.Submit(Spec{DatasetRef: meta.Ref, Epochs: 20, Seed: uint64(i) + 1})
+		rec, err := runs.Submit(Spec{DatasetRef: meta.Ref, TrainWire: serve.TrainWire{Epochs: 20}, Seed: uint64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -57,7 +57,9 @@ var DefaultStages = []string{
 
 // Spec is the JSON body of POST /v1/pipelines: the dataset to remediate
 // (by registry ref — pipelines never ship data inline), the training
-// spec, the mitigation and privacy knobs, and the stage list.
+// and grading fields, the privacy knob, and the stage list. Unlike an
+// audit, a pipeline's mitigation defaults to "reweigh": it is what the
+// mitigate stage (and every later training stage) applies.
 type Spec struct {
 	// Tenant is the submitting tenant's id; the X-RDS-Tenant header,
 	// validated at the edge, takes precedence.
@@ -69,27 +71,11 @@ type Spec struct {
 	// — and every post-restart replay — computes over.
 	DatasetRef string `json:"dataset_ref"`
 
-	// Target is the binary label column (default "approved").
-	Target string `json:"target,omitempty"`
-	// Sensitive is the sensitive-attribute column (default "group").
-	Sensitive string `json:"sensitive,omitempty"`
-	// Protected is the protected group value (default "B").
-	Protected string `json:"protected,omitempty"`
-	// Reference is the reference group value (default "A").
-	Reference string `json:"reference,omitempty"`
+	// TrainWire holds the training-and-grading fields.
+	serve.TrainWire
 	// Exclude lists additional columns kept out of the features.
 	Exclude []string `json:"exclude,omitempty"`
-	// TestFraction is the held-out fraction (default 0.3).
-	TestFraction float64 `json:"test_fraction,omitempty"`
-	// Epochs caps the logistic fit's Newton iterations (default 40).
-	// The fit converges in a handful, so only a cap below that changes
-	// the model.
-	Epochs int `json:"epochs,omitempty"`
 
-	// Mitigation is the fairness intervention the mitigate stage (and
-	// every later training stage) applies: "reweigh" (default) or
-	// "threshold".
-	Mitigation string `json:"mitigation,omitempty"`
 	// Epsilon is the per-individual randomized-response budget of the
 	// ldp-privatize stage (default 1.0).
 	Epsilon float64 `json:"epsilon,omitempty"`
@@ -100,13 +86,12 @@ type Spec struct {
 
 	// Stages is the ordered stage list (default DefaultStages).
 	Stages []string `json:"stages,omitempty"`
-	// Policy holds the FACT thresholds audits grade against (default
-	// serve.DefaultPolicy).
-	Policy *policy.FACTPolicy `json:"policy,omitempty"`
 }
 
 // withDefaults returns the spec with every omitted knob resolved, or an
-// error for an invalid stage list.
+// error for an invalid training field, policy or stage list. The
+// resolved column names are written back, so the persisted record
+// states the columns every stage — and every replay — trains on.
 func (s Spec) withDefaults() (Spec, error) {
 	if s.DatasetRef == "" {
 		return s, fmt.Errorf("pipeline: spec needs dataset_ref (upload via POST /v1/datasets first)")
@@ -114,14 +99,14 @@ func (s Spec) withDefaults() (Spec, error) {
 	if s.Name == "" {
 		s.Name = "pipeline"
 	}
-	cols := core.TrainSpec{Target: s.Target, Sensitive: s.Sensitive, Protected: s.Protected, Reference: s.Reference}.WithDefaultColumns()
-	s.Target, s.Sensitive, s.Protected, s.Reference = cols.Target, cols.Sensitive, cols.Protected, cols.Reference
 	if s.Mitigation == "" {
 		s.Mitigation = "reweigh"
 	}
-	if _, err := core.ParseMitigation(s.Mitigation); err != nil {
+	train, _, err := s.Resolve()
+	if err != nil {
 		return s, err
 	}
+	s.Target, s.Sensitive, s.Protected, s.Reference = train.Target, train.Sensitive, train.Protected, train.Reference
 	if s.Epsilon == 0 {
 		s.Epsilon = 1.0
 	}
@@ -150,36 +135,7 @@ func (s Spec) withDefaults() (Spec, error) {
 			return s, fmt.Errorf("pipeline: unknown stage %q (want %v)", name, DefaultStages)
 		}
 	}
-	if pol := s.Policy; pol != nil {
-		if err := pol.Validate(); err != nil {
-			return s, err
-		}
-	}
 	return s, nil
-}
-
-// policyOrDefault resolves the grading policy.
-func (s Spec) policyOrDefault() policy.FACTPolicy {
-	if s.Policy != nil {
-		return *s.Policy
-	}
-	return serve.DefaultPolicy()
-}
-
-// trainSpec renders the core training spec with the given mitigation
-// and optional auditor's true-attribute column.
-func (s Spec) trainSpec(mit core.Mitigation, trueCol string) core.TrainSpec {
-	return core.TrainSpec{
-		Target:       s.Target,
-		Sensitive:    s.Sensitive,
-		Protected:    s.Protected,
-		Reference:    s.Reference,
-		Exclude:      s.Exclude,
-		TestFraction: s.TestFraction,
-		Mitigation:   mit,
-		Epochs:       s.Epochs,
-		TrueGroups:   trueCol,
-	}
 }
 
 // StageRecord is one completed stage in a pipeline's persisted record:

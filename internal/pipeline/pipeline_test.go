@@ -36,7 +36,7 @@ func newWorld(t *testing.T, quotas func(string) tenant.Quotas) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := datasets.Put("credit", f)
+	meta, err := datasets.PutAs(tenant.Default, "credit", f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,9 @@ func TestSpecValidation(t *testing.T) {
 		want string
 	}{
 		{"no dataset", Spec{}, "dataset_ref"},
-		{"bad mitigation", Spec{DatasetRef: "abc", Mitigation: "wish"}, "mitigation"},
+		{"bad mitigation", Spec{DatasetRef: "abc", TrainWire: serve.TrainWire{Mitigation: "wish"}}, "mitigation"},
 		{"negative epsilon", Spec{DatasetRef: "abc", Epsilon: -1}, "epsilon"},
+		{"invalid policy", Spec{DatasetRef: "abc", TrainWire: serve.TrainWire{Policy: &policy.FACTPolicy{MinDisparateImpact: 2}}}, "MinDisparateImpact"},
 		{"unknown stage", Spec{DatasetRef: "abc", Stages: []string{"train", "deploy"}}, "unknown stage"},
 		{"audit first", Spec{DatasetRef: "abc", Stages: []string{"audit", "train"}}, "before any training"},
 	}
@@ -116,7 +117,7 @@ func TestSpecValidation(t *testing.T) {
 // re-audit grades by the true attribute without losing the mitigation.
 func TestFullCurriculumImprovesGrade(t *testing.T) {
 	w := newWorld(t, nil)
-	rec, err := w.runs.Submit(Spec{DatasetRef: w.ref, Epochs: 12, Seed: 5})
+	rec, err := w.runs.Submit(Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 12}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +188,7 @@ func TestThresholdMitigationImprovesGrade(t *testing.T) {
 	w := newWorld(t, nil)
 	rec, err := w.runs.Submit(Spec{
 		DatasetRef: w.ref,
-		Epochs:     12,
-		Mitigation: "threshold",
+		TrainWire:  serve.TrainWire{Epochs: 12, Mitigation: "threshold"},
 		Stages:     []string{StageTrain, StageAudit, StageMitigate, StageReaudit},
 	})
 	if err != nil {
@@ -217,7 +217,7 @@ func TestThresholdMitigationImprovesGrade(t *testing.T) {
 // details.
 func TestRunsAreDeterministic(t *testing.T) {
 	w := newWorld(t, nil)
-	spec := Spec{DatasetRef: w.ref, Epochs: 8, Seed: 11}
+	spec := Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 8}, Seed: 11}
 	a, err := w.runs.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 // and privatized frame.
 func TestResumeAtLastCompletedStage(t *testing.T) {
 	w := newWorld(t, nil)
-	spec := Spec{DatasetRef: w.ref, Epochs: 8, Seed: 9}
+	spec := Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 8}, Seed: 9}
 	rec, err := w.runs.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func resumeMatches(t *testing.T, w *world, label string, payload []byte, full *R
 // object) restores and resumes byte-identically.
 func TestResumeIgnoresRemovedShardsField(t *testing.T) {
 	w := newWorld(t, nil)
-	rec, err := w.runs.Submit(Spec{DatasetRef: w.ref, Epochs: 8, Seed: 9})
+	rec, err := w.runs.Submit(Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 8}, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestRestoreFinalizesAndFails(t *testing.T) {
 		t.Fatalf("gone-dataset record = %s (%s), want failed not-resident", rec.Status, rec.Error)
 	}
 	// seq advanced past restored ids: the next submit does not collide.
-	rec, err := r.Submit(Spec{DatasetRef: w.ref, Stages: []string{StageTrain}, Epochs: 3})
+	rec, err := r.Submit(Spec{DatasetRef: w.ref, Stages: []string{StageTrain}, TrainWire: serve.TrainWire{Epochs: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestMaxPipelinesQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := datasets.Put("credit", f)
+	meta, err := datasets.PutAs(tenant.Default, "credit", f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestMaxPipelinesQuota(t *testing.T) {
 	}
 	<-entered
 
-	spec := Spec{DatasetRef: meta.Ref, Epochs: 3, Stages: []string{StageTrain}}
+	spec := Spec{DatasetRef: meta.Ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: []string{StageTrain}}
 	first, err := runs.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -512,11 +512,11 @@ func TestTenantScoping(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := []string{StageTrain}
-	a, err := w.runs.Submit(Spec{Tenant: "acme", DatasetRef: metaA.Ref, Epochs: 3, Stages: short})
+	a, err := w.runs.Submit(Spec{Tenant: "acme", DatasetRef: metaA.Ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := w.runs.Submit(Spec{DatasetRef: w.ref, Epochs: 3, Stages: short})
+	b, err := w.runs.Submit(Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,155 @@ func TestTenantScoping(t *testing.T) {
 		t.Fatalf("CountsAs(acme) = %d/%d, want 1 total 0 live", total, live)
 	}
 	// A tenant cannot run a pipeline over another tenant's dataset.
-	if _, err := w.runs.Submit(Spec{Tenant: "acme", DatasetRef: w.ref, Epochs: 3, Stages: short}); err == nil {
+	if _, err := w.runs.Submit(Spec{Tenant: "acme", DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short}); err == nil {
 		t.Fatal("cross-tenant dataset_ref accepted")
+	}
+}
+
+// TestLiveCountMatchesQuota checks that the max_pipelines gate and
+// CountsAs see the same live runs across a submit, its finish, a
+// launch the engine rejects, an engine shutdown that interrupts a run
+// (its record stays running, to be resumed), and the resume on the
+// next boot.
+func TestLiveCountMatchesQuota(t *testing.T) {
+	quotas := func(string) tenant.Quotas { return tenant.Quotas{MaxPipelines: 1} }
+	datasets := dataset.NewRegistry(0)
+	f, err := synth.Credit(synth.CreditConfig{N: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := datasets.PutAs(tenant.Default, "credit", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := memory.New()
+	short := Spec{DatasetRef: meta.Ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: []string{StageTrain}}
+	long := short
+	long.Stages = []string{StageTrain, StageAudit, StageReaudit}
+
+	// gate occupies one worker (or queue slot) of e until its channel
+	// closes; entered, when non-nil, closes once it runs.
+	gate := func(e *serve.Engine, release, entered chan struct{}) {
+		t.Helper()
+		if _, err := e.Submit(serve.JobSpec{Stages: []serve.Stage{{
+			Run: func(ctx context.Context) (any, error) {
+				if entered != nil {
+					close(entered)
+				}
+				<-release
+				return nil, nil
+			},
+		}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running := func(e *serve.Engine) chan struct{} {
+		t.Helper()
+		release, entered := make(chan struct{}), make(chan struct{})
+		gate(e, release, entered)
+		<-entered
+		return release
+	}
+	wait := func(runs *Registry, id string, until func(*Record) bool) *Record {
+		t.Helper()
+		deadline := time.Now().Add(time.Minute)
+		for {
+			rec, ok := runs.Get("", id)
+			if ok && until(rec) {
+				return rec
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s: condition not reached (%+v)", id, rec)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	finished := func(rec *Record) bool { return terminal(rec.Status) }
+	// agree checks CountsAs; at the quota, a submission must be refused
+	// by the gate, not reach the engine.
+	agree := func(runs *Registry, step string, want int) {
+		t.Helper()
+		if _, live := runs.CountsAs(tenant.Default); live != want {
+			t.Fatalf("%s: CountsAs live = %d, want %d", step, live, want)
+		}
+		if want > 0 {
+			if _, err := runs.Submit(short); !errors.Is(err, tenant.ErrQuota) {
+				t.Fatalf("%s: submit at the quota = %v, want tenant.ErrQuota", step, err)
+			}
+		}
+	}
+
+	engine := serve.NewEngine(serve.Config{Workers: 1, QueueSize: 3, JobTimeout: time.Minute})
+	runs := NewRegistry(engine, datasets, quotas)
+	if err := runs.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+
+	// Submit, then finish.
+	release := running(engine)
+	a, err := runs.Submit(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree(runs, "queued", 1)
+	close(release)
+	wait(runs, a.ID, finished)
+	agree(runs, "finished", 0)
+
+	// A launch the engine rejects (its queue is full) leaves no live run.
+	release, full := running(engine), make(chan struct{})
+	for i := 0; i < 3; i++ {
+		gate(engine, full, nil)
+	}
+	if _, err := runs.Submit(short); !errors.Is(err, serve.ErrBusy) {
+		t.Fatalf("submit into a full queue = %v, want serve.ErrBusy", err)
+	}
+	agree(runs, "launch rejected", 0)
+	close(release)
+	close(full)
+	for engine.QueueDepth() > 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Interrupt a run between stages: its second stage waits behind a
+	// gate while the engine closes, and its third cannot be admitted.
+	release = running(engine)
+	b, err := runs.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind := make(chan struct{})
+	gate(engine, behind, nil)
+	close(release)
+	wait(runs, b.ID, func(rec *Record) bool { return len(rec.Stages) >= 1 })
+	closed := make(chan struct{})
+	go func() { engine.Close(); close(closed) }()
+	noop := serve.JobSpec{Stages: []serve.Stage{{Run: func(context.Context) (any, error) { return nil, nil }}}}
+	for _, err := engine.Submit(noop); !errors.Is(err, serve.ErrClosed); _, err = engine.Submit(noop) {
+		time.Sleep(time.Millisecond)
+	}
+	close(behind)
+	<-closed
+	if rec, _ := runs.Get("", b.ID); rec.Status != serve.StatusRunning || len(rec.Stages) == len(long.Stages) {
+		t.Fatalf("interrupted run = %s with %d stages, want running and unfinished", rec.Status, len(rec.Stages))
+	}
+	agree(runs, "interrupted", 1)
+
+	// The next boot resumes the run; it stays live until it finishes.
+	engine2 := serve.NewEngine(serve.Config{Workers: 1, QueueSize: 3, JobTimeout: time.Minute})
+	t.Cleanup(engine2.Close)
+	release = running(engine2)
+	resumed := NewRegistry(engine2, datasets, quotas)
+	if err := resumed.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	agree(resumed, "resumed", 1)
+	close(release)
+	if rec := wait(resumed, b.ID, finished); rec.Status != serve.StatusDone {
+		t.Fatalf("resumed run = %s (%s)", rec.Status, rec.Error)
+	}
+	agree(resumed, "resumed run finished", 0)
+	if _, err := resumed.Submit(short); err != nil {
+		t.Fatalf("submit after the resumed run finished: %v", err)
 	}
 }

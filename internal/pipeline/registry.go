@@ -35,9 +35,7 @@ type Registry struct {
 	recs map[string]*Record
 	// order lists record ids oldest-first for bounded pruning.
 	order []string
-	// live counts each tenant's unfinished runs for MaxPipelines.
-	live map[string]int
-	seq  uint64
+	seq   uint64
 }
 
 // NewRegistry builds the pipeline plane over the serve engine and the
@@ -51,7 +49,6 @@ func NewRegistry(engine *serve.Engine, datasets *dataset.Registry, quotas func(s
 		datasets: datasets,
 		quotas:   quotas,
 		recs:     map[string]*Record{},
-		live:     map[string]int{},
 	}
 }
 
@@ -71,10 +68,13 @@ func (r *Registry) persistLocked(rec *Record) error {
 	return r.st.Save(store.KindPipelines, rec.ID, payload)
 }
 
-// Submit validates spec, pins the dataset ref, persists the new run,
-// and enqueues its stages. The returned record is the run's initial
-// snapshot. Admission rejections are serve *RetryError values (429/503
-// semantics); quota exhaustion wraps tenant.ErrQuota.
+// Submit validates spec, resolves its dataset ref, persists the new
+// run, and enqueues its stages. The dataset is not pinned: the run
+// keeps the resolved frame in memory, and after a restart it resumes
+// only if the dataset is still resident. The returned record is the
+// run's initial snapshot. Admission rejections are serve *RetryError
+// values (429/503 semantics); quota exhaustion (MaxPipelines counts the
+// tenant's non-terminal records) wraps tenant.ErrQuota.
 func (r *Registry) Submit(spec Spec) (*Record, error) {
 	ten, err := tenant.Normalize(spec.Tenant)
 	if err != nil {
@@ -91,9 +91,11 @@ func (r *Registry) Submit(spec Spec) (*Record, error) {
 	}
 
 	r.mu.Lock()
-	if max := r.quotas(ten).MaxPipelines; max > 0 && r.live[ten] >= max {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("pipeline: tenant %q at max_pipelines %d: %w", ten, max, tenant.ErrQuota)
+	if max := r.quotas(ten).MaxPipelines; max > 0 {
+		if _, live := r.countsLocked(ten); live >= max {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("pipeline: tenant %q at max_pipelines %d: %w", ten, max, tenant.ErrQuota)
+		}
 	}
 	r.seq++
 	rec := &Record{
@@ -110,7 +112,6 @@ func (r *Registry) Submit(spec Spec) (*Record, error) {
 	}
 	r.recs[rec.ID] = rec
 	r.order = append(r.order, rec.ID)
-	r.live[ten]++
 	r.mu.Unlock()
 
 	if err := r.launch(rec, spec.Stages, newRunState(spec, base, nil)); err != nil {
@@ -141,8 +142,8 @@ func (r *Registry) launch(rec *Record, names []string, rs *runState) error {
 	return err
 }
 
-// drop removes a run that failed to launch: the persisted record and
-// the live count are rolled back so the rejection is traceless.
+// drop removes a run that failed to launch: the persisted record is
+// rolled back so the rejection is traceless.
 func (r *Registry) drop(rec *Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -152,9 +153,6 @@ func (r *Registry) drop(rec *Record) {
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			break
 		}
-	}
-	if r.live[rec.Tenant] > 0 {
-		r.live[rec.Tenant]--
 	}
 	if r.st != nil {
 		_ = r.st.Delete(store.KindPipelines, rec.ID)
@@ -200,8 +198,8 @@ func marshalDetail(v any) json.RawMessage {
 	return b
 }
 
-// onFinish marks the run terminal, frees its live-quota slot, and
-// prunes the oldest finished records past the retention bound.
+// onFinish marks the run terminal, which frees its live-quota slot,
+// and prunes the oldest finished records past the retention bound.
 func (r *Registry) onFinish(id string, final serve.JobStatus) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -215,18 +213,12 @@ func (r *Registry) onFinish(id string, final serve.JobStatus) {
 		// so the next boot's AttachStore resumes it where it stopped.
 		rec.Status = serve.StatusRunning
 		_ = r.persistLocked(rec)
-		if r.live[rec.Tenant] > 0 {
-			r.live[rec.Tenant]--
-		}
 		return
 	}
 	rec.Status = final.Status
 	rec.Error = final.Error
 	rec.ElapsedMillis = final.ElapsedMillis
 	_ = r.persistLocked(rec)
-	if r.live[rec.Tenant] > 0 {
-		r.live[rec.Tenant]--
-	}
 	r.pruneLocked()
 }
 
@@ -286,11 +278,17 @@ func (r *Registry) List(ten string) []*Record {
 	return out
 }
 
-// CountsAs reports ten's total and live run counts for the
-// responsibility report.
+// CountsAs reports ten's total and live (non-terminal) run counts for
+// the responsibility report.
 func (r *Registry) CountsAs(ten string) (total, live int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.countsLocked(ten)
+}
+
+// countsLocked is CountsAs for callers holding r.mu; the MaxPipelines
+// gate reads the same live count.
+func (r *Registry) countsLocked(ten string) (total, live int) {
 	for _, rec := range r.recs {
 		if rec.Tenant == ten {
 			total++
@@ -382,7 +380,6 @@ func (r *Registry) AttachStore(st store.Store) error {
 		rec.Status = serve.StatusRunning
 		rec.Resumed++
 		_ = r.persistLocked(rec)
-		r.live[rec.Tenant]++
 		resumes = append(resumes, resume{
 			rec:       rec,
 			remaining: names[done:],
@@ -397,9 +394,6 @@ func (r *Registry) AttachStore(st store.Store) error {
 			rs.rec.Status = serve.StatusFailed
 			rs.rec.Error = fmt.Sprintf("pipeline: resume rejected: %v", err)
 			_ = r.persistLocked(rs.rec)
-			if r.live[rs.rec.Tenant] > 0 {
-				r.live[rs.rec.Tenant]--
-			}
 			r.mu.Unlock()
 		}
 	}

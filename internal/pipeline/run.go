@@ -23,6 +23,9 @@ import (
 type runState struct {
 	spec Spec
 	base *frame.Frame
+	// trainSpec is the resolved training spec; its Mitigation is the
+	// one the mitigate stage applies.
+	trainSpec core.TrainSpec
 
 	pipe   *core.Pipeline
 	src    *rng.Source // drives randomized response; split off the seed
@@ -46,7 +49,12 @@ func newRunState(spec Spec, base *frame.Frame, replay []string) *runState {
 // the privacy accountant. Called lazily from the first executing stage
 // so construction cost lands on a worker, not the submit path.
 func (rs *runState) init() error {
-	pol := rs.spec.policyOrDefault()
+	train, pol, err := rs.spec.Resolve()
+	if err != nil {
+		return err
+	}
+	train.Exclude = rs.spec.Exclude
+	rs.trainSpec = train
 	pipe, err := core.New(core.Config{
 		Name:   rs.spec.Name,
 		Policy: pol,
@@ -123,8 +131,17 @@ func (rs *runState) runStage(ctx context.Context, name string) (any, error) {
 	return nil, fmt.Errorf("pipeline: unknown stage %q", name)
 }
 
+// fit trains the current working frame under mit; once ldp-privatize
+// ran, the audit groups by the preserved true attribute.
+func (rs *runState) fit(mit core.Mitigation) (*core.TrainedModel, error) {
+	spec := rs.trainSpec
+	spec.Mitigation = mit
+	spec.TrueGroups = rs.trueCol
+	return rs.pipe.Train(spec)
+}
+
 func (rs *runState) train(mit core.Mitigation) (any, error) {
-	tm, err := rs.pipe.Train(rs.spec.trainSpec(mit, rs.trueCol))
+	tm, err := rs.fit(mit)
 	if err != nil {
 		return nil, err
 	}
@@ -138,12 +155,9 @@ func (rs *runState) train(mit core.Mitigation) (any, error) {
 }
 
 func (rs *runState) mitigate() (any, error) {
-	mit, err := core.ParseMitigation(rs.spec.Mitigation)
-	if err != nil {
-		return nil, err
-	}
+	mit := rs.trainSpec.Mitigation
 	prev := rs.model
-	tm, err := rs.pipe.Train(rs.spec.trainSpec(mit, rs.trueCol))
+	tm, err := rs.fit(mit)
 	if err != nil {
 		return nil, err
 	}

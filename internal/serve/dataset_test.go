@@ -94,7 +94,7 @@ func TestAuditCarriesFrameHash(t *testing.T) {
 
 	h := NewHandler(e)
 	h.Datasets = dataset.NewRegistry(64 << 20)
-	meta, err := h.Datasets.Put("credit", testRequest(t, 3).Data)
+	meta, err := h.Datasets.PutAs(tenant.Default, "credit", testRequest(t, 3).Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestHTTPAuditUnknownRef(t *testing.T) {
 
 func TestHTTPMetricsIncludeDatasetGauges(t *testing.T) {
 	srv, reg := newDatasetTestServer(t)
-	if _, err := reg.Put("g", stubRequest(1).Data); err != nil {
+	if _, err := reg.PutAs(tenant.Default, "g", stubRequest(1).Data); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(srv.URL + "/metrics")

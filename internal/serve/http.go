@@ -42,6 +42,23 @@ type AuditRequestWire struct {
 	// Synthetic generates a biased synthetic credit population.
 	Synthetic *SyntheticSpec `json:"synthetic,omitempty"`
 
+	// TrainWire holds the training-and-grading fields.
+	TrainWire
+	// Seed drives the pipeline's stochastic steps (default 1).
+	Seed uint64 `json:"seed,omitempty"`
+
+	// Async makes POST return 202 with the job id immediately instead
+	// of waiting for the report.
+	Async bool `json:"async,omitempty"`
+}
+
+// TrainWire is the training-and-grading vocabulary every plane
+// accepts: the columns a model is trained on, the fairness
+// mitigation, the split and fit knobs, and the FACT policy the audit
+// grades against. AuditRequestWire, monitor.SpecWire and pipeline.Spec
+// embed it, so its keys sit flat in each JSON body; Resolve applies
+// its defaults and validation.
+type TrainWire struct {
 	// Target is the binary label column (default "approved").
 	Target string `json:"target,omitempty"`
 	// Sensitive is the sensitive-attribute column (default "group").
@@ -58,16 +75,37 @@ type AuditRequestWire struct {
 	// The fit converges in a handful, so only a cap below that changes
 	// the model; it stays part of the report-cache key.
 	Epochs int `json:"epochs,omitempty"`
-	// Seed drives the pipeline's stochastic steps (default 1).
-	Seed uint64 `json:"seed,omitempty"`
-
 	// Policy holds the FACT thresholds to grade against. When omitted,
 	// DefaultPolicy applies.
 	Policy *policy.FACTPolicy `json:"policy,omitempty"`
+}
 
-	// Async makes POST return 202 with the job id immediately instead
-	// of waiting for the report.
-	Async bool `json:"async,omitempty"`
+// Resolve turns the wire fields into the training spec and the
+// validated grading policy: it parses the mitigation, fills empty
+// columns via core.TrainSpec.WithDefaultColumns, and substitutes
+// DefaultPolicy for an omitted policy. TestFraction and Epochs pass
+// through; zero selects core's defaults at training time.
+func (w TrainWire) Resolve() (core.TrainSpec, policy.FACTPolicy, error) {
+	mitigation, err := core.ParseMitigation(w.Mitigation)
+	if err != nil {
+		return core.TrainSpec{}, policy.FACTPolicy{}, err
+	}
+	pol := DefaultPolicy()
+	if w.Policy != nil {
+		pol = *w.Policy
+	}
+	if err := pol.Validate(); err != nil {
+		return core.TrainSpec{}, policy.FACTPolicy{}, err
+	}
+	return core.TrainSpec{
+		Target:       w.Target,
+		Sensitive:    w.Sensitive,
+		Protected:    w.Protected,
+		Reference:    w.Reference,
+		TestFraction: w.TestFraction,
+		Mitigation:   mitigation,
+		Epochs:       w.Epochs,
+	}.WithDefaultColumns(), pol, nil
 }
 
 // SyntheticSpec requests generated demo data instead of an upload.
@@ -104,8 +142,7 @@ func (s *SyntheticSpec) Credit() (*frame.Frame, error) {
 
 // DefaultPolicy is the FACT policy applied when a request omits one:
 // the four-fifths rule, mandatory intervals with Holm correction,
-// lineage, a model card, and a 0.75 surrogate-fidelity floor — the same
-// defaults as cmd/rds-audit.
+// lineage, a model card, and a 0.75 surrogate-fidelity floor.
 func DefaultPolicy() policy.FACTPolicy {
 	return policy.FACTPolicy{
 		MinDisparateImpact:   0.8,
@@ -335,15 +372,17 @@ func decodeWire(r *http.Request) (*AuditRequestWire, error) {
 func wireFromQuery(r *http.Request, csv string) (*AuditRequestWire, error) {
 	q := r.URL.Query()
 	wire := &AuditRequestWire{
-		CSV:        csv,
-		Tenant:     q.Get("tenant"),
-		Dataset:    q.Get("dataset"),
-		Target:     q.Get("target"),
-		Sensitive:  q.Get("sensitive"),
-		Protected:  q.Get("protected"),
-		Reference:  q.Get("reference"),
-		Mitigation: q.Get("mitigation"),
-		Async:      q.Get("async") == "1" || q.Get("async") == "true",
+		CSV:     csv,
+		Tenant:  q.Get("tenant"),
+		Dataset: q.Get("dataset"),
+		TrainWire: TrainWire{
+			Target:     q.Get("target"),
+			Sensitive:  q.Get("sensitive"),
+			Protected:  q.Get("protected"),
+			Reference:  q.Get("reference"),
+			Mitigation: q.Get("mitigation"),
+		},
+		Async: q.Get("async") == "1" || q.Get("async") == "true",
 	}
 	if s := q.Get("seed"); s != "" {
 		seed, err := strconv.ParseUint(s, 10, 64)
@@ -368,11 +407,14 @@ func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, er
 	if sources != 1 {
 		return nil, errors.New("exactly one of dataset_ref, csv, path, or synthetic must be set")
 	}
+	spec, pol, err := wire.Resolve()
+	if err != nil {
+		return nil, err
+	}
 
 	var (
 		data     *frame.Frame
 		dataHash string
-		err      error
 		name     = wire.Dataset
 	)
 	switch {
@@ -412,23 +454,6 @@ func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, er
 		return nil, fmt.Errorf("loading dataset: %w", err)
 	}
 
-	mitigation, err := core.ParseMitigation(wire.Mitigation)
-	if err != nil {
-		return nil, err
-	}
-	pol := DefaultPolicy()
-	if wire.Policy != nil {
-		pol = *wire.Policy
-	}
-	spec := core.TrainSpec{
-		Target:       wire.Target,
-		Sensitive:    wire.Sensitive,
-		Protected:    wire.Protected,
-		Reference:    wire.Reference,
-		TestFraction: wire.TestFraction,
-		Mitigation:   mitigation,
-		Epochs:       wire.Epochs,
-	}.WithDefaultColumns()
 	return &Request{
 		Tenant:   ten,
 		Dataset:  httpx.StringOr(name, "dataset"),

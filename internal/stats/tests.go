@@ -189,17 +189,3 @@ func clampP(p float64) float64 {
 	}
 	return p
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
