@@ -10,7 +10,7 @@
 // Usage:
 //
 //	rds-serve [-addr :8080] [-workers N] [-queue 64]
-//	          [-timeout 60s] [-cache 128] [-allow-paths]
+//	          [-timeout 60s] [-cache 128]
 //	          [-dataset-budget-bytes 268435456]
 //	          [-chunk-cache-bytes 67108864]
 //	          [-state-dir DIR]
@@ -23,16 +23,16 @@
 // attached: nothing is encoded for persistence, and all state dies
 // with the process.
 //
-// Every request may carry a tenant id (X-RDS-Tenant header or a
-// "tenant" body/query field; absent means the "default" tenant).
-// Tenants get isolated queues drained weighted-fairly, token-bucket
-// admission (-tenant-rate/-tenant-burst service defaults; per-tenant
-// overrides via PUT /v1/tenants/{id}), resource quotas, and their own
-// responsibility report (see OPERATIONS.md "Multi-tenancy").
+// A request names its tenant in the X-RDS-Tenant header, and only
+// there; without the header it runs as the "default" tenant on every
+// data plane. Tenants get isolated queues drained weighted-fairly,
+// token-bucket admission (-tenant-rate/-tenant-burst service defaults;
+// per-tenant overrides via PUT /v1/tenants/{id}), resource quotas, and
+// their own responsibility report (see OPERATIONS.md "Multi-tenancy").
 //
 // Endpoints:
 //
-//	POST   /v1/audit                  audit a dataset (JSON, text/csv, or multipart)
+//	POST   /v1/audit                  audit a dataset (JSON or text/csv)
 //	GET    /v1/audit/{id}             async job status / result
 //	POST   /v1/datasets               load a dataset once -> content-hash dataset_ref
 //	GET    /v1/datasets               list resident datasets
@@ -58,7 +58,8 @@
 // The endpoints form one route table (internal/httpx). Paths match
 // whole segments, so a path that only shares a prefix with one above
 // answers 404; a listed path under another method answers 405 with an
-// Allow header. Every response, errors included, is JSON.
+// Allow header; a query parameter the route does not read answers 400.
+// Every response, errors included, is JSON.
 //
 // Example (synthetic demo data, default policy):
 //
@@ -100,7 +101,6 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue capacity (backpressure bound)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-job wall-clock timeout")
 	cache := flag.Int("cache", 128, "report cache entries (negative disables)")
-	allowPaths := flag.Bool("allow-paths", false, "allow audits of server-local CSV paths")
 	datasetBudget := flag.Int64("dataset-budget-bytes", dataset.DefaultBudgetBytes, "byte budget for registry-resident datasets (LRU-evicted, monitor baselines pinned)")
 	chunkCacheBytes := flag.Int64("chunk-cache-bytes", dataset.DefaultStateBudgetBytes, "byte budget for the per-chunk drift states sliding monitor windows reuse, so a window advance scores in O(delta) (<= 0 selects the default; a miss rebuilds the chunk's state)")
 	stateDir := flag.String("state-dir", "", "directory for durable state (monitors, baseline profiles, resident datasets, tenant quotas); empty keeps all state in memory")
@@ -162,7 +162,6 @@ func main() {
 	}
 
 	handler := serve.NewHandler(engine)
-	handler.AllowPaths = *allowPaths
 	handler.Datasets = datasets
 	monitors := monitor.NewHandler(registry)
 	handler.MonitorMetrics = func() any { return registry.Metrics() }

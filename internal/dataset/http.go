@@ -17,9 +17,6 @@ import (
 type UploadWire struct {
 	// Name labels the dataset in listings (default "dataset").
 	Name string `json:"name,omitempty"`
-	// Tenant is the uploading tenant's id; the X-RDS-Tenant header
-	// takes precedence, both empty means the default tenant.
-	Tenant string `json:"tenant,omitempty"`
 	// CSV is an inline CSV document with a header row.
 	CSV string `json:"csv,omitempty"`
 	// NDJSON is newline-delimited JSON, one flat object per row.
@@ -44,12 +41,12 @@ type Handler struct {
 func NewHandler(reg *Registry) *Handler { return &Handler{reg: reg} }
 
 // Routes returns the dataset API's route table entries. Every
-// operation is tenant-scoped: the tenant comes from the X-RDS-Tenant
-// header, the "tenant" wire/query field, or defaults; another tenant's
-// ref reads as 404, so refs cannot be probed across tenants.
+// operation is scoped to the tenant the X-RDS-Tenant header names (the
+// default tenant without one); another tenant's ref reads as 404, so
+// refs cannot be probed across tenants.
 func (h *Handler) Routes() []httpx.Route {
 	return []httpx.Route{
-		{Method: http.MethodPost, Pattern: "/v1/datasets", Handle: h.upload},
+		{Method: http.MethodPost, Pattern: "/v1/datasets", Query: []string{"name"}, Handle: h.upload},
 		{Method: http.MethodGet, Pattern: "/v1/datasets", Handle: h.list},
 		{Method: http.MethodGet, Pattern: "/v1/datasets/{ref}", Handle: h.get},
 		{Method: http.MethodDelete, Pattern: "/v1/datasets/{ref}", Handle: h.remove},
@@ -57,23 +54,16 @@ func (h *Handler) Routes() []httpx.Route {
 }
 
 func (h *Handler) list(w http.ResponseWriter, r *http.Request, _ string) {
-	if ten, ok := queryTenant(w, r); ok {
-		httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(ten))
-	}
+	httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(tenant.Of(r.Context())))
 }
 
 func (h *Handler) upload(w http.ResponseWriter, r *http.Request, _ string) {
-	name, wireTenant, f, err := h.decodeUpload(w, r)
+	name, f, err := h.decodeUpload(w, r)
 	if err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	ten, err := tenant.Or(r.Context(), wireTenant)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	meta, err := h.reg.PutAs(ten, httpx.StringOr(name, "dataset"), f)
+	meta, err := h.reg.PutAs(tenant.Of(r.Context()), httpx.StringOr(name, "dataset"), f)
 	switch {
 	case errors.Is(err, tenant.ErrQuota):
 		// The tenant's own budget, not the service's: 429.
@@ -89,59 +79,47 @@ func (h *Handler) upload(w http.ResponseWriter, r *http.Request, _ string) {
 	httpx.WriteJSON(w, http.StatusCreated, meta)
 }
 
-// decodeUpload parses the upload body into a frame plus the wire-level
-// tenant hint: JSON envelopes as-is, a raw text/csv body read once into
-// a string sized from its Content-Length and parsed in place, and
-// application/x-ndjson streamed directly off the (size-capped) body
-// (?name= and ?tenant= from the query).
-func (h *Handler) decodeUpload(w http.ResponseWriter, r *http.Request) (name, wireTenant string, f *frame.Frame, err error) {
+// decodeUpload parses the upload body into a frame and its name: JSON
+// envelopes as-is (the name in the body, no query), a raw text/csv
+// body read once into a string sized from its Content-Length and
+// parsed in place, and application/x-ndjson streamed directly off the
+// (size-capped) body (both with ?name= from the query).
+func (h *Handler) decodeUpload(w http.ResponseWriter, r *http.Request) (name string, f *frame.Frame, err error) {
 	ct := r.Header.Get("Content-Type")
 	switch {
 	case strings.HasPrefix(ct, "text/csv"):
 		r.Body = http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes)
 		body, err := httpx.ReadString(r.Body, r.ContentLength)
 		if err != nil {
-			return "", "", nil, fmt.Errorf("reading CSV body: %w", err)
+			return "", nil, fmt.Errorf("reading CSV body: %w", err)
 		}
 		f, err := frame.ReadCSVString(body)
-		return r.URL.Query().Get("name"), r.URL.Query().Get("tenant"), f, err
+		return r.URL.Query().Get("name"), f, err
 	case strings.HasPrefix(ct, "application/x-ndjson"):
 		r.Body = http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes)
 		f, err := ReadNDJSON(r.Body)
-		return r.URL.Query().Get("name"), r.URL.Query().Get("tenant"), f, err
+		return r.URL.Query().Get("name"), f, err
+	}
+	if r.URL.RawQuery != "" {
+		return "", nil, errors.New("?name= applies to a text/csv or NDJSON body only; a JSON upload names its dataset in the body")
 	}
 	var wire UploadWire
 	if err := httpx.DecodeJSON(w, r, &wire); err != nil {
-		return "", "", nil, err
+		return "", nil, err
 	}
 	switch {
 	case wire.CSV != "" && wire.NDJSON == "":
 		f, err := frame.ReadCSVString(wire.CSV)
-		return wire.Name, wire.Tenant, f, err
+		return wire.Name, f, err
 	case wire.NDJSON != "" && wire.CSV == "":
 		f, err := ReadNDJSON(strings.NewReader(wire.NDJSON))
-		return wire.Name, wire.Tenant, f, err
+		return wire.Name, f, err
 	}
-	return "", "", nil, errors.New("exactly one of csv or ndjson must be set")
-}
-
-// queryTenant resolves the request's tenant from the context or the
-// "tenant" query parameter, answering 400 itself when it is invalid.
-func queryTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
-	ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return "", false
-	}
-	return ten, true
+	return "", nil, errors.New("exactly one of csv or ndjson must be set")
 }
 
 func (h *Handler) get(w http.ResponseWriter, r *http.Request, ref string) {
-	ten, ok := queryTenant(w, r)
-	if !ok {
-		return
-	}
-	meta, ok := h.reg.GetAs(ten, ref)
+	meta, ok := h.reg.GetAs(tenant.Of(r.Context()), ref)
 	if !ok {
 		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no dataset %q", ref))
 		return
@@ -150,11 +128,7 @@ func (h *Handler) get(w http.ResponseWriter, r *http.Request, ref string) {
 }
 
 func (h *Handler) remove(w http.ResponseWriter, r *http.Request, ref string) {
-	ten, ok := queryTenant(w, r)
-	if !ok {
-		return
-	}
-	ok, err := h.reg.DeleteAs(ten, ref)
+	ok, err := h.reg.DeleteAs(tenant.Of(r.Context()), ref)
 	if errors.Is(err, ErrPinned) {
 		httpx.Error(w, http.StatusConflict, err)
 		return

@@ -216,6 +216,30 @@ func TestHTTPBadUploads(t *testing.T) {
 	}
 }
 
+// TestHTTPUploadQuery checks which uploads may carry a query: a raw
+// text/csv or NDJSON body takes ?name= and nothing else, and a JSON
+// envelope, whose name is in its body, takes none. A "tenant" field or
+// parameter is refused like any unknown one.
+func TestHTTPUploadQuery(t *testing.T) {
+	_, srv := newTestServer(t, 1<<20)
+	for _, tc := range []struct{ name, query, ct, body, wantErr string }{
+		{"json with ?name=", "?name=x", "application/json", `{"csv":"a\n1\n"}`, "in the body"},
+		{"json with a tenant field", "", "application/json", `{"csv":"a\n1\n","tenant":"acme"}`, `\"tenant\"`},
+		{"csv with ?tenant=", "?name=x&tenant=acme", "text/csv", "a\n1\n", `\"tenant\"`},
+		{"ndjson with ?nmae=", "?nmae=x", "application/x-ndjson", `{"a":1}`, `\"nmae\"`},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/datasets"+tc.query, tc.ct, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.wantErr) {
+			t.Errorf("%s: %d %s, want 400 naming %s", tc.name, resp.StatusCode, body, tc.wantErr)
+		}
+	}
+}
+
 // TestHTTPTenantScoping pins the data plane's multi-tenant HTTP
 // contract: uploads owned by the header's tenant, tenant-scoped lists,
 // cross-tenant refs answering 404, per-tenant dataset-count quotas
@@ -256,7 +280,7 @@ func TestHTTPTenantScoping(t *testing.T) {
 	// Other tenants are unaffected by acme's quota.
 	decodeMeta(t, upload("other", "id,v\n1,9.5\n"), http.StatusCreated)
 
-	// Lists are tenant-scoped (?tenant= is the headerless spelling).
+	// Lists are tenant-scoped; the header is the only spelling.
 	var list []Meta
 	get := func(url, ten string) int {
 		t.Helper()
@@ -276,8 +300,8 @@ func TestHTTPTenantScoping(t *testing.T) {
 	if code := get(srv.URL+"/v1/datasets", "acme"); code != http.StatusOK || len(list) != 1 || list[0].Ref != meta.Ref {
 		t.Fatalf("acme list = %d %+v, want just %s", code, list, meta.Ref)
 	}
-	if code := get(srv.URL+"/v1/datasets?tenant=acme", ""); code != http.StatusOK || len(list) != 1 {
-		t.Fatalf("?tenant=acme list = %d %+v", code, list)
+	if code := get(srv.URL+"/v1/datasets?tenant=acme", ""); code != http.StatusBadRequest {
+		t.Fatalf("?tenant=acme list = %d, want 400", code)
 	}
 	if code := get(srv.URL+"/v1/datasets", ""); code != http.StatusOK || len(list) != 0 {
 		t.Fatalf("default list = %d %+v, want empty", code, list)
@@ -297,8 +321,8 @@ func TestHTTPTenantScoping(t *testing.T) {
 		t.Fatalf("default tenant DELETE of acme's ref = %d, want 404", resp.StatusCode)
 	}
 
-	// Tenant validation happens once at the edge: a malformed header or
-	// query tenant is a 400, not a silent fallback to default.
+	// Tenant validation happens once at the edge: a malformed header is
+	// a 400, not a silent fallback to default, and so is any ?tenant=.
 	if code := get(srv.URL+"/v1/datasets", "Bad.Tenant"); code != http.StatusBadRequest {
 		t.Fatalf("bad tenant header = %d, want 400", code)
 	}

@@ -22,17 +22,17 @@ import (
 // included) across every API plane: 64 MiB.
 const MaxBodyBytes = 64 << 20
 
-// TenantHeader is the request header naming the calling tenant. A
-// request without it runs as tenant.Default (single-tenant clients
-// keep working unchanged); an invalid value is a 400 at the edge.
+// TenantHeader is the request header naming the calling tenant, and
+// the only way a request names one. A request without it runs as
+// tenant.Default (single-tenant clients keep working unchanged); an
+// invalid value is a 400 at the edge.
 const TenantHeader = "X-RDS-Tenant"
 
 // Tenant validates the request's TenantHeader once at the HTTP edge
 // and, when present, returns a request whose context carries the
 // explicit tenant id (tenant.NewContext). Without the header the
-// request is returned untouched so wire-level "tenant" fields can
-// still apply via tenant.Or. The error, when non-nil, is a client
-// error — map it to 400.
+// request is returned untouched: tenant.Of reads it as the default
+// tenant. The error, when non-nil, is a client error — map it to 400.
 func Tenant(r *http.Request) (*http.Request, error) {
 	raw := r.Header.Get(TenantHeader)
 	if raw == "" {
@@ -82,13 +82,12 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// ReadString reads src, a size-capped request body or upload, to the
-// end into a string. size is the length the request stated (a
-// Content-Length or a multipart file size): within (0, MaxBodyBytes]
-// the string is allocated once at that size, so a raw CSV body costs
-// one copy instead of a doubling buffer's two. A missing length (a
-// chunked body) or a wrong one only costs regrowth; the cap on src, not
-// size, bounds what is read.
+// ReadString reads src, a size-capped request body, to the end into a
+// string. size is the length the request stated (its Content-Length):
+// within (0, MaxBodyBytes] the string is allocated once at that size,
+// so a raw CSV body costs one copy instead of a doubling buffer's two.
+// A missing length (a chunked body) or a wrong one only costs
+// regrowth; the cap on src, not size, bounds what is read.
 func ReadString(src io.Reader, size int64) (string, error) {
 	var b strings.Builder
 	if size > 0 && size <= MaxBodyBytes {

@@ -3,7 +3,9 @@ package httpx
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -16,15 +18,20 @@ import (
 // slashes are trimmed, so "/v1/monitorsX" never reaches
 // "/v1/monitors". The wildcard matches exactly one non-empty segment;
 // Handle receives its value as id ("" for a pattern without one).
+// Query lists the query parameters Handle reads; a request carrying
+// any other answers 400 before Handle runs.
 type Route struct {
 	Method  string
 	Pattern string
+	Query   []string
 	Handle  func(w http.ResponseWriter, r *http.Request, id string)
 }
 
 // Router is the service's one HTTP edge. It validates the
 // TenantHeader once, before dispatch (400 on an invalid id), then
-// serves the first route matching both path and method. A path that no
+// serves the first route matching both path and method, unless the
+// query string does not parse or names a parameter the route does not
+// declare (400 naming every such parameter, sorted). A path that no
 // pattern matches answers 404; a path matched only under other methods
 // answers 405 with an Allow header naming them. Errors use the JSON
 // envelope.
@@ -83,6 +90,26 @@ func (c *route) match(segs []string) (id string, ok bool) {
 	return segs[c.wild], segs[c.wild] != ""
 }
 
+// checkQuery refuses a raw query string that does not parse or that
+// names a parameter outside the route's Query.
+func (c *route) checkQuery(raw string) error {
+	q, err := url.ParseQuery(raw)
+	if err != nil {
+		return fmt.Errorf("bad query string: %w", err)
+	}
+	var unknown []string
+	for k := range q {
+		if !slices.Contains(c.Query, k) {
+			unknown = append(unknown, strconv.Quote(k))
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	slices.Sort(unknown)
+	return fmt.Errorf("unknown query parameter %s on %s %s", strings.Join(unknown, ", "), c.Method, c.Pattern)
+}
+
 // ServeHTTP dispatches r through the route table.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r, err := Tenant(r)
@@ -99,6 +126,10 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if c.Method == r.Method {
+			if err := c.checkQuery(r.URL.RawQuery); err != nil {
+				Error(w, http.StatusBadRequest, err)
+				return
+			}
 			c.Handle(w, r, id)
 			return
 		}

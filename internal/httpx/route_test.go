@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,44 +15,59 @@ import (
 )
 
 // fuzzRoutes is a small route table with literal, leaf-wildcard and
-// inner-wildcard patterns, two methods on one pattern, and one method
-// on several patterns.
-var fuzzRoutes = []struct{ method, pattern string }{
-	{http.MethodGet, "/v1/things"},
-	{http.MethodPost, "/v1/things"},
-	{http.MethodGet, "/v1/things/{id}"},
-	{http.MethodDelete, "/v1/things/{id}"},
-	{http.MethodPost, "/v1/things/{id}/act"},
-	{http.MethodGet, "/healthz"},
+// inner-wildcard patterns, two methods on one pattern, one method on
+// several patterns, and routes that declare query parameters beside
+// routes that declare none.
+var fuzzRoutes = []struct {
+	method, pattern string
+	query           []string
+}{
+	{http.MethodGet, "/v1/things", nil},
+	{http.MethodPost, "/v1/things", []string{"name", "seed"}},
+	{http.MethodGet, "/v1/things/{id}", nil},
+	{http.MethodDelete, "/v1/things/{id}", nil},
+	{http.MethodPost, "/v1/things/{id}/act", []string{"dry_run"}},
+	{http.MethodGet, "/healthz", nil},
 }
 
-// FuzzRouter sends arbitrary methods, paths and tenant headers through
-// a small route table and checks the router against a regexp oracle of
-// whole-segment matching: no panic, always JSON, and a status that is
-// the matched handler's own (with the oracle's wildcard value, never
-// empty and never holding a slash), or 400 for a bad tenant header,
-// 404 when no pattern matches, or 405 with an Allow header naming
-// exactly the methods whose patterns matched.
+// FuzzRouter sends arbitrary methods, paths, raw query strings and
+// tenant headers through a small route table and checks the router
+// against a regexp oracle of whole-segment matching: no panic, always
+// JSON, and a status that is the matched handler's own (with the
+// oracle's wildcard value, never empty and never holding a slash), or
+// 400 for a bad tenant header, 400 when the matched route's query does
+// not parse or names a parameter the route does not declare (the error
+// naming every such parameter, sorted), 404 when no pattern matches,
+// or 405 with an Allow header naming exactly the methods whose
+// patterns matched.
 func FuzzRouter(f *testing.F) {
-	for _, seed := range [][3]string{
-		{"GET", "/v1/things", ""},
-		{"DELETE", "/v1/thingsX", ""},
-		{"PUT", "/v1/things/a", ""},
-		{"POST", "//v1/things//a/act/", ""},
-		{"POST", "/v1/things//act", ""},
-		{"POST", "/v1/things/a/act//", "acme"},
-		{"GET", "/v1/things/a/b", ""},
-		{"DELETE", "/v1/things/\xff", ""},
-		{"GET", "/healthz", "Bad Tenant"},
-		{"", "", ""},
+	for _, seed := range [][4]string{
+		{"GET", "/v1/things", "", ""},
+		{"DELETE", "/v1/thingsX", "", ""},
+		{"PUT", "/v1/things/a", "", ""},
+		{"POST", "//v1/things//a/act/", "", ""},
+		{"POST", "/v1/things//act", "", ""},
+		{"POST", "/v1/things/a/act//", "", "acme"},
+		{"GET", "/v1/things/a/b", "", ""},
+		{"DELETE", "/v1/things/\xff", "", ""},
+		{"GET", "/healthz", "", "Bad Tenant"},
+		{"", "", "", ""},
+		{"POST", "/v1/things", "name=a&seed=2", ""},
+		{"POST", "/v1/things", "name=a&tenant=acme&epochs=1", "acme"},
+		{"GET", "/v1/things", "tenant=", ""},
+		{"POST", "/v1/things/a/act", "dry_run&dry_run=1", ""},
+		{"POST", "/v1/things/a/act", "dry%5Frun=1", ""},
+		{"POST", "/v1/things", "name=a;seed=2", ""},
+		{"POST", "/v1/things", "%zz=1", ""},
+		{"DELETE", "/v1/things", "bogus=1", ""},
 	} {
-		f.Add(seed[0], seed[1], seed[2])
+		f.Add(seed[0], seed[1], seed[2], seed[3])
 	}
 	routes := make([]Route, len(fuzzRoutes))
 	oracle := make([]*regexp.Regexp, len(fuzzRoutes))
 	for i, fr := range fuzzRoutes {
 		i := i
-		routes[i] = Route{Method: fr.method, Pattern: fr.pattern, Handle: func(w http.ResponseWriter, _ *http.Request, id string) {
+		routes[i] = Route{Method: fr.method, Pattern: fr.pattern, Query: fr.query, Handle: func(w http.ResponseWriter, _ *http.Request, id string) {
 			// As bytes, so an id that is not valid UTF-8 survives JSON.
 			WriteJSON(w, http.StatusOK, map[string]any{"route": i, "id": []byte(id)})
 		}}
@@ -66,9 +83,9 @@ func FuzzRouter(f *testing.F) {
 	}
 	rt := NewRouter(routes...)
 
-	f.Fuzz(func(t *testing.T, method, path, ten string) {
+	f.Fuzz(func(t *testing.T, method, path, rawQuery, ten string) {
 		r := httptest.NewRequest(http.MethodGet, "/", nil)
-		r.Method, r.URL.Path = method, path
+		r.Method, r.URL.Path, r.URL.RawQuery = method, path, rawQuery
 		if ten != "" {
 			r.Header.Set(TenantHeader, ten)
 		}
@@ -97,10 +114,31 @@ func FuzzRouter(f *testing.F) {
 		}
 		slices.Sort(allow)
 		_, terr := tenant.Normalize(ten)
+		// wantErr is what a 400 from the query check must say: the
+		// parse failure, or every undeclared parameter, sorted.
+		var wantErr string
+		if served >= 0 {
+			q, qerr := url.ParseQuery(rawQuery)
+			var unknown []string
+			for k := range q {
+				if !slices.Contains(fuzzRoutes[served].query, k) {
+					unknown = append(unknown, strconv.Quote(k))
+				}
+			}
+			slices.Sort(unknown)
+			switch {
+			case qerr != nil:
+				wantErr = "bad query string"
+			case len(unknown) > 0:
+				wantErr = "unknown query parameter " + strings.Join(unknown, ", ") + " on "
+			}
+		}
 
 		want := http.StatusNotFound
 		switch {
 		case terr != nil:
+			want = http.StatusBadRequest
+		case wantErr != "":
 			want = http.StatusBadRequest
 		case served >= 0:
 			want = http.StatusOK
@@ -108,7 +146,15 @@ func FuzzRouter(f *testing.F) {
 			want = http.StatusMethodNotAllowed
 		}
 		if w.Code != want {
-			t.Fatalf("%q %q (tenant %q) = %d, want %d: %s", method, path, ten, w.Code, want, w.Body)
+			t.Fatalf("%q %q?%q (tenant %q) = %d, want %d: %s", method, path, rawQuery, ten, w.Code, want, w.Body)
+		}
+		if terr == nil && wantErr != "" {
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, wantErr) {
+				t.Fatalf("%q %q?%q: error %q (%v), want it to contain %q", method, path, rawQuery, e.Error, err, wantErr)
+			}
 		}
 		gotAllow := w.Header().Get("Allow")
 		if want == http.StatusMethodNotAllowed {

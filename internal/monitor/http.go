@@ -18,9 +18,6 @@ type SpecWire struct {
 	// Name labels the monitored dataset. Required; unique within the
 	// owning tenant.
 	Name string `json:"name"`
-	// Tenant is the owning tenant's id; the X-RDS-Tenant header takes
-	// precedence, both empty means the default tenant.
-	Tenant string `json:"tenant,omitempty"`
 	// TrainWire holds the training-and-grading fields each window
 	// audit uses.
 	serve.TrainWire
@@ -93,9 +90,9 @@ type Handler struct {
 func NewHandler(reg *Registry) *Handler { return &Handler{reg: reg} }
 
 // Routes returns the monitor API's route table entries. Every
-// operation is tenant-scoped: the tenant comes from the X-RDS-Tenant
-// header, the "tenant" wire/query field, or defaults; another tenant's
-// monitor ids read as 404.
+// operation is scoped to the tenant the X-RDS-Tenant header names (the
+// default tenant without one); another tenant's monitor ids read as
+// 404.
 func (h *Handler) Routes() []httpx.Route {
 	return []httpx.Route{
 		{Method: http.MethodPost, Pattern: "/v1/monitors", Handle: h.register},
@@ -108,12 +105,7 @@ func (h *Handler) Routes() []httpx.Route {
 }
 
 func (h *Handler) list(w http.ResponseWriter, r *http.Request, _ string) {
-	ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(ten))
+	httpx.WriteJSON(w, http.StatusOK, h.reg.ListAs(tenant.Of(r.Context())))
 }
 
 func (h *Handler) register(w http.ResponseWriter, r *http.Request, _ string) {
@@ -127,12 +119,7 @@ func (h *Handler) register(w http.ResponseWriter, r *http.Request, _ string) {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	ten, err := tenant.Or(r.Context(), wire.Tenant)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	spec.Tenant = ten
+	spec.Tenant = tenant.Of(r.Context())
 	m, err := h.reg.Register(spec)
 	if errors.Is(err, tenant.ErrQuota) {
 		httpx.Error(w, http.StatusTooManyRequests, err)
@@ -150,13 +137,8 @@ func (h *Handler) register(w http.ResponseWriter, r *http.Request, _ string) {
 // tenant is indistinguishable from an absent one (404) — no
 // cross-tenant probing.
 func (h *Handler) getOwned(w http.ResponseWriter, r *http.Request, id string) (*Monitor, bool) {
-	ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return nil, false
-	}
 	m, ok := h.reg.Get(id)
-	if !ok || m.spec.Tenant != ten {
+	if !ok || m.spec.Tenant != tenant.Of(r.Context()) {
 		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no monitor %q", id))
 		return nil, false
 	}

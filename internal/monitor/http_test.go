@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/responsible-data-science/rds/internal/httpx"
 	"github.com/responsible-data-science/rds/internal/policy"
 	"github.com/responsible-data-science/rds/internal/serve"
 	"github.com/responsible-data-science/rds/internal/tenant"
@@ -40,12 +41,22 @@ func newTestService(t *testing.T) (*httptest.Server, *Registry) {
 // asserting the expected status and JSON content type.
 func doJSON(t *testing.T, method, url, body string, wantStatus int, out any) {
 	t.Helper()
+	doJSONAs(t, "", method, url, body, wantStatus, out)
+}
+
+// doJSONAs is doJSON with the X-RDS-Tenant header set to ten (none
+// when empty).
+func doJSONAs(t *testing.T, ten, method, url, body string, wantStatus int, out any) {
+	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("building %s %s: %v", method, url, err)
 	}
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if ten != "" {
+		req.Header.Set(httpx.TenantHeader, ten)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -359,8 +370,8 @@ func TestWebhookSinkGivesUpAfterMaxAttempts(t *testing.T) {
 }
 
 // TestHTTPMonitorTenantScoping pins the monitoring plane's
-// multi-tenant HTTP contract: registrations owned by the wire tenant,
-// tenant-scoped lists, cross-tenant ids answering 404 on every
+// multi-tenant HTTP contract: registrations owned by the header's
+// tenant, tenant-scoped lists, cross-tenant ids answering 404 on every
 // subresource, and per-tenant monitor-count quotas answering 429.
 func TestHTTPMonitorTenantScoping(t *testing.T) {
 	engine := serve.NewEngine(serve.Config{Workers: 2, QueueSize: 32})
@@ -383,23 +394,26 @@ func TestHTTPMonitorTenantScoping(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	var sum Summary
-	doJSON(t, http.MethodPost, srv.URL+"/v1/monitors",
-		`{"name":"prod","window_ms":60000,"tenant":"acme"}`, http.StatusCreated, &sum)
+	doJSONAs(t, "acme", http.MethodPost, srv.URL+"/v1/monitors",
+		`{"name":"prod","window_ms":60000}`, http.StatusCreated, &sum)
 	if sum.Tenant != "acme" || sum.ID == "" {
 		t.Fatalf("registration summary = %+v, want tenant acme", sum)
 	}
 
 	// acme is at its MaxMonitors of 1: the next registration is 429.
-	doJSON(t, http.MethodPost, srv.URL+"/v1/monitors",
-		`{"name":"prod-2","window_ms":60000,"tenant":"acme"}`, http.StatusTooManyRequests, nil)
+	doJSONAs(t, "acme", http.MethodPost, srv.URL+"/v1/monitors",
+		`{"name":"prod-2","window_ms":60000}`, http.StatusTooManyRequests, nil)
 	// Other tenants are unaffected by acme's quota.
 	var other Summary
+	doJSONAs(t, "beta", http.MethodPost, srv.URL+"/v1/monitors",
+		`{"name":"prod","window_ms":60000}`, http.StatusCreated, &other)
+	// The body names no tenant: "tenant" is an unknown field.
 	doJSON(t, http.MethodPost, srv.URL+"/v1/monitors",
-		`{"name":"prod","window_ms":60000,"tenant":"beta"}`, http.StatusCreated, &other)
+		`{"name":"prod","window_ms":60000,"tenant":"acme"}`, http.StatusBadRequest, nil)
 
 	// Lists are tenant-scoped; names only need to be unique per tenant.
 	var sums []Summary
-	doJSON(t, http.MethodGet, srv.URL+"/v1/monitors?tenant=acme", "", http.StatusOK, &sums)
+	doJSONAs(t, "acme", http.MethodGet, srv.URL+"/v1/monitors", "", http.StatusOK, &sums)
 	if len(sums) != 1 || sums[0].ID != sum.ID {
 		t.Fatalf("acme list = %+v, want just %s", sums, sum.ID)
 	}
@@ -416,11 +430,12 @@ func TestHTTPMonitorTenantScoping(t *testing.T) {
 		`{"time_ms":0,"synthetic":{"n":100}}`, http.StatusNotFound, nil)
 	doJSON(t, http.MethodDelete, base, "", http.StatusNotFound, nil)
 
-	// The owner reaches all of them.
-	doJSON(t, http.MethodGet, base+"?tenant=acme", "", http.StatusOK, &sum)
-	doJSON(t, http.MethodGet, base+"/history?tenant=acme", "", http.StatusOK, nil)
-	doJSON(t, http.MethodDelete, base+"?tenant=acme", "", http.StatusOK, nil)
+	// The owner reaches all of them; ?tenant= names nobody.
+	doJSONAs(t, "acme", http.MethodGet, base, "", http.StatusOK, &sum)
+	doJSONAs(t, "acme", http.MethodGet, base+"/history", "", http.StatusOK, nil)
+	doJSON(t, http.MethodGet, base+"?tenant=acme", "", http.StatusBadRequest, nil)
+	doJSONAs(t, "acme", http.MethodDelete, base, "", http.StatusOK, nil)
 
 	// Tenant validation at the edge: malformed ids answer 400.
-	doJSON(t, http.MethodGet, srv.URL+"/v1/monitors?tenant=Bad.Tenant", "", http.StatusBadRequest, nil)
+	doJSONAs(t, "Bad.Tenant", http.MethodGet, srv.URL+"/v1/monitors", "", http.StatusBadRequest, nil)
 }

@@ -39,12 +39,12 @@ func BenchmarkPipelineRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh seed each iteration keeps every run's training real
 		// (deterministic replay would otherwise be a same-bytes rerun).
-		rec, err := runs.Submit(Spec{DatasetRef: meta.Ref, TrainWire: serve.TrainWire{Epochs: 20}, Seed: uint64(i) + 1})
+		rec, err := runs.Submit(tenant.Default, Spec{DatasetRef: meta.Ref, TrainWire: serve.TrainWire{Epochs: 20}, Seed: uint64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		for {
-			cur, ok := runs.Get("", rec.ID)
+			cur, ok := runs.Get(tenant.Default, rec.ID)
 			if !ok {
 				b.Fatalf("run %s vanished", rec.ID)
 			}

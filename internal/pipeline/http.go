@@ -17,8 +17,9 @@ import (
 //
 // Submission is always async — pipelines are minutes of work, not a
 // request-response exchange; poll the record (or the per-stage history)
-// for progress. Tenant-scoped requests see only their own runs; a
-// foreign id answers 404, indistinguishable from an absent one.
+// for progress. A request sees only the runs of the tenant its
+// X-RDS-Tenant header names (the default tenant without one); a foreign
+// id answers 404, indistinguishable from an absent one.
 type Handler struct {
 	// Runs is the pipeline registry. Required.
 	Runs *Registry
@@ -37,26 +38,16 @@ func (h *Handler) Routes() []httpx.Route {
 }
 
 func (h *Handler) list(w http.ResponseWriter, r *http.Request, _ string) {
-	httpx.WriteJSON(w, http.StatusOK, map[string]any{"pipelines": h.Runs.List(viewer(r))})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"pipelines": h.Runs.List(tenant.Of(r.Context()))})
 }
 
 func (h *Handler) get(w http.ResponseWriter, r *http.Request, id string) {
-	rec, ok := h.Runs.Get(viewer(r), id)
+	rec, ok := h.Runs.Get(tenant.Of(r.Context()), id)
 	if !ok {
 		httpx.Error(w, http.StatusNotFound, fmt.Errorf("no pipeline %q", id))
 		return
 	}
 	httpx.WriteJSON(w, http.StatusOK, rec)
-}
-
-// viewer resolves the request's visibility scope: the context tenant
-// when the edge validated one, "" (operator, sees all) otherwise.
-func viewer(r *http.Request) string {
-	ten, ok := tenant.FromContext(r.Context())
-	if !ok {
-		return ""
-	}
-	return ten
 }
 
 func (h *Handler) post(w http.ResponseWriter, r *http.Request, _ string) {
@@ -65,13 +56,7 @@ func (h *Handler) post(w http.ResponseWriter, r *http.Request, _ string) {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	ten, err := tenant.Or(r.Context(), spec.Tenant)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	spec.Tenant = ten
-	rec, err := h.Runs.Submit(spec)
+	rec, err := h.Runs.Submit(tenant.Of(r.Context()), spec)
 	if err != nil {
 		serve.WriteSubmitError(w, err)
 		return

@@ -144,9 +144,10 @@ func TestHTTPPipelineErrorPaths(t *testing.T) {
 }
 
 // TestHTTPPipelineTenantScoping checks the header-scoped visibility
-// contract: a tenant's runs are invisible (404, not 403) to others,
-// operators see all, and a quota rejection answers 429 with
-// Retry-After semantics reserved for admission errors.
+// contract: a tenant's runs are invisible (404, not 403) to others, a
+// header-less request is the default tenant (no operator view), and a
+// quota rejection answers 429 with Retry-After semantics reserved for
+// admission errors.
 func TestHTTPPipelineTenantScoping(t *testing.T) {
 	quotas := func(ten string) tenant.Quotas {
 		if ten == "capped" {
@@ -210,17 +211,19 @@ func TestHTTPPipelineTenantScoping(t *testing.T) {
 	if code, _ := doJSON(t, srv, http.MethodGet, "/v1/pipelines/"+rec.ID, "capped", nil); code != http.StatusOK {
 		t.Fatalf("own GET = %d, want 200", code)
 	}
-	if code, _ := doJSON(t, srv, http.MethodGet, "/v1/pipelines/"+rec.ID, "", nil); code != http.StatusOK {
-		t.Fatalf("operator GET = %d, want 200", code)
+	if code, _ := doJSON(t, srv, http.MethodGet, "/v1/pipelines/"+rec.ID, "", nil); code != http.StatusNotFound {
+		t.Fatalf("header-less GET = %d, want 404 (the default tenant's view)", code)
 	}
-	var list struct {
-		Pipelines []Record `json:"pipelines"`
-	}
-	_, raw = doJSON(t, srv, http.MethodGet, "/v1/pipelines", "other", nil)
-	if err := json.Unmarshal(raw, &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Pipelines) != 0 {
-		t.Fatalf("foreign list sees %d runs, want 0", len(list.Pipelines))
+	for _, ten := range []string{"other", ""} {
+		var list struct {
+			Pipelines []Record `json:"pipelines"`
+		}
+		_, raw = doJSON(t, srv, http.MethodGet, "/v1/pipelines", ten, nil)
+		if err := json.Unmarshal(raw, &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Pipelines) != 0 {
+			t.Fatalf("list as %q sees %d runs, want 0", ten, len(list.Pipelines))
+		}
 	}
 }

@@ -61,9 +61,6 @@ var DefaultStages = []string{
 // audit, a pipeline's mitigation defaults to "reweigh": it is what the
 // mitigate stage (and every later training stage) applies.
 type Spec struct {
-	// Tenant is the submitting tenant's id; the X-RDS-Tenant header,
-	// validated at the edge, takes precedence.
-	Tenant string `json:"tenant,omitempty"`
 	// Name labels the run (default "pipeline").
 	Name string `json:"name,omitempty"`
 	// DatasetRef is the content hash of a resident dataset (POST

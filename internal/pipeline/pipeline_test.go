@@ -47,21 +47,21 @@ func newWorld(t *testing.T, quotas func(string) tenant.Quotas) *world {
 	return &world{engine: engine, datasets: datasets, runs: runs, ref: meta.Ref}
 }
 
-// wait polls the registry until run id is terminal.
-func (w *world) wait(t *testing.T, id string) *Record {
+// wait polls the registry until the submitted run is terminal.
+func (w *world) wait(t *testing.T, submitted *Record) *Record {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		rec, ok := w.runs.Get("", id)
+		rec, ok := w.runs.Get(submitted.Tenant, submitted.ID)
 		if !ok {
-			t.Fatalf("run %s vanished", id)
+			t.Fatalf("run %s vanished", submitted.ID)
 		}
 		if terminal(rec.Status) {
 			return rec
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("run %s did not finish", id)
+	t.Fatalf("run %s did not finish", submitted.ID)
 	return nil
 }
 
@@ -117,14 +117,14 @@ func TestSpecValidation(t *testing.T) {
 // re-audit grades by the true attribute without losing the mitigation.
 func TestFullCurriculumImprovesGrade(t *testing.T) {
 	w := newWorld(t, nil)
-	rec, err := w.runs.Submit(Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 12}, Seed: 5})
+	rec, err := w.runs.Submit(tenant.Default, Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 12}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Status != serve.StatusQueued && rec.Status != serve.StatusRunning {
 		t.Fatalf("initial record status = %s", rec.Status)
 	}
-	final := w.wait(t, rec.ID)
+	final := w.wait(t, rec)
 	if final.Status != serve.StatusDone {
 		t.Fatalf("run = %s (%s), want done; stages %+v", final.Status, final.Error, final.Stages)
 	}
@@ -186,7 +186,7 @@ func TestFullCurriculumImprovesGrade(t *testing.T) {
 // arc under the threshold mitigation: train, audit, mitigate, re-audit.
 func TestThresholdMitigationImprovesGrade(t *testing.T) {
 	w := newWorld(t, nil)
-	rec, err := w.runs.Submit(Spec{
+	rec, err := w.runs.Submit(tenant.Default, Spec{
 		DatasetRef: w.ref,
 		TrainWire:  serve.TrainWire{Epochs: 12, Mitigation: "threshold"},
 		Stages:     []string{StageTrain, StageAudit, StageMitigate, StageReaudit},
@@ -194,7 +194,7 @@ func TestThresholdMitigationImprovesGrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := w.wait(t, rec.ID)
+	final := w.wait(t, rec)
 	if final.Status != serve.StatusDone {
 		t.Fatalf("run = %s (%s)", final.Status, final.Error)
 	}
@@ -218,15 +218,15 @@ func TestThresholdMitigationImprovesGrade(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	w := newWorld(t, nil)
 	spec := Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 8}, Seed: 11}
-	a, err := w.runs.Submit(spec)
+	a, err := w.runs.Submit(tenant.Default, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := w.runs.Submit(spec)
+	b, err := w.runs.Submit(tenant.Default, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, fb := w.wait(t, a.ID), w.wait(t, b.ID)
+	fa, fb := w.wait(t, a), w.wait(t, b)
 	if fa.Status != serve.StatusDone || fb.Status != serve.StatusDone {
 		t.Fatalf("runs = %s / %s", fa.Status, fb.Status)
 	}
@@ -247,11 +247,11 @@ func TestRunsAreDeterministic(t *testing.T) {
 func TestResumeAtLastCompletedStage(t *testing.T) {
 	w := newWorld(t, nil)
 	spec := Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 8}, Seed: 9}
-	rec, err := w.runs.Submit(spec)
+	rec, err := w.runs.Submit(tenant.Default, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := w.wait(t, rec.ID)
+	full := w.wait(t, rec)
 	if full.Status != serve.StatusDone {
 		t.Fatalf("reference run = %s (%s)", full.Status, full.Error)
 	}
@@ -289,7 +289,7 @@ func resumeMatches(t *testing.T, w *world, label string, payload []byte, full *R
 	var got *Record
 	deadline := time.Now().Add(time.Minute)
 	for time.Now().Before(deadline) {
-		r, ok := resumed.Get("", full.ID)
+		r, ok := resumed.Get(tenant.Default, full.ID)
 		if !ok {
 			t.Fatalf("%s: resumed run vanished", label)
 		}
@@ -324,11 +324,11 @@ func resumeMatches(t *testing.T, w *world, label string, payload []byte, full *R
 // object) restores and resumes byte-identically.
 func TestResumeIgnoresRemovedShardsField(t *testing.T) {
 	w := newWorld(t, nil)
-	rec, err := w.runs.Submit(Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 8}, Seed: 9})
+	rec, err := w.runs.Submit(tenant.Default, Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 8}, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := w.wait(t, rec.ID)
+	full := w.wait(t, rec)
 	if full.Status != serve.StatusDone {
 		t.Fatalf("reference run = %s (%s)", full.Status, full.Error)
 	}
@@ -358,7 +358,6 @@ func TestRestoreFinalizesAndFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Tenant = tenant.Default
 
 	save := func(st *memory.Store, rec *Record) {
 		t.Helper()
@@ -393,18 +392,18 @@ func TestRestoreFinalizesAndFails(t *testing.T) {
 	if err := r.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	if rec, _ := r.Get("", "pl-000001"); rec.Status != serve.StatusDone {
+	if rec, _ := r.Get(tenant.Default, "pl-000001"); rec.Status != serve.StatusDone {
 		t.Fatalf("all-done record = %s, want finalized done", rec.Status)
 	}
-	if rec, _ := r.Get("", "pl-000002"); rec.Status != serve.StatusFailed || rec.Error != "boom" {
+	if rec, _ := r.Get(tenant.Default, "pl-000002"); rec.Status != serve.StatusFailed || rec.Error != "boom" {
 		t.Fatalf("failed-stage record = %s (%s), want failed boom", rec.Status, rec.Error)
 	}
-	if rec, _ := r.Get("", "pl-000003"); rec.Status != serve.StatusFailed ||
+	if rec, _ := r.Get(tenant.Default, "pl-000003"); rec.Status != serve.StatusFailed ||
 		!strings.Contains(rec.Error, "not resident") {
 		t.Fatalf("gone-dataset record = %s (%s), want failed not-resident", rec.Status, rec.Error)
 	}
 	// seq advanced past restored ids: the next submit does not collide.
-	rec, err := r.Submit(Spec{DatasetRef: w.ref, Stages: []string{StageTrain}, TrainWire: serve.TrainWire{Epochs: 3}})
+	rec, err := r.Submit(tenant.Default, Spec{DatasetRef: w.ref, Stages: []string{StageTrain}, TrainWire: serve.TrainWire{Epochs: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +466,11 @@ func TestMaxPipelinesQuota(t *testing.T) {
 	<-entered
 
 	spec := Spec{DatasetRef: meta.Ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: []string{StageTrain}}
-	first, err := runs.Submit(spec)
+	first, err := runs.Submit(tenant.Default, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runs.Submit(spec); !errors.Is(err, tenant.ErrQuota) {
+	if _, err := runs.Submit(tenant.Default, spec); !errors.Is(err, tenant.ErrQuota) {
 		t.Fatalf("second live run: %v, want tenant.ErrQuota", err)
 	}
 	if _, live := runs.CountsAs(tenant.Default); live != 1 {
@@ -484,7 +483,7 @@ func TestMaxPipelinesQuota(t *testing.T) {
 	}
 	deadline := time.Now().Add(time.Minute)
 	for {
-		rec, _ := runs.Get("", first.ID)
+		rec, _ := runs.Get(tenant.Default, first.ID)
 		if terminal(rec.Status) {
 			break
 		}
@@ -493,14 +492,14 @@ func TestMaxPipelinesQuota(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := runs.Submit(spec); err != nil {
+	if _, err := runs.Submit(tenant.Default, spec); err != nil {
 		t.Fatalf("submit after slot freed: %v", err)
 	}
 }
 
-// TestTenantScoping checks Get/List visibility: tenants see only their
-// own runs (foreign ids read as absent), operators see everything, and
-// CountsAs slices per tenant.
+// TestTenantScoping checks Get/List visibility: every tenant, the
+// default one included, sees only its own runs (foreign ids read as
+// absent), and CountsAs slices per tenant.
 func TestTenantScoping(t *testing.T) {
 	w := newWorld(t, nil)
 	fA, err := synth.Credit(synth.CreditConfig{N: 300, Seed: 4})
@@ -512,16 +511,16 @@ func TestTenantScoping(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := []string{StageTrain}
-	a, err := w.runs.Submit(Spec{Tenant: "acme", DatasetRef: metaA.Ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short})
+	a, err := w.runs.Submit("acme", Spec{DatasetRef: metaA.Ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := w.runs.Submit(Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short})
+	b, err := w.runs.Submit(tenant.Default, Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.wait(t, a.ID)
-	w.wait(t, b.ID)
+	w.wait(t, a)
+	w.wait(t, b)
 
 	if _, ok := w.runs.Get("acme", b.ID); ok {
 		t.Fatal("tenant acme sees the default tenant's run")
@@ -532,15 +531,15 @@ func TestTenantScoping(t *testing.T) {
 	if got := len(w.runs.List("acme")); got != 1 {
 		t.Fatalf("acme list = %d runs, want 1", got)
 	}
-	if got := len(w.runs.List("")); got != 2 {
-		t.Fatalf("operator list = %d runs, want 2", got)
+	if got := w.runs.List(tenant.Default); len(got) != 1 || got[0].ID != b.ID {
+		t.Fatalf("default list = %+v, want just %s", got, b.ID)
 	}
 	total, live := w.runs.CountsAs("acme")
 	if total != 1 || live != 0 {
 		t.Fatalf("CountsAs(acme) = %d/%d, want 1 total 0 live", total, live)
 	}
 	// A tenant cannot run a pipeline over another tenant's dataset.
-	if _, err := w.runs.Submit(Spec{Tenant: "acme", DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short}); err == nil {
+	if _, err := w.runs.Submit("acme", Spec{DatasetRef: w.ref, TrainWire: serve.TrainWire{Epochs: 3}, Stages: short}); err == nil {
 		t.Fatal("cross-tenant dataset_ref accepted")
 	}
 }
@@ -593,7 +592,7 @@ func TestLiveCountMatchesQuota(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(time.Minute)
 		for {
-			rec, ok := runs.Get("", id)
+			rec, ok := runs.Get(tenant.Default, id)
 			if ok && until(rec) {
 				return rec
 			}
@@ -612,7 +611,7 @@ func TestLiveCountMatchesQuota(t *testing.T) {
 			t.Fatalf("%s: CountsAs live = %d, want %d", step, live, want)
 		}
 		if want > 0 {
-			if _, err := runs.Submit(short); !errors.Is(err, tenant.ErrQuota) {
+			if _, err := runs.Submit(tenant.Default, short); !errors.Is(err, tenant.ErrQuota) {
 				t.Fatalf("%s: submit at the quota = %v, want tenant.ErrQuota", step, err)
 			}
 		}
@@ -626,7 +625,7 @@ func TestLiveCountMatchesQuota(t *testing.T) {
 
 	// Submit, then finish.
 	release := running(engine)
-	a, err := runs.Submit(short)
+	a, err := runs.Submit(tenant.Default, short)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +639,7 @@ func TestLiveCountMatchesQuota(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		gate(engine, full, nil)
 	}
-	if _, err := runs.Submit(short); !errors.Is(err, serve.ErrBusy) {
+	if _, err := runs.Submit(tenant.Default, short); !errors.Is(err, serve.ErrBusy) {
 		t.Fatalf("submit into a full queue = %v, want serve.ErrBusy", err)
 	}
 	agree(runs, "launch rejected", 0)
@@ -653,7 +652,7 @@ func TestLiveCountMatchesQuota(t *testing.T) {
 	// Interrupt a run between stages: its second stage waits behind a
 	// gate while the engine closes, and its third cannot be admitted.
 	release = running(engine)
-	b, err := runs.Submit(long)
+	b, err := runs.Submit(tenant.Default, long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +668,7 @@ func TestLiveCountMatchesQuota(t *testing.T) {
 	}
 	close(behind)
 	<-closed
-	if rec, _ := runs.Get("", b.ID); rec.Status != serve.StatusRunning || len(rec.Stages) == len(long.Stages) {
+	if rec, _ := runs.Get(tenant.Default, b.ID); rec.Status != serve.StatusRunning || len(rec.Stages) == len(long.Stages) {
 		t.Fatalf("interrupted run = %s with %d stages, want running and unfinished", rec.Status, len(rec.Stages))
 	}
 	agree(runs, "interrupted", 1)
@@ -688,7 +687,7 @@ func TestLiveCountMatchesQuota(t *testing.T) {
 		t.Fatalf("resumed run = %s (%s)", rec.Status, rec.Error)
 	}
 	agree(resumed, "resumed run finished", 0)
-	if _, err := resumed.Submit(short); err != nil {
+	if _, err := resumed.Submit(tenant.Default, short); err != nil {
 		t.Fatalf("submit after the resumed run finished: %v", err)
 	}
 }

@@ -68,19 +68,19 @@ func (r *Registry) persistLocked(rec *Record) error {
 	return r.st.Save(store.KindPipelines, rec.ID, payload)
 }
 
-// Submit validates spec, resolves its dataset ref, persists the new
-// run, and enqueues its stages. The dataset is not pinned: the run
+// Submit validates spec, resolves its dataset ref among tenant ten's
+// (empty selects the default tenant), persists the new run, and
+// enqueues its stages. The dataset is not pinned: the run
 // keeps the resolved frame in memory, and after a restart it resumes
 // only if the dataset is still resident. The returned record is the
 // run's initial snapshot. Admission rejections are serve *RetryError
 // values (429/503 semantics); quota exhaustion (MaxPipelines counts the
 // tenant's non-terminal records) wraps tenant.ErrQuota.
-func (r *Registry) Submit(spec Spec) (*Record, error) {
-	ten, err := tenant.Normalize(spec.Tenant)
+func (r *Registry) Submit(ten string, spec Spec) (*Record, error) {
+	ten, err := tenant.Normalize(ten)
 	if err != nil {
 		return nil, err
 	}
-	spec.Tenant = ten
 	spec, err = spec.withDefaults()
 	if err != nil {
 		return nil, err
@@ -250,27 +250,26 @@ func terminal(s serve.Status) bool {
 	return s == serve.StatusDone || s == serve.StatusFailed
 }
 
-// Get returns run id's record as visible to ten: an operator (empty
-// ten) sees every run, a tenant only its own — absent and foreign runs
-// are indistinguishable.
+// Get returns run id's record if tenant ten owns it — absent and
+// foreign runs are indistinguishable.
 func (r *Registry) Get(ten, id string) (*Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec := r.recs[id]
-	if rec == nil || (ten != "" && rec.Tenant != ten) {
+	if rec == nil || rec.Tenant != ten {
 		return nil, false
 	}
 	return rec.clone(), true
 }
 
-// List returns the runs visible to ten (operator: all), newest first.
+// List returns tenant ten's runs, newest first.
 func (r *Registry) List(ten string) []*Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := []*Record{}
 	for i := len(r.order) - 1; i >= 0; i-- {
 		rec := r.recs[r.order[i]]
-		if rec == nil || (ten != "" && rec.Tenant != ten) {
+		if rec == nil || rec.Tenant != ten {
 			continue
 		}
 		out = append(out, rec.clone())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 
@@ -20,13 +19,8 @@ import (
 
 // AuditRequestWire is the JSON body of POST /v1/audit. Exactly one data
 // source must be set: DatasetRef (a resident dataset's content hash),
-// CSV (inline), Path (server-local file), or Synthetic (generated demo
-// data).
+// CSV (inline), or Synthetic (generated demo data).
 type AuditRequestWire struct {
-	// Tenant is the submitting tenant's id. The X-RDS-Tenant header,
-	// validated at the edge, takes precedence; both empty means the
-	// default tenant (single-tenant clients keep working unchanged).
-	Tenant string `json:"tenant,omitempty"`
 	// Dataset names the data in reports (default "dataset", or the
 	// registry name when auditing by DatasetRef).
 	Dataset string `json:"dataset,omitempty"`
@@ -37,8 +31,6 @@ type AuditRequestWire struct {
 	DatasetRef string `json:"dataset_ref,omitempty"`
 	// CSV is an inline CSV document with a header row.
 	CSV string `json:"csv,omitempty"`
-	// Path is a server-local CSV file to audit.
-	Path string `json:"path,omitempty"`
 	// Synthetic generates a biased synthetic credit population.
 	Synthetic *SyntheticSpec `json:"synthetic,omitempty"`
 
@@ -167,9 +159,6 @@ func DefaultPolicy() policy.FACTPolicy {
 // response, success or error, is application/json.
 type Handler struct {
 	engine *Engine
-	// AllowPaths permits requests that read server-local files via
-	// "path". Leave false for network-facing deployments.
-	AllowPaths bool
 	// MonitorMetrics, when set, contributes the monitoring plane's
 	// gauge snapshot to GET /metrics as the "monitor" field.
 	MonitorMetrics func() any
@@ -192,7 +181,7 @@ func NewHandler(e *Engine) *Handler { return &Handler{engine: e} }
 // planes (they build on Engine), so the caller hands their routes in.
 func (h *Handler) Mount(planes ...[]httpx.Route) http.Handler {
 	routes := []httpx.Route{
-		{Method: http.MethodPost, Pattern: "/v1/audit", Handle: h.postAudit},
+		{Method: http.MethodPost, Pattern: "/v1/audit", Query: csvQuery, Handle: h.postAudit},
 		{Method: http.MethodGet, Pattern: "/v1/audit/{id}", Handle: h.getAudit},
 		{Method: http.MethodGet, Pattern: "/healthz", Handle: h.healthz},
 		{Method: http.MethodGet, Pattern: "/metrics", Handle: h.metrics},
@@ -210,12 +199,7 @@ func (h *Handler) postAudit(w http.ResponseWriter, r *http.Request, _ string) {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	ten, err := tenant.Or(r.Context(), wire.Tenant)
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := h.buildRequest(ten, wire)
+	req, err := h.buildRequest(tenant.Of(r.Context()), wire)
 	if err != nil {
 		httpx.Error(w, http.StatusBadRequest, err)
 		return
@@ -248,13 +232,8 @@ func (h *Handler) postAudit(w http.ResponseWriter, r *http.Request, _ string) {
 }
 
 func (h *Handler) getAudit(w http.ResponseWriter, r *http.Request, id string) {
-	ten, err := tenant.Or(r.Context(), r.URL.Query().Get("tenant"))
-	if err != nil {
-		httpx.Error(w, http.StatusBadRequest, err)
-		return
-	}
 	js, ok := h.engine.Job(id)
-	if !ok || js.Tenant != ten {
+	if !ok || js.Tenant != tenant.Of(r.Context()) {
 		// A job owned by another tenant is indistinguishable from an
 		// absent one: 404, not 403, so ids can't be probed across
 		// tenants.
@@ -326,9 +305,9 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request, _ string) {
 	httpx.WriteJSON(w, http.StatusOK, merged)
 }
 
-// decodeWire parses the request body: JSON requests as-is, raw CSV
-// bodies (text/csv or multipart file field "data") into the CSV field
-// with the spec read from query parameters.
+// decodeWire parses the request body: a JSON body as-is, its spec in
+// the body alone, and a raw text/csv body into the CSV field with the
+// spec read from the query parameters csvQuery names.
 func decodeWire(r *http.Request) (*AuditRequestWire, error) {
 	ct := r.Header.Get("Content-Type")
 	switch {
@@ -336,6 +315,9 @@ func decodeWire(r *http.Request) (*AuditRequestWire, error) {
 	// it as JSON so the quickstart works without a header flag.
 	case strings.HasPrefix(ct, "application/json"), ct == "",
 		strings.HasPrefix(ct, "application/x-www-form-urlencoded"):
+		if r.URL.RawQuery != "" {
+			return nil, errors.New("query parameters apply to a text/csv body only; a JSON request carries its spec in the body")
+		}
 		var wire AuditRequestWire
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
@@ -349,23 +331,13 @@ func decodeWire(r *http.Request) (*AuditRequestWire, error) {
 			return nil, fmt.Errorf("reading CSV body: %w", err)
 		}
 		return wireFromQuery(r, body)
-	case strings.HasPrefix(ct, "multipart/form-data"):
-		if err := r.ParseMultipartForm(httpx.MaxBodyBytes); err != nil {
-			return nil, fmt.Errorf("parsing multipart form: %w", err)
-		}
-		f, fh, err := r.FormFile("data")
-		if err != nil {
-			return nil, fmt.Errorf("multipart upload needs a \"data\" file field: %w", err)
-		}
-		defer f.Close()
-		body, err := httpx.ReadString(f, fh.Size)
-		if err != nil {
-			return nil, fmt.Errorf("reading multipart upload: %w", err)
-		}
-		return wireFromQuery(r, body)
 	}
-	return nil, fmt.Errorf("unsupported Content-Type %q (want application/json, text/csv, or multipart/form-data)", ct)
+	return nil, fmt.Errorf("unsupported Content-Type %q (want application/json or text/csv)", ct)
 }
+
+// csvQuery is the POST /v1/audit route's query vocabulary: the
+// parameters wireFromQuery reads. The router refuses any other.
+var csvQuery = []string{"dataset", "target", "sensitive", "protected", "reference", "mitigation", "seed", "async"}
 
 // wireFromQuery builds a wire request for a raw CSV body, reading the
 // training spec from query parameters (?target=...&sensitive=...).
@@ -373,7 +345,6 @@ func wireFromQuery(r *http.Request, csv string) (*AuditRequestWire, error) {
 	q := r.URL.Query()
 	wire := &AuditRequestWire{
 		CSV:     csv,
-		Tenant:  q.Get("tenant"),
 		Dataset: q.Get("dataset"),
 		TrainWire: TrainWire{
 			Target:     q.Get("target"),
@@ -399,13 +370,13 @@ func wireFromQuery(r *http.Request, csv string) (*AuditRequestWire, error) {
 // resolution is tenant-scoped: another tenant's ref is an unknown ref.
 func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, error) {
 	sources := 0
-	for _, set := range []bool{wire.DatasetRef != "", wire.CSV != "", wire.Path != "", wire.Synthetic != nil} {
+	for _, set := range []bool{wire.DatasetRef != "", wire.CSV != "", wire.Synthetic != nil} {
 		if set {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return nil, errors.New("exactly one of dataset_ref, csv, path, or synthetic must be set")
+		return nil, errors.New("exactly one of dataset_ref, csv, or synthetic must be set")
 	}
 	spec, pol, err := wire.Resolve()
 	if err != nil {
@@ -432,18 +403,6 @@ func (h *Handler) buildRequest(ten string, wire *AuditRequestWire) (*Request, er
 		}
 	case wire.CSV != "":
 		data, err = frame.ReadCSVString(wire.CSV)
-	case wire.Path != "":
-		if !h.AllowPaths {
-			return nil, errors.New("path-based audits are disabled on this server")
-		}
-		var f *os.File
-		if f, err = os.Open(wire.Path); err == nil {
-			data, err = frame.ReadCSV(f)
-			f.Close()
-		}
-		if name == "" {
-			name = wire.Path
-		}
 	case wire.Synthetic != nil:
 		data, err = wire.Synthetic.Credit()
 		if name == "" {

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -263,7 +261,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"unknown field", `{"bogus":1}`, http.StatusBadRequest, "bogus"},
 		// shards is not a request field: GOMAXPROCS sets the shard count.
 		{"removed shards field", `{"synthetic":{"n":200},"shards":4}`, http.StatusBadRequest, "shards"},
-		{"path disabled", `{"path":"/etc/passwd"}`, http.StatusBadRequest, ""},
+		// A server-local path is not a data source.
+		{"path field", `{"path":"/etc/passwd"}`, http.StatusBadRequest, `unknown field \"path\"`},
+		// The header names the tenant; the body cannot.
+		{"tenant field", `{"synthetic":{"n":200},"tenant":"acme"}`, http.StatusBadRequest, `unknown field \"tenant\"`},
 		{"bad mitigation", `{"synthetic":{},"mitigation":"magic"}`, http.StatusBadRequest, ""},
 	} {
 		resp, body := postJSON(t, srv.URL+"/v1/audit", tc.body)
@@ -382,29 +383,39 @@ func TestHTTPMetricsChunkStates(t *testing.T) {
 	}
 }
 
+// doAs sends one request with the X-RDS-Tenant header set to ten (none
+// when empty) and returns the response with its body read.
+func doAs(t *testing.T, ten, method, url, contentType, body string) (*http.Response, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if ten != "" {
+		req.Header.Set(httpx.TenantHeader, ten)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return resp, readAll(t, resp)
+}
+
 // TestHTTPAuditTenantScoping pins the serving plane's multi-tenant
 // HTTP contract: jobs are owned by the submitting tenant (another
 // tenant's job id answers 404), the tenant header is validated at the
-// edge, and /metrics carries the per-tenant counter slices.
+// edge and is the only spelling, and /metrics carries the per-tenant
+// counter slices.
 func TestHTTPAuditTenantScoping(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	postAs := func(ten, body string) (*http.Response, string) {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/audit", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if ten != "" {
-			req.Header.Set(httpx.TenantHeader, ten)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp, readAll(t, resp)
+		return doAs(t, ten, http.MethodPost, srv.URL+"/v1/audit", "application/json", body)
 	}
 
 	resp, body := postAs("acme", `{"synthetic":{"n":400,"seed":21},"epochs":3,"async":true}`)
@@ -428,13 +439,13 @@ func TestHTTPAuditTenantScoping(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("default tenant polling acme's job = %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/v1/audit/" + js.ID + "?tenant=acme")
-	if err != nil {
-		t.Fatal(err)
+	if resp, body := doAs(t, "acme", http.MethodGet, srv.URL+"/v1/audit/"+js.ID, "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner polling = %d, want 200: %s", resp.StatusCode, body)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner polling = %d, want 200", resp.StatusCode)
+	// ?tenant= is not a spelling of the tenant: the router refuses it.
+	if resp, body := doAs(t, "", http.MethodGet, srv.URL+"/v1/audit/"+js.ID+"?tenant=acme", "", ""); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(body, `\"tenant\"`) {
+		t.Fatalf("?tenant= polling = %d %s, want 400 naming tenant", resp.StatusCode, body)
 	}
 
 	// A malformed tenant header answers 400 at the edge.
@@ -458,11 +469,13 @@ func TestHTTPAuditTenantScoping(t *testing.T) {
 	}
 }
 
-// TestHTTPMultipartAndQuerySpec drives the multipart upload arm of
-// decodeWire and the full query-parameter spec of wireFromQuery —
-// tenant, seed, async, and mitigation all arrive as query params when
-// the body is a raw file.
-func TestHTTPMultipartAndQuerySpec(t *testing.T) {
+// TestHTTPQuerySpec drives the query-parameter spec of a raw text/csv
+// audit (wireFromQuery): seed, async and the training columns arrive
+// as query parameters, the tenant in its header. The route takes
+// exactly the parameters wireFromQuery reads: any other answers 400
+// naming every such parameter, sorted, instead of auditing on the
+// defaults; a JSON body, whose spec is the body, takes none.
+func TestHTTPQuerySpec(t *testing.T) {
 	srv, _ := newTestServer(t)
 	data, err := synth.Credit(synth.CreditConfig{N: 500, Seed: 7})
 	if err != nil {
@@ -473,30 +486,14 @@ func TestHTTPMultipartAndQuerySpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, err := mw.CreateFormFile("data", "upload.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(fw, csv); err != nil {
-		t.Fatal(err)
-	}
-	mw.Close()
-
 	q := url.Values{
 		"dataset": {"upload"}, "target": {"approved"}, "sensitive": {"group"},
-		"protected": {"B"}, "reference": {"A"},
-		"tenant": {"acme"}, "seed": {"11"}, "async": {"1"},
+		"protected": {"B"}, "reference": {"A"}, "mitigation": {"reweigh"},
+		"seed": {"11"}, "async": {"1"},
 	}
-	resp, err := http.Post(srv.URL+"/v1/audit?"+q.Encode(), mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
-	resp.Body.Close()
+	resp, body := doAs(t, "acme", http.MethodPost, srv.URL+"/v1/audit?"+q.Encode(), "text/csv", csv)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("multipart async = %d, want 202: %s", resp.StatusCode, body)
+		t.Fatalf("text/csv async = %d, want 202: %s", resp.StatusCode, body)
 	}
 	var js JobStatus
 	if err := json.Unmarshal([]byte(body), &js); err != nil {
@@ -505,32 +502,31 @@ func TestHTTPMultipartAndQuerySpec(t *testing.T) {
 	if js.Tenant != "acme" || js.Dataset != "upload" {
 		t.Fatalf("job = %+v, want tenant acme dataset upload", js)
 	}
-
-	// The ?tenant= fallback also scopes polling, same as the header.
-	r, err := http.Get(srv.URL + "/v1/audit/" + js.ID + "?tenant=acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("owner poll via query = %d, want 200", r.StatusCode)
+	if resp, body := doAs(t, "acme", http.MethodGet, srv.URL+"/v1/audit/"+js.ID, "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner poll = %d, want 200: %s", resp.StatusCode, body)
 	}
 
-	// Malformed raw-body requests fail before admission.
+	// The raw-body form a load generator sends: a name and a seed.
+	if resp, body := doAs(t, "", http.MethodPost, srv.URL+"/v1/audit?dataset=inline&seed=5", "text/csv", csv); resp.StatusCode != http.StatusOK {
+		t.Fatalf("?dataset=&seed= = %d, want 200: %s", resp.StatusCode, body)
+	}
+
 	for _, tc := range []struct {
-		name, ct, q, body string
+		name, ct, q, body, wantErr string
 	}{
-		{"bad seed", "text/csv", "?target=approved&seed=x", "a\n1"},
-		{"unsupported content type", "application/xml", "", "<a/>"},
-		{"multipart missing data field", mw.FormDataContentType(), "", "--x--"},
+		{"bad seed", "text/csv", "?target=approved&seed=x", "a\n1", "bad seed"},
+		{"unsupported content type", "application/xml", "", "<a/>", "unsupported Content-Type"},
+		// Knobs only the JSON body carries are refused by name, never
+		// dropped: the audit would otherwise run (or hit the cache) on
+		// the defaults.
+		{"undeclared parameters", "text/csv", "?dataset=f&seed=5&epochs=1&test_fraction=0.9&policy=strict", csv,
+			`unknown query parameter \"epochs\", \"policy\", \"test_fraction\" on POST /v1/audit`},
+		{"tenant parameter", "text/csv", "?dataset=f&tenant=acme", csv, `\"tenant\"`},
+		{"JSON body with a query", "application/json", "?seed=5", `{"synthetic":{"n":200}}`, "spec in the body"},
 	} {
-		resp, err := http.Post(srv.URL+"/v1/audit"+tc.q, tc.ct, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		resp, body := doAs(t, "", http.MethodPost, srv.URL+"/v1/audit"+tc.q, tc.ct, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, tc.wantErr) {
+			t.Errorf("%s: %d %s, want 400 naming %s", tc.name, resp.StatusCode, body, tc.wantErr)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package tenant makes the client a first-class concept in every plane
-// of the audit service. A tenant id arrives on each HTTP request
-// (X-RDS-Tenant header or a "tenant" wire field), is validated once at
-// the edge, and is threaded via context through admission control
+// of the audit service. A tenant id arrives on each HTTP request in
+// the X-RDS-Tenant header, is validated once at the edge, and is
+// threaded via context through admission control
 // (per-tenant queues and token buckets in internal/serve), resource
 // quotas (dataset-registry bytes and counts, monitor counts), durable
 // ownership (every persisted dataset and monitor records its owner),
@@ -87,29 +87,27 @@ type ctxKey struct{}
 
 // NewContext returns ctx carrying an explicit, already-validated
 // tenant id. The HTTP edge (httpx.Router) calls it once per request;
-// everything downstream reads FromContext.
+// every plane downstream reads Of.
 func NewContext(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, ctxKey{}, id)
 }
 
 // FromContext returns the tenant id carried by ctx and whether one was
-// explicitly set. Callers that just want an effective id should use
-// Or instead.
+// explicitly set. Only the operator view of /v1/tenants tells a
+// header-less request apart; every other caller wants Of.
 func FromContext(ctx context.Context) (string, bool) {
 	id, ok := ctx.Value(ctxKey{}).(string)
 	return id, ok
 }
 
-// Or resolves the effective tenant for a request: the context's
-// explicit id when the edge set one, otherwise the (possibly empty)
-// wire-level fallback, normalized. It is the one defaulting rule every
-// plane shares, so a header and a body field can never disagree about
-// who a request belongs to — the header, validated first, wins.
-func Or(ctx context.Context, fallback string) (string, error) {
+// Of returns the tenant a request runs as: the id the edge validated
+// from the X-RDS-Tenant header, or Default for a request without one.
+// It is the only way a data plane learns who is asking.
+func Of(ctx context.Context) string {
 	if id, ok := FromContext(ctx); ok {
-		return id, nil
+		return id
 	}
-	return Normalize(fallback)
+	return Default
 }
 
 // Quotas is the per-tenant resource vocabulary every plane enforces.

@@ -48,21 +48,14 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOrPrecedence(t *testing.T) {
-	// Explicit context id wins over any wire fallback.
-	ctx := NewContext(context.Background(), "hdr")
-	if got, err := Or(ctx, "body"); err != nil || got != "hdr" {
-		t.Fatalf("Or(ctx, body) = %q, %v; want hdr", got, err)
+// TestOf checks the one identity rule: the edge's validated id when
+// the request carried one, the default tenant otherwise.
+func TestOf(t *testing.T) {
+	if got := Of(context.Background()); got != Default {
+		t.Fatalf("Of(no id) = %q, want %q", got, Default)
 	}
-	// Without a context id the fallback is normalized.
-	if got, err := Or(context.Background(), "body"); err != nil || got != "body" {
-		t.Fatalf("Or(bg, body) = %q, %v; want body", got, err)
-	}
-	if got, err := Or(context.Background(), ""); err != nil || got != Default {
-		t.Fatalf("Or(bg, \"\") = %q, %v; want default", got, err)
-	}
-	if _, err := Or(context.Background(), "NOPE"); !errors.Is(err, ErrInvalidID) {
-		t.Fatalf("Or(bg, NOPE) err = %v, want ErrInvalidID", err)
+	if got := Of(NewContext(context.Background(), "acme")); got != "acme" {
+		t.Fatalf("Of(acme) = %q, want acme", got)
 	}
 }
 

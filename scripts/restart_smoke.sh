@@ -4,7 +4,8 @@
 # monitor, and submit a seven-stage remediation pipeline over HTTP,
 # kill -9 the process, boot a fresh one over the same directory, and
 # assert the startup line counts every tenant's datasets, the dataset
-# and the pinned monitor came back, and the pipeline record finishes
+# and the pinned monitor came back, acme still owns its dataset (named
+# only by the X-RDS-Tenant header), and the pipeline record finishes
 # done with every stage — whether the SIGKILL landed mid-run (the boot
 # path resumes it at its last persisted stage) or after it completed
 # (the boot path finalizes it). This is the shell-level twin of
@@ -116,6 +117,23 @@ echo "${status}" | tr -d ' ' | grep -q '"degraded":true' && {
   echo "restart_smoke: restored monitor is degraded: ${status}" >&2; exit 1; }
 curl -fsS "${BASE}/v1/datasets/${ref}" >/dev/null || {
   echo "restart_smoke: baseline dataset did not survive restart" >&2; exit 1; }
+
+# Ownership survives too, and only the header names the tenant: acme
+# reads its dataset, beta gets a 404 (not the header-less default
+# tenant, which uploaded the same bytes and so owns the same ref), and
+# a ?tenant= parameter is refused.
+http_code() { # http_code <curl args...>
+  curl -sS -o /dev/null -w '%{http_code}' "$@"
+}
+code=$(http_code "${BASE}/v1/datasets/${acme_ref}" -H 'X-RDS-Tenant: acme')
+[ "${code}" = 200 ] || {
+  echo "restart_smoke: acme reads its dataset after restart: ${code}, want 200" >&2; exit 1; }
+code=$(http_code "${BASE}/v1/datasets/${acme_ref}" -H 'X-RDS-Tenant: beta')
+[ "${code}" = 404 ] || {
+  echo "restart_smoke: beta reads acme's dataset after restart: ${code}, want 404" >&2; exit 1; }
+code=$(http_code "${BASE}/v1/datasets?tenant=acme")
+[ "${code}" = 400 ] || {
+  echo "restart_smoke: ?tenant= on the dataset list: ${code}, want 400" >&2; exit 1; }
 
 # The pipeline record survived and finishes the full curriculum: the
 # boot path resumed it at its last persisted stage if the SIGKILL
