@@ -510,6 +510,10 @@ func TestHTTPQuerySpec(t *testing.T) {
 	if resp, body := doAs(t, "", http.MethodPost, srv.URL+"/v1/audit?dataset=inline&seed=5", "text/csv", csv); resp.StatusCode != http.StatusOK {
 		t.Fatalf("?dataset=&seed= = %d, want 200: %s", resp.StatusCode, body)
 	}
+	// Bare `curl -d` labels a JSON body as a form; it is read as JSON.
+	if resp, body := doAs(t, "", http.MethodPost, srv.URL+"/v1/audit", "application/x-www-form-urlencoded", `{"synthetic":{"n":200}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("form-labelled JSON = %d, want 200: %s", resp.StatusCode, body)
+	}
 
 	for _, tc := range []struct {
 		name, ct, q, body, wantErr string
